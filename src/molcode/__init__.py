@@ -29,10 +29,10 @@ from .codebooks import (
 )
 from .codec import (
     CalibratedThreshold,
+    CalibrationError,
     ConstantThreshold,
     DecodeResult,
     PilotThreshold,
-    calibrate_fixed_threshold,
     collect_pilot_stats,
     decode,
     detect,
@@ -80,10 +80,10 @@ __all__ = [
     "load_distribution",
     "validate",
     "CalibratedThreshold",
+    "CalibrationError",
     "ConstantThreshold",
     "DecodeResult",
     "PilotThreshold",
-    "calibrate_fixed_threshold",
     "collect_pilot_stats",
     "decode",
     "detect",

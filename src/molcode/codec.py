@@ -24,10 +24,10 @@ __all__ = [
     "PilotThreshold",
     "CalibratedThreshold",
     "ThresholdStrategy",
+    "CalibrationError",
     "PilotStats",
     "pilot_threshold",
     "collect_pilot_stats",
-    "calibrate_fixed_threshold",
 ]
 
 
@@ -192,7 +192,8 @@ class CalibratedThreshold:
     candidates is an explicit tau grid; by default a grid proportional to
     the first-slot signal level is used. All candidates are scored on one
     shared batch of messages (common random numbers) and ties go to the
-    smaller tau.
+    smaller tau. Slot counts are integers, so candidates with the same
+    ceiling always tie; each such integer cut is scored once.
     """
 
     candidates: tuple[float, ...] | None = None
@@ -211,6 +212,15 @@ class CalibratedThreshold:
 ThresholdStrategy = Union[ConstantThreshold, PilotThreshold, CalibratedThreshold]
 
 
+class CalibrationError(ValueError):
+    """The pilots of a link cannot separate signal from interference.
+
+    This is a property of the link (for example a budget too small to
+    lift any pilot above the interference), not a configuration mistake;
+    sweep turns it into an error-tagged row.
+    """
+
+
 def pilot_threshold(signal_level: float, interference_level: float, molecules: int) -> float:
     """Threshold between a signal and an interference count level.
 
@@ -227,7 +237,7 @@ def pilot_threshold(signal_level: float, interference_level: float, molecules: i
     if not (math.isfinite(n1) and math.isfinite(n3)):
         raise ValueError("pilot levels must be finite")
     if n1 < n3:
-        raise ValueError(
+        raise CalibrationError(
             f"signal level {n1!r} is below interference level {n3!r}; "
             "the link cannot be calibrated from these pilots"
         )
@@ -332,13 +342,13 @@ def collect_pilot_stats(
                 exc_peaks.extend(float(x) for x in q_peaks[q_usable])
 
     if not peak_means:
-        raise ValueError("no usable pilot readings for the signal level")
+        raise CalibrationError("no usable pilot readings for the signal level")
     if not exc_peaks:
-        raise ValueError("no usable pilot readings for the interference level")
+        raise CalibrationError("no usable pilot readings for the interference level")
     signal_level = min(peak_means.values())
     interference_level = float(np.mean(exc_peaks))
     if signal_level <= interference_level:
-        raise ValueError(
+        raise CalibrationError(
             f"pilot signal level {signal_level!r} does not exceed the "
             f"interference level {interference_level!r}; uncalibratable link"
         )
@@ -352,16 +362,3 @@ def collect_pilot_stats(
         molecules=molecules,
         repetitions=repetitions,
     )
-
-
-def calibrate_fixed_threshold(link, strategy: CalibratedThreshold, master_seed: int) -> float:
-    """Score candidate thresholds on one shared message batch; return the best.
-
-    The batch (messages, emissions and arrivals) is simulated once and every
-    candidate tau re-reads it, so candidates differ only in the detection
-    step. The tau with the lowest character error count wins; ties go to the
-    smaller tau.
-    """
-    from . import mc_sim
-
-    return mc_sim._calibrate_threshold(link, strategy, master_seed)

@@ -14,6 +14,7 @@ threads process the chunks. Changing CHUNK_TRIALS changes the streams.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +35,7 @@ from .codebooks import (
 )
 from .codec import (
     CalibratedThreshold,
+    CalibrationError,
     ConstantThreshold,
     PilotThreshold,
     ThresholdStrategy,
@@ -54,6 +56,12 @@ __all__ = [
 
 #: Trials per deterministic chunk; part of the reproducibility contract.
 CHUNK_TRIALS = 8192
+
+#: Slot counts are int32; LinkConfig keeps every count below this.
+_COUNT_LIMIT = int(np.iinfo(np.int32).max)
+
+#: Decoder input for a slot after the end of a message.
+_PAST_END = 2
 
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
@@ -90,6 +98,10 @@ class LinkConfig:
             raise ValueError("master seed must be non-negative")
         if self.char_duration <= 0:
             raise ValueError("character duration must be positive")
+        if self.molecules_per_one * self.profile.memory >= _COUNT_LIMIT:
+            raise ValueError(
+                "molecule budget too large: slot counts must stay below 2**31 - 1"
+            )
         want = self.char_duration / expected_length(self.codebook, self.distribution)
         if abs(self.profile.slot - want) > 1e-9 * want:
             raise ValueError(
@@ -198,7 +210,8 @@ def sample_arrivals(
     molecules with the renormalized slot probability. The marginal of each
     slot count is Binomial(molecules, a_k) and the total never exceeds the
     release. With size given, that many independent releases are drawn and
-    an array of shape (size, memory) is returned.
+    an array of shape (size, memory) is returned. Counts are int32 unless
+    molecules exceeds the int32 range.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     if molecules < 0:
@@ -207,7 +220,7 @@ def sample_arrivals(
         raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
     n = 1 if size is None else int(size)
     remaining = np.full(n, molecules, dtype=np.int64)
-    out = np.empty((n, len(coeffs)), dtype=np.int64)
+    out = np.empty((n, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
     consumed = 0.0
     for k, a in enumerate(coeffs):
         rest = 1.0 - consumed
@@ -281,8 +294,11 @@ class _Automaton:
 
     State 0 is the root; the extra absorbing state (index dead) is entered
     on any bit with no trie edge, which models the sequential decoder
-    stopping at a dead end. emit[s, b] holds the decoded symbol index when
-    the edge completes a codeword, else -1.
+    stopping at a dead end. The flat tables are indexed by 3 * state +
+    input, where input is a bit or _PAST_END for a slot after the message,
+    which keeps the state and emits nothing. next_at holds 3 * the next
+    state; emit holds the decoded symbol index when the edge completes a
+    codeword, else -1.
     """
 
     def __init__(self, cb: Codebook, symbols: Sequence[str]):
@@ -301,15 +317,18 @@ class _Automaton:
             leaf[node][int(word[-1])] = order[sym]
         n = len(children)
         self.dead = n
-        self.trans = np.full((n + 1, 2), self.dead, dtype=np.int32)
-        self.emit = np.full((n + 1, 2), -1, dtype=np.int16)
+        nxt = np.full((n + 1, 3), self.dead, dtype=np.int64)
+        nxt[:, _PAST_END] = np.arange(n + 1)
+        self.emit = np.full((n + 1, 3), -1, dtype=np.int16)
         for s in range(n):
             for b in (0, 1):
                 if leaf[s][b] >= 0:
-                    self.trans[s, b] = 0
+                    nxt[s, b] = 0
                     self.emit[s, b] = leaf[s][b]
                 elif children[s][b] >= 0:
-                    self.trans[s, b] = children[s][b]
+                    nxt[s, b] = children[s][b]
+        self.next_at = (3 * nxt).ravel()
+        self.emit = self.emit.ravel()
 
 
 class _Tables:
@@ -354,22 +373,30 @@ def _sample_bits(tables: _Tables, trials: int, msg_len: int, rng: np.random.Gene
 
 
 def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
-    """Superpose the arrival spreads of every bit-1 release into slot counts."""
+    """Superpose the arrival spreads of every bit-1 release into slot counts.
+
+    Releases are taken in row-major order, one arrival row each. Counts
+    are exact int32 sums of integer arrivals (LinkConfig bounds them below
+    the int32 limit). The count matrix carries memory - 1 spare columns, so
+    a window that runs past max_t spills there instead of being masked, and
+    each lag k is one fancy-index add at the release columns shifted by k:
+    within one lag every (row, column) pair occurs at most once, so the add
+    is exact. Returns a (trials, max_t) view without the spare columns.
+    """
     trials, max_t = bitmat.shape
-    er, ec = np.nonzero(bitmat)
-    counts = np.zeros(trials * max_t, dtype=np.float64)
-    if er.size:
+    spare = cfg.profile.memory - 1
+    counts = np.zeros((trials, max_t + spare), dtype=np.int32)
+    where = np.flatnonzero(bitmat)
+    if where.size:
         arrivals = sample_arrivals(
-            cfg.molecules_per_one, cfg.profile.coefficients, rng, size=er.size
+            cfg.molecules_per_one, cfg.profile.coefficients, rng, size=where.size
         )
+        where += where // max_t * spare
+        flat = counts.reshape(-1)
         for k in range(cfg.profile.memory):
-            dest = ec + k
-            keep = dest < max_t
-            if not keep.any():
-                break
-            lin = er[keep] * max_t + dest[keep]
-            counts += np.bincount(lin, weights=arrivals[keep, k], minlength=trials * max_t)
-    return counts.reshape(trials, max_t)
+            flat[where] += arrivals[:, k]
+            where += 1
+    return counts[:, :max_t]
 
 
 def _correct_rows(det: np.ndarray) -> np.ndarray:
@@ -383,70 +410,90 @@ def _correct_rows(det: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_rows(final: np.ndarray, tlen: np.ndarray, auto: _Automaton, msg_len: int):
-    """Walk the trie automaton along every row; returns symbols and flags."""
+def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, auto: _Automaton):
+    """Walk the trie automaton along every row and score it against syms.
+
+    Returns per-row character errors (positions among the first msg_len
+    whose decoded symbol differs from the sent one or is missing), the
+    number of decoded symbols and the dead-end and incomplete-tail flags.
+    """
     trials, max_t = final.shape
-    state = np.zeros(trials, dtype=np.int32)
-    dec_len = np.zeros(trials, dtype=np.int64)
-    out = np.full((trials, msg_len), -1, dtype=np.int16)
-    rows = np.arange(trials)
+    msg_len = syms.shape[1]
+    inputs = np.where(np.arange(max_t) < tlen[:, None], final, _PAST_END)
+    # Decoded symbol j of a row is checked against sent[row, min(j, msg_len)];
+    # the extra column holds -2, which no emission equals.
+    sent = np.full((trials, msg_len + 1), -2, dtype=np.int16)
+    sent[:, :msg_len] = syms
+    sent = sent.ravel()
+    base = np.arange(trials, dtype=np.int64) * (msg_len + 1)
+    at = np.zeros(trials, dtype=np.int64)  # 3 * the state of each row
+    decoded = np.zeros(trials, dtype=np.int64)
+    matches = np.zeros(trials, dtype=np.int64)
     for t in range(max_t):
-        act = t < tlen
-        if not act.any():
-            break
-        b = final[:, t].astype(np.int64)
-        e = auto.emit[state, b]
-        ns = auto.trans[state, b]
-        fire = act & (e >= 0)
-        if fire.any():
-            idx = rows[fire]
-            store = idx[dec_len[idx] < msg_len]
-            out[store, dec_len[store]] = e[fire][dec_len[idx] < msg_len]
-            dec_len[idx] += 1
-        state = np.where(act, ns, state)
+        edge = at + inputs[:, t]
+        sym = auto.emit[edge]
+        at = auto.next_at[edge]
+        matches += sym == sent[base + np.minimum(decoded, msg_len)]
+        decoded += sym >= 0
+    state = at // 3
     dead = state == auto.dead
     incomplete = (~dead) & (state != 0)
-    return out, dec_len, dead, incomplete
+    return msg_len - matches, decoded, dead, incomplete
+
+
+def _count_cut(tau: float) -> int:
+    """Smallest integer slot count that reads as 1 under threshold tau.
+
+    Slot counts are integers, so count >= tau and count >= ceil(tau) read
+    the same bits. Thresholds beyond the int32 range clamp to its top,
+    which no count reaches (LinkConfig keeps every count below it).
+    """
+    return _COUNT_LIMIT if tau >= _COUNT_LIMIT else math.ceil(tau)
+
+
+def _read_bits(counts: np.ndarray, cut: int, tables: _Tables) -> np.ndarray:
+    """Read counts >= cut as bits, then correct them if the kind is corrected."""
+    det = (counts >= cut).view(np.int8)
+    return _correct_rows(det) if tables.correct else det
 
 
 def _run_chunk(cfg: LinkConfig, tables: _Tables, trials: int, tau: float, seed_tuple):
+    """Simulate, detect, correct, decode and score one chunk of trials."""
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
     syms, tlen, bitmat = _sample_bits(tables, trials, cfg.msg_len, rng)
     counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-    out = _score_block(cfg, tables, syms, tlen, bitmat, counts, tau)
-    return out
-
-
-def _score_block(cfg: LinkConfig, tables: _Tables, syms, tlen, bitmat, counts, tau):
-    """Detect, correct, decode and score one block of already sampled trials."""
-    trials, max_t = bitmat.shape
-    det = (counts >= tau).astype(np.int8)
-    final = _correct_rows(det) if tables.correct else det
-    out, dec_len, dead, incomplete = _decode_rows(
-        final, tlen, tables.automaton, cfg.msg_len
+    final = _read_bits(counts, _count_cut(tau), tables)
+    err_per_trial, dec_len, dead, incomplete = _decode_rows(
+        final, tlen, syms, tables.automaton
     )
-
-    err_per_trial = (out != syms).sum(axis=1)
     sum_err = int(err_per_trial.sum())
-    sum_err_sq = int((err_per_trial.astype(np.int64) ** 2).sum())
+    sum_err_sq = int((err_per_trial ** 2).sum())
 
+    max_t = bitmat.shape[1]
     valid = np.arange(max_t)[None, :] < tlen[:, None]
-    pair = (bitmat.astype(np.int64) * 2 + final)[valid]
-    bit_counts = np.bincount(pair, minlength=4)
+    # Padding after a message is 0 in bitmat but may read 1 in final.
+    slots = int(tlen.sum())
+    sent_ones = int(np.count_nonzero(bitmat))
+    read_ones = int(np.count_nonzero(final & valid))
+    kept_ones = int(np.count_nonzero(bitmat & final))
+    bit_counts = [
+        slots - sent_ones - read_ones + kept_ones,
+        read_ones - kept_ones,
+        sent_ones - kept_ones,
+        kept_ones,
+    ]
 
-    sent = bitmat
-    got = final
-    v = valid
-    ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & v[:, 2:]
+    sent, got = bitmat, final
+    ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & valid[:, 2:]
     ctx100_err = ctx100 & (got[:, 2:] == 1)
-    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1) & v[:, 1:]
+    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1) & valid[:, 1:]
     ctx_x01_err = ctx_x01 & (got[:, 1:] == 0)
 
     return {
         "trials": trials,
         "sum_err": sum_err,
         "sum_err_sq": sum_err_sq,
-        "bits": [int(x) for x in bit_counts],
+        "bits": bit_counts,
         "ctx_100": int(ctx100.sum()),
         "ctx_100_err": int(ctx100_err.sum()),
         "ctx_x01": int(ctx_x01.sum()),
@@ -482,10 +529,24 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
 
 
 def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get("MOLCODE_THREADS", "").strip()
-    return max(1, int(env)) if env else 1
+    """Worker threads: threads if given, else MOLCODE_THREADS, else 1.
+
+    A count below 1 or a MOLCODE_THREADS that is not an integer is a
+    configuration mistake and raises ValueError.
+    """
+    if threads is None:
+        env = os.environ.get("MOLCODE_THREADS", "").strip()
+        if not env:
+            return 1
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(
+                f"MOLCODE_THREADS must be a positive integer, got {env!r}"
+            ) from None
+    if threads < 1:
+        raise ValueError(f"thread count must be at least 1, got {threads!r}")
+    return int(threads)
 
 
 def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
@@ -561,10 +622,17 @@ def _default_candidates(cfg: LinkConfig) -> tuple[float, ...]:
 def _calibrate_threshold(
     cfg: LinkConfig, strategy: CalibratedThreshold, master_seed: int
 ) -> float:
-    """Score every candidate tau on one shared batch; smallest tau wins ties."""
+    """Candidate tau with the fewest character errors on one shared batch.
+
+    Candidates that share an integer count cut ceil(tau) read identical
+    bits, so each distinct cut is scored once per batch chunk and its error
+    count is credited to all of its candidates. Scoring counts character
+    errors only (detect, correct, decode, compare with the sent symbols).
+    The fewest errors win; ties go to the smaller tau.
+    """
     candidates = strategy.candidates or _default_candidates(cfg)
     tables = _Tables(cfg)
-    errors = np.zeros(len(candidates), dtype=np.int64)
+    cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
     remaining = strategy.messages
     index = 0
     while remaining > 0:
@@ -574,16 +642,12 @@ def _calibrate_threshold(
         )
         syms, tlen, bitmat = _sample_bits(tables, size, cfg.msg_len, rng)
         counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-        for ci, tau in enumerate(candidates):
-            part = _score_block(cfg, tables, syms, tlen, bitmat, counts, tau)
-            errors[ci] += part["sum_err"]
+        for cut in cut_errors:
+            final = _read_bits(counts, cut, tables)
+            cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables.automaton)[0].sum())
         remaining -= size
         index += 1
-    best = 0
-    for ci in range(1, len(candidates)):
-        if errors[ci] < errors[best]:
-            best = ci
-    return float(candidates[best])
+    return float(min(candidates, key=lambda tau: (cut_errors[_count_cut(tau)], tau)))
 
 
 def sweep(
@@ -610,11 +674,17 @@ def sweep(
     conventional kinds calibrate a fixed threshold on a training batch.
 
     Returns one row dict per (kind, budget); a row whose threshold cannot
-    be resolved (for example pilots that cannot separate signal from
-    interference at a tiny budget) carries an error tag instead of a CER.
+    be resolved (a CalibrationError, for example pilots that cannot
+    separate signal from interference at a tiny budget) carries an error
+    tag instead of a CER. Configuration mistakes, such as an unknown kind
+    or a bad thread count, raise ValueError before any row is simulated.
     progress, when given, is called with each finished row.
     """
     builders = {"huffman": build_huffman, "proposed": build_proposed, "ita2": lambda d: ita2()}
+    for kind in kinds:
+        if kind not in builders:
+            raise ValueError(f"unknown codebook kind {kind!r}")
+    n_threads = _thread_count(threads)
     if thresholds is None:
         thresholds = {}
     default_thresholds: dict[str, ThresholdStrategy] = {
@@ -625,8 +695,6 @@ def sweep(
 
     rows: list[dict] = []
     for kind in kinds:
-        if kind not in builders:
-            raise ValueError(f"unknown codebook kind {kind!r}")
         cb = builders[kind](dist)
         strategy = thresholds.get(kind, default_thresholds[kind])
         for budget in budgets:
@@ -651,8 +719,8 @@ def sweep(
                 "seed": master_seed,
             }
             try:
-                report = run_cer(cfg, threads=threads)
-            except ValueError as exc:
+                report = run_cer(cfg, threads=n_threads)
+            except CalibrationError as exc:
                 row.update(tau=None, cer=None, cer_stderr=None,
                            error=f"uncalibratable: {exc}")
             else:

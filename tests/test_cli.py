@@ -138,6 +138,33 @@ class TestSimulateCommand:
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
 
+    def test_bad_thread_env_is_usage_error_without_rows(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("MOLCODE_THREADS", "abc")
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--trials", "100", "--budgets", "60",
+                    "--kinds", "huffman", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "MOLCODE_THREADS" in capsys.readouterr().err
+
+    def test_zero_threads_is_usage_error(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--trials", "100", "--budgets", "60",
+                    "--kinds", "huffman", "--threads", "0", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    def test_calibration_failure_stays_a_tagged_row(self, tmp_path, monkeypatch):
+        # The same zero-budget pilot failure as above, with threads taken
+        # from a valid environment setting.
+        monkeypatch.setenv("MOLCODE_THREADS", "2")
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--trials", "100", "--budgets", "0",
+                    "--kinds", "proposed", "--out", str(out)])
+        assert code == 0
+        (row,) = out.read_text().splitlines()[1:]
+        assert row.split(",")[8].startswith("uncalibratable: no usable pilot readings")
+
 
 class TestConfigHandling:
     def test_char_rate_override_changes_slot(self, tmp_path):

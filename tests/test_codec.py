@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from molcode import (
     CalibratedThreshold,
+    CalibrationError,
     ChannelProfile,
     ConstantThreshold,
     PilotThreshold,
@@ -132,7 +133,7 @@ class TestPilotThresholdFormula:
         assert pilot_threshold(1000.0, 0.0, 1000) == 500.0
 
     def test_inverted_levels_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(CalibrationError):
             pilot_threshold(100.0, 300.0, 1000)
 
     def test_nonfinite_rejected(self):
@@ -161,7 +162,7 @@ class TestPilotProtocol:
 
     def test_zero_budget_uncalibratable(self, pcb, params):
         profile = ChannelProfile.build(params, slot=0.08, memory=10)
-        with pytest.raises(ValueError):
+        with pytest.raises(CalibrationError):
             collect_pilot_stats(pcb, profile, molecules=0, master_seed=1)
 
 

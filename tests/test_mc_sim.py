@@ -7,6 +7,7 @@ import pytest
 
 from molcode import (
     CalibratedThreshold,
+    CalibrationError,
     ConstantThreshold,
     LinkConfig,
     PilotThreshold,
@@ -20,6 +21,7 @@ from molcode import (
     simulate_message,
     sweep,
 )
+from molcode import mc_sim
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
 
@@ -74,6 +76,12 @@ class TestSampleArrivals:
         rng = np.random.default_rng(4)
         got = sample_arrivals(10, (0.5, 0.2), rng)
         assert got.shape == (2,)
+
+    def test_int32_unless_the_release_exceeds_it(self):
+        rng = np.random.default_rng(5)
+        assert sample_arrivals(100, (0.5, 0.2), rng, size=3).dtype == np.int32
+        big = sample_arrivals(2**40, (0.5,), rng, size=3)
+        assert big.dtype == np.int64 and (big > 2**38).all()
 
 
 class TestLinkConfig:
@@ -267,6 +275,16 @@ class TestThresholdResolution:
         grid = np.maximum(first, 1.0) * np.linspace(0.05, 1.2, 24)
         assert min(abs(grid - tau)) < 1e-9
 
+    def test_ties_go_to_the_smaller_tau_in_any_grid_order(self, dist, hcb, params):
+        # 9.0 and 8.5 share the integer cut 9, so they always tie.
+        cfg = LinkConfig.build(
+            codebook=hcb, distribution=dist, params=params,
+            molecules_per_one=40, char_duration=0.5,
+            threshold=CalibratedThreshold(candidates=(9.0, 8.5), messages=500),
+            trials=100, master_seed=2,
+        )
+        assert resolve_threshold(cfg, 2) == (8.5, "calibrated")
+
     def test_calibration_deterministic(self, dist, hcb, params):
         cfg = LinkConfig.build(
             codebook=hcb, distribution=dist, params=params,
@@ -323,3 +341,39 @@ class TestThreadEnvCap:
         free = run_cer(link)
         assert capped.cer == free.cer
         assert capped.bit_counts == free.bit_counts
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_bad_env_value_is_a_configuration_error(self, link, monkeypatch, value):
+        monkeypatch.setenv("MOLCODE_THREADS", value)
+        with pytest.raises(ValueError, match="MOLCODE_THREADS|at least 1") as info:
+            run_cer(link)
+        assert not isinstance(info.value, CalibrationError)
+
+    def test_bad_thread_count_raises_before_any_row(self, dist, params, monkeypatch):
+        monkeypatch.setenv("MOLCODE_THREADS", "abc")
+        seen = []
+        with pytest.raises(ValueError, match="MOLCODE_THREADS"):
+            sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
+                  kinds=("huffman",), progress=seen.append)
+        assert seen == []
+
+
+class TestErrorClassification:
+    def test_only_calibration_errors_become_rows(self, dist, params, monkeypatch):
+        def broken(cfg, threads=None):
+            raise ValueError("not a calibration problem")
+
+        monkeypatch.setattr(mc_sim, "run_cer", broken)
+        with pytest.raises(ValueError, match="not a calibration problem"):
+            sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
+                  kinds=("huffman",))
+
+
+class TestCountLimit:
+    def test_budget_that_could_overflow_int32_counts_is_rejected(self, dist, hcb, params):
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            LinkConfig.build(
+                codebook=hcb, distribution=dist, params=params,
+                molecules_per_one=2**28, char_duration=0.5,
+                threshold=ConstantThreshold(8.0), memory=10,
+            )
