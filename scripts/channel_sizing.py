@@ -13,16 +13,14 @@ import sys
 
 from molcode import (
     ChannelParams,
-    build_huffman,
-    build_proposed,
     channel_coefficients,
     english_letter_distribution,
     expected_length,
     hit_probability,
-    ita2,
     min_symbol_slot,
     peak_time,
 )
+from molcode.codebooks import KINDS, build
 
 
 def main() -> int:
@@ -33,17 +31,13 @@ def main() -> int:
 
     dist = english_letter_distribution()
     params = ChannelParams(diffusion=79.4, distance=4.0, receiver_radius=2.0)
-    books = {
-        "huffman": build_huffman(dist),
-        "proposed": build_proposed(dist),
-        "ita2": ita2(),
-    }
 
     floor = min_symbol_slot(params, memory=args.memory)
     print(f"arrival peak at {peak_time(params) * 1e3:.3f} ms, "
           f"minimum usable slot {floor * 1e3:.3f} ms")
 
-    for name, cb in books.items():
+    for name in KINDS:
+        cb = build(name, dist)
         slot = (1.0 / args.cps) / expected_length(cb, dist)
         if slot < floor:
             print(f"\n{name}: slot {slot * 1e3:.3f} ms is below the floor, skipped")

@@ -16,13 +16,12 @@ import numpy as np
 from molcode import (
     ChannelParams,
     ChannelProfile,
-    build_huffman,
-    build_proposed,
     english_letter_distribution,
     expected_isi_bit0,
     isi_oracle,
     isi_reduction_report,
 )
+from molcode.codebooks import build
 
 
 def main() -> int:
@@ -35,13 +34,10 @@ def main() -> int:
 
     dist = english_letter_distribution()
     params = ChannelParams(diffusion=79.4, distance=4.0, receiver_radius=2.0)
-    books = {
-        "huffman": (build_huffman(dist), False),
-        "proposed": (build_proposed(dist), True),
-    }
-
     print(f"memory {args.memory}, oracle on {args.samples} stream bits")
-    for name, (cb, corrected) in books.items():
+    for name in ("huffman", "proposed"):
+        cb = build(name, dist)
+        corrected = name == "proposed"
         exact = expected_isi_bit0(cb, dist, memory=args.memory, corrected=corrected)
         mc = isi_oracle(
             cb, dist, memory=args.memory, corrected=corrected,

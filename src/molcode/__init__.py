@@ -52,7 +52,6 @@ from .isi_analysis import (
 from .mc_sim import (
     CerReport,
     LinkConfig,
-    fair_budgets,
     resolve_threshold,
     run_cer,
     sample_arrivals,
@@ -99,7 +98,6 @@ __all__ = [
     "window_distribution",
     "CerReport",
     "LinkConfig",
-    "fair_budgets",
     "resolve_threshold",
     "run_cer",
     "sample_arrivals",

@@ -8,13 +8,16 @@ formatting: runs with equal inputs produce byte-identical files. Summary
 statistics and progress go to stderr, never into the CSV.
 
 Exit codes: 0 success (including partial simulate results), 2 usage or
-configuration problems, 3 an internal invariant failure.
+configuration problems (OSError, ValueError, YAML errors), 3 any other
+exception, which is an internal error.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
+import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -50,10 +53,29 @@ DEFAULTS: dict = {
     "distribution": None,  # path to a CSV; None means the built-in English letters
 }
 
-_BUILDERS = {
-    "huffman": codebooks.build_huffman,
-    "proposed": codebooks.build_proposed,
-    "ita2": lambda dist: codebooks.ita2(),
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: What each config value must be: a check and the words for it.
+_VALUE_RULES = {
+    "diffusion": (_number, "a number"),
+    "distance": (_number, "a number"),
+    "receiver_radius": (_number, "a number"),
+    "memory": (_integer, "an integer"),
+    "chars_per_second": (lambda v: v is None or _number(v), "a number or null"),
+    "char_duration": (lambda v: v is None or _number(v), "a number or null"),
+    "msg_len": (_integer, "an integer"),
+    "trials": (_integer, "an integer"),
+    "seed": (_integer, "an integer"),
+    "budgets": (lambda v: isinstance(v, list) and all(map(_number, v)), "a list of numbers"),
+    "kinds": (lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
+              "a list of codebook kinds"),
 }
 
 _PLOT_STUB = """\
@@ -115,23 +137,31 @@ def load_config(path: str | None) -> dict:
             bad = set(raw[section]) - set(cfg[section])
             if bad:
                 raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
+            for key, value in raw[section].items():
+                check, want = _VALUE_RULES[key]
+                if not check(value):
+                    raise ValueError(f"{path}: {section}.{key} must be {want}, got {value!r}")
             cfg[section].update(raw[section])
     link = raw.get("link", {})
     if link.get("chars_per_second") is not None and link.get("char_duration") is not None:
         raise ValueError(f"{path}: give chars_per_second or char_duration, not both")
     if "distribution" in raw:
+        if raw["distribution"] is not None and not isinstance(raw["distribution"], str):
+            raise ValueError(f"{path}: distribution must be a file path")
         cfg["distribution"] = raw["distribution"]
     return cfg
 
 
 def _char_duration(cfg: dict) -> float:
     link = cfg["link"]
-    if link.get("char_duration") is not None:
+    if link["char_duration"] is not None:
         duration = float(link["char_duration"])
-    else:
+    elif link["chars_per_second"]:
         duration = 1.0 / float(link["chars_per_second"])
-    if duration <= 0:
-        raise ValueError("character duration must be positive")
+    else:
+        raise ValueError("give a positive chars_per_second or a char_duration")
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError("character duration must be positive and finite")
     return duration
 
 
@@ -176,9 +206,9 @@ def _fmt(value) -> str:
 
 def _parse_kinds(kinds: list[str]) -> list[str]:
     if kinds == ["all"]:
-        return sorted(_BUILDERS)
+        return sorted(codebooks.KINDS)
     for kind in kinds:
-        if kind not in _BUILDERS:
+        if kind not in codebooks.KINDS:
             raise ValueError(f"unknown codebook kind {kind!r}")
     return kinds
 
@@ -190,7 +220,7 @@ def _cmd_codebook(args, cfg: dict) -> int:
         if kind == "ita2" and set(dist.symbols) != set(codebooks.ita2().symbols):
             _note("warning: ita2 skipped, its alphabet is fixed to the 26 English letters")
             continue
-        cb = _BUILDERS[kind](dist)
+        cb = codebooks.build(kind, dist)
         report = codebooks.validate(cb)
         if not report.ok:
             raise RuntimeError(f"generated {kind} codebook failed validation: {report.issues}")
@@ -212,7 +242,7 @@ def _cmd_channel(args, cfg: dict) -> int:
         slot = args.slot
     else:
         dist = _distribution(cfg)
-        cb = _BUILDERS[args.kind](dist)
+        cb = codebooks.build(args.kind, dist)
         slot = _char_duration(cfg) / codebooks.expected_length(cb, dist)
     coeffs = channel_mod.channel_coefficients(params, slot, memory)
     rows = [[k + 1, repr(a)] for k, a in enumerate(coeffs)]
@@ -232,7 +262,7 @@ def _cmd_isi(args, cfg: dict) -> int:
     dist = _distribution(cfg)
     rows = []
     for kind in _parse_kinds(args.kinds):
-        cb = _BUILDERS[kind](dist)
+        cb = codebooks.build(kind, dist)
         corrected = kind == "proposed"
         exact = isi_analysis.expected_isi_bit0(
             cb, dist, memory=args.memory, corrected=corrected
@@ -341,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("channel", help="emit per-slot arrival coefficients as CSV")
     p.add_argument("--slot", type=float, help="slot length in seconds")
-    p.add_argument("--kind", choices=sorted(_BUILDERS), default="proposed",
+    p.add_argument("--kind", choices=sorted(codebooks.KINDS), default="proposed",
                    help="codebook whose character rate sets the slot when --slot is absent")
     p.add_argument("--out", help="output file (default stdout)")
 
@@ -379,11 +409,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "simulate":
             return _cmd_simulate(args, cfg)
         raise AssertionError(f"unreachable command {args.command!r}")
-    except (OSError, ValueError, KeyError, TypeError, yaml.YAMLError) as exc:
+    except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception:
+        print("internal error:", file=sys.stderr)
+        traceback.print_exc()
         return 3
 
 

@@ -23,6 +23,8 @@ __all__ = [
     "build_huffman",
     "build_proposed",
     "ita2",
+    "KINDS",
+    "build",
     "expected_length",
     "expected_ones",
     "validate",
@@ -50,8 +52,6 @@ _ITA2_ALPHABETICAL: tuple[str, ...] = (
     "00011", "01101", "11101", "01010", "10100", "00001", "11100",
     "01111", "11001", "10111", "10101", "10001",
 )
-
-_KINDS = ("huffman", "proposed", "ita2", "custom")
 
 # Relative slack allowed on the raw sum (against 1.0 or 100.0) before
 # normalization of an input distribution. The boundary is inclusive up to
@@ -136,7 +136,7 @@ class Codebook:
 
     kind is one of huffman | proposed | ita2 | custom and selects
     receiver-side behavior (the proposed kind is the only one that gets
-    error correction and contraction-based decoding).
+    error correction).
     """
 
     kind: str
@@ -144,7 +144,7 @@ class Codebook:
     source: CharacterDistribution | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS and self.kind != "custom":
             raise ValueError(f"unknown codebook kind {self.kind!r}")
         if len(self.codewords) < 2:
             raise ValueError("a codebook needs at least 2 codewords")
@@ -262,6 +262,25 @@ def ita2() -> Codebook:
     return Codebook(kind="ita2", codewords=words, source=dist)
 
 
+_BUILDERS = {
+    "huffman": build_huffman,
+    "proposed": build_proposed,
+    "ita2": lambda dist: ita2(),
+}
+
+#: The codebook kinds build() constructs; "custom" codebooks are built by hand.
+KINDS = tuple(_BUILDERS)
+
+
+def build(kind: str, dist: CharacterDistribution) -> Codebook:
+    """The codebook of a built-in kind for dist (ita2 ignores dist)."""
+    try:
+        builder = _BUILDERS[kind]
+    except KeyError:
+        raise ValueError(f"unknown codebook kind {kind!r}") from None
+    return builder(dist)
+
+
 def _check_symbols(cb: Codebook, dist: CharacterDistribution) -> None:
     if set(cb.codewords) != set(dist.symbols):
         missing = set(cb.codewords) ^ set(dist.symbols)
@@ -366,7 +385,10 @@ def load_distribution(path: str | Path) -> CharacterDistribution:
             sym = (row[sym_col] or "").strip()
             if not sym:
                 continue
-            pairs.append((sym, float(row[prob_col])))
+            cell = row[prob_col]
+            if cell is None or not cell.strip():
+                raise ValueError(f"{path}: line {reader.line_num}: no probability for {sym!r}")
+            pairs.append((sym, float(cell)))
     return CharacterDistribution.from_weights(pairs)
 
 

@@ -2,9 +2,12 @@
 
 The run-length-limited codebook kind ("proposed") carries a structural
 guarantee: a transmitted stream never contains adjacent ones. The receiver
-exploits it twice, first by forcing any 1 that follows a decided 1 back to
-0 (error correction), then by decoding through pair contraction, which maps
-each 10 back to the underlying tree branch 1.
+exploits it by forcing any 1 that follows a decided 1 back to 0 (error
+correction), then parses the stream with the prefix code like any other
+kind. CodeTables holds a codebook as arrays: the codeword layout that
+lays symbols into a stream, and the codeword trie that every decoder here
+walks. Its trie over the expanded codewords has no edge for a 1 after a
+1, so such a stream stops decoding at a dead end.
 """
 from __future__ import annotations
 
@@ -12,9 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 from .codebooks import Codebook
 
 __all__ = [
+    "PAST_END",
+    "CodeTables",
     "DecodeResult",
     "encode",
     "error_correct",
@@ -29,6 +36,12 @@ __all__ = [
     "pilot_threshold",
     "collect_pilot_stats",
 ]
+
+#: Trie input for a slot after the end of a message.
+PAST_END = 2
+
+#: Symbol indices are int16 in the trie and in the decoder's sent symbols.
+_MAX_SYMBOLS = int(np.iinfo(np.int16).max)
 
 
 def encode(text: Iterable[str], cb: Codebook) -> str:
@@ -73,13 +86,13 @@ class DecodeResult:
     """Decoded symbols plus whatever trailing bits could not be resolved.
 
     residue holds the original bits from the start of the codeword that was
-    in progress when decoding stopped (end of stream, a branch missing from
-    an incomplete code, or an adjacent-ones contract violation).
+    in progress when decoding stopped, at the end of the stream or at a
+    dead end: a bit with no codeword trie edge, such as a branch missing
+    from an incomplete code or a 1 after a 1 in a run-length-limited stream.
     """
 
     symbols: tuple[str, ...]
     residue: str
-    violation: bool = False
     dead_end: bool = False
 
     @property
@@ -87,74 +100,91 @@ class DecodeResult:
         return "".join(self.symbols)
 
 
-def _decode_trie(words: dict[str, str]) -> dict:
-    root: dict = {}
-    for sym, word in words.items():
-        node = root
-        for bit in word[:-1]:
-            node = node.setdefault(bit, {})
-            if not isinstance(node, dict):
+class CodeTables:
+    """A codebook as flat arrays: its codeword layout and its codeword trie.
+
+    Symbol i is symbols[i]; its codeword is word_flat[word_off[i]:][:word_len[i]].
+    The trie is an automaton indexed by 3 * state + input, where input is a
+    bit or PAST_END (a slot after the message, which keeps the state and
+    emits nothing). next_at holds 3 * the next state; emit holds the index
+    of the symbol an edge completes, else -1. State 0 is the root; any bit
+    with no trie edge enters the absorbing state dead, where a sequential
+    decoder stops.
+
+    Raises ValueError for a code that is not prefix free and, before any
+    table is built, for an alphabet beyond the int16 symbol indices.
+    """
+
+    def __init__(self, cb: Codebook, symbols: Sequence[str]):
+        if len(symbols) > _MAX_SYMBOLS:
+            raise ValueError(
+                f"{len(symbols)} symbols exceed the limit of {_MAX_SYMBOLS} per codebook"
+            )
+        words = [cb.codewords[s] for s in symbols]
+        self.word_len = np.array([len(w) for w in words], dtype=np.int64)
+        self.word_flat = np.array([int(b) for w in words for b in w], dtype=np.int8)
+        self.word_off = np.cumsum(self.word_len) - self.word_len
+
+        # Per state and bit: the next state (-1 for no edge) and the emitted
+        # symbol; an edge that completes a codeword returns to the root.
+        nxt: list[list[int]] = [[-1, -1]]
+        emit: list[list[int]] = [[-1, -1]]
+        for index, word in enumerate(words):
+            node = 0
+            for bit in map(int, word[:-1]):
+                if emit[node][bit] >= 0:
+                    raise ValueError(f"codeword table is not prefix free at {word!r}")
+                if nxt[node][bit] < 0:
+                    nxt[node][bit] = len(nxt)
+                    nxt.append([-1, -1])
+                    emit.append([-1, -1])
+                node = nxt[node][bit]
+            last = int(word[-1])
+            if nxt[node][last] >= 0:
                 raise ValueError(f"codeword table is not prefix free at {word!r}")
-        last = word[-1]
-        if last in node:
-            raise ValueError(f"codeword table is not prefix free at {word!r}")
-        node[last] = sym
-    return root
+            nxt[node][last] = 0
+            emit[node][last] = index
+        self.dead = len(nxt)
+        nxt.append([-1, -1])
+        emit.append([-1, -1])
+        table = np.array(nxt, dtype=np.int64)
+        table[table < 0] = self.dead
+        self.next_at = 3 * np.column_stack([table, np.arange(len(nxt))]).ravel()
+        self.emit = np.column_stack([emit, np.full(len(emit), -1)]).astype(np.int16).ravel()
+
+    def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codewords of syms back to back, and each bit's in-word position."""
+        syms = syms.ravel()
+        reps = self.word_len[syms]
+        starts = np.cumsum(reps) - reps
+        pos = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        return self.word_flat[np.repeat(self.word_off[syms], reps) + pos], pos
 
 
 def decode(bits: str, cb: Codebook) -> DecodeResult:
-    """Parse a bit string into symbols of cb.
+    """Parse a bit string into symbols of cb by walking its codeword trie.
 
-    For the run-length-limited kind the stream is contracted on the fly
-    (each 1 must be followed by a 0 and the pair walks the underlying tree
-    branch 1); a 1 followed by another 1 is a contract violation and stops
-    decoding. For every kind, falling off the codeword trie stops decoding
-    at a dead end. Both stops leave the unconsumed bits in residue.
+    Decoding stops at the end of the stream or at a dead end, a bit with
+    no trie edge; for the run-length-limited kind a 1 after a 1 is one.
+    Either way the unconsumed bits are left in residue.
     """
     if set(bits) - {"0", "1"}:
         raise ValueError("bit string may contain only 0 and 1")
-    contracted = cb.kind == "proposed"
-    if contracted:
-        words = {s: w.replace("10", "1") for s, w in cb.codewords.items()}
-    else:
-        words = cb.codewords
-    root = _decode_trie(words)
-
+    names = cb.symbols
+    tables = CodeTables(cb, names)
     symbols: list[str] = []
-    node = root
+    at = 0  # 3 * the current state
     word_start = 0
-    pos = 0
-    violation = False
-    dead_end = False
-    n = len(bits)
-    while pos < n:
-        bit = bits[pos]
-        if contracted and bit == "1":
-            if pos + 1 >= n:
-                break  # incomplete pair, leave it as residue
-            if bits[pos + 1] == "1":
-                violation = True
-                break
-            step = 2
-        else:
-            step = 1
-        nxt = node.get(bit)
-        if nxt is None:
-            dead_end = True
+    for pos, bit in enumerate(bits):
+        edge = at + int(bit)
+        at = tables.next_at[edge]
+        if at == 3 * tables.dead:
             break
-        pos += step
-        if isinstance(nxt, dict):
-            node = nxt
-        else:
-            symbols.append(nxt)
-            node = root
-            word_start = pos
-    return DecodeResult(
-        symbols=tuple(symbols),
-        residue=bits[word_start:],
-        violation=violation,
-        dead_end=dead_end,
-    )
+        if tables.emit[edge] >= 0:
+            symbols.append(names[tables.emit[edge]])
+            word_start = pos + 1
+    return DecodeResult(symbols=tuple(symbols), residue=bits[word_start:],
+                        dead_end=bool(at == 3 * tables.dead))
 
 
 @dataclass(frozen=True)
@@ -287,8 +317,6 @@ def collect_pilot_stats(
     bit-1 slot and its successor (leaving only spillover into quiet slots).
     Pilots with nothing left after masking or zero dropping are skipped.
     """
-    import numpy as np
-
     from . import mc_sim
 
     if repetitions < 1:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CharacterDistribution
+from .codebooks import Codebook, CharacterDistribution, build_huffman, build_proposed
+from .codec import CodeTables
 
 __all__ = [
     "WindowDistribution",
@@ -96,37 +97,21 @@ class IsiCoefficients:
 def _word_chain(cb: Codebook, dist: CharacterDistribution):
     """Markov chain over (symbol, in-word position) states of the stream.
 
-    Returns (bits, pos, weight, T, pi): per-state bit values, in-word
-    positions, codeword probabilities, the transition matrix, and the
+    State i is bit i of the codeword layout CodeTables.word_flat. Returns
+    (bits, T, pi): per-state bit values, the transition matrix, and the
     stationary distribution pi(sym, t) = p(sym) / mean codeword length.
     """
     if set(cb.codewords) != set(dist.symbols):
         raise ValueError("codebook and distribution symbols differ")
-    words = [cb.codewords[s] for s in dist.symbols]
+    tables = CodeTables(cb, dist.symbols)
     probs = np.asarray(dist.probs)
-
-    states: list[tuple[int, int]] = [
-        (si, t) for si, w in enumerate(words) for t in range(len(w))
-    ]
-    index = {st: i for i, st in enumerate(states)}
-    n = len(states)
-    bits = np.array([int(words[si][t]) for si, t in states], dtype=np.int8)
-    pos = np.array([t for _, t in states], dtype=np.int64)
-    weight = np.array([probs[si] for si, _ in states])
-
+    n = len(tables.word_flat)
     starts = np.zeros(n)
-    for si in range(len(words)):
-        starts[index[(si, 0)]] = probs[si]
-    T = np.zeros((n, n))
-    for i, (si, t) in enumerate(states):
-        if t + 1 < len(words[si]):
-            T[i, index[(si, t + 1)]] = 1.0
-        else:
-            T[i, :] = starts
-
-    mean_len = float(np.dot(probs, [len(w) for w in words]))
-    pi = weight / mean_len
-    return bits, pos, weight, T, pi
+    starts[tables.word_off] = probs
+    T = np.eye(n, k=1)
+    T[tables.word_off + tables.word_len - 1] = starts
+    pi = np.repeat(probs, tables.word_len) / float(np.dot(probs, tables.word_len))
+    return tables.word_flat, T, pi
 
 
 def window_distribution(
@@ -135,7 +120,7 @@ def window_distribution(
     """Exact stationary law of a memory-length window of the coded stream."""
     if memory < 1:
         raise ValueError("memory must be at least 1")
-    bits, _, _, T, pi = _word_chain(cb, dist)
+    bits, T, pi = _word_chain(cb, dist)
     layers: dict[str, np.ndarray] = {"": pi}
     for _ in range(memory):
         nxt: dict[str, np.ndarray] = {}
@@ -152,14 +137,13 @@ def window_distribution(
 
 def _stream_lag_profile(cb, dist, memory):
     """c_j via the unrestricted stationary law, for j = 2..memory."""
-    bits, _, _, T, pi = _word_chain(cb, dist)
+    bits, T, pi = _word_chain(cb, dist)
     p0 = float(pi[bits == 0].sum())
     out: dict[int, float] = {}
     vec = pi * (bits == 1)  # joint mass of (bit 1 now, state)
     for lag in range(1, memory):
         vec = vec @ T
-        joint = float(vec[bits == 0].sum())
-        out[lag + 1] = p0 * (joint / p0)
+        out[lag + 1] = float(vec[bits == 0].sum())
     return p0, out
 
 
@@ -183,7 +167,7 @@ def _interior_lag_profile(cb, dist, memory):
                     num[lag] += p
     if den == 0.0:
         return None
-    bits, _, _, _, pi = _word_chain(cb, dist)
+    bits, _, pi = _word_chain(cb, dist)
     p0 = float(pi[bits == 0].sum())
     return p0, {lag + 1: p0 * (num[lag] / den) for lag in range(1, memory)}
 
@@ -233,25 +217,6 @@ def expected_isi_bit0(
     )
 
 
-def _encode_stream(cb, dist, symbols, rng):
-    """Sample a coded bit stream; returns (bits, in-word positions, word lengths per bit)."""
-    sym_probs = np.asarray(dist.probs)
-    words = [cb.codewords[s] for s in dist.symbols]
-    lengths = np.array([len(w) for w in words], dtype=np.int64)
-    flat = np.array([int(b) for w in words for b in w], dtype=np.int8)
-    offsets = np.zeros(len(words), dtype=np.int64)
-    np.cumsum(lengths[:-1], out=offsets[1:])
-
-    syms = rng.choice(len(words), size=symbols, p=sym_probs)
-    reps = lengths[syms]
-    total = int(reps.sum())
-    starts = np.zeros(symbols, dtype=np.int64)
-    np.cumsum(reps[:-1], out=starts[1:])
-    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, reps)
-    bit_idx = np.repeat(offsets[syms], reps) + pos
-    return flat[bit_idx], pos, np.repeat(reps, reps)
-
-
 def isi_oracle(
     cb: Codebook,
     dist: CharacterDistribution,
@@ -285,7 +250,8 @@ def isi_oracle(
     symbols = max(int(samples / mean_len), memory * batches * 4)
     if rng is None:
         rng = np.random.default_rng(0)
-    stream, pos, _ = _encode_stream(cb, dist, symbols, rng)
+    syms = rng.choice(len(dist.symbols), size=symbols, p=np.asarray(dist.probs))
+    stream, pos = CodeTables(cb, dist.symbols).lay(syms)
 
     n = len(stream)
     p0 = float((stream == 0).mean())
@@ -353,8 +319,6 @@ def isi_reduction_report(
     Raises RuntimeError unless the corrected run-length-limited code beats
     both other rows, which is the designed behavior of the scheme.
     """
-    from .codebooks import build_huffman, build_proposed
-
     coeffs = tuple(getattr(channel, "coefficients", channel))
     if len(coeffs) < memory:
         raise ValueError("channel coefficients shorter than the analysis memory")

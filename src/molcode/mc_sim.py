@@ -24,15 +24,7 @@ import numpy as np
 
 from . import codec
 from .channel import ChannelParams, ChannelProfile
-from .codebooks import (
-    Codebook,
-    CharacterDistribution,
-    build_huffman,
-    build_proposed,
-    expected_length,
-    expected_ones,
-    ita2,
-)
+from .codebooks import Codebook, CharacterDistribution, build, expected_length, expected_ones
 from .codec import (
     CalibratedThreshold,
     CalibrationError,
@@ -46,7 +38,6 @@ __all__ = [
     "LinkConfig",
     "CerReport",
     "SimulatedMessage",
-    "fair_budgets",
     "sample_arrivals",
     "simulate_message",
     "resolve_threshold",
@@ -59,9 +50,6 @@ CHUNK_TRIALS = 8192
 
 #: Slot counts are int32; LinkConfig keeps every count below this.
 _COUNT_LIMIT = int(np.iinfo(np.int32).max)
-
-#: Decoder input for a slot after the end of a message.
-_PAST_END = 2
 
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
@@ -164,32 +152,6 @@ class CerReport:
     config: LinkConfig
 
 
-def fair_budgets(
-    dist: CharacterDistribution,
-    base_molecules: int,
-    kinds: Sequence[str] = ("huffman", "proposed", "ita2"),
-) -> dict[str, int]:
-    """Per-bit-1 molecule budgets that equalize molecules per character.
-
-    base_molecules is the budget of the Huffman code; every other codebook
-    gets base * E[ones](huffman) / E[ones](kind), rounded to the nearest
-    integer, so all kinds spend the same expected molecule count per
-    transmitted character.
-    """
-    if base_molecules < 1:
-        raise ValueError("base budget must be at least 1")
-    builders = {"huffman": build_huffman, "proposed": build_proposed, "ita2": lambda d: ita2()}
-    ones_h = expected_ones(build_huffman(dist), dist)
-    out: dict[str, int] = {}
-    for kind in kinds:
-        try:
-            cb = builders[kind](dist)
-        except KeyError:
-            raise ValueError(f"unknown codebook kind {kind!r}") from None
-        out[kind] = int(round(base_molecules * ones_h / expected_ones(cb, dist)))
-    return out
-
-
 def _budget_share(dist: CharacterDistribution, cb: Codebook, molecules_per_char: float) -> int:
     """Bit-1 budget that spends molecules_per_char on average per character."""
     if molecules_per_char < 0:
@@ -289,86 +251,22 @@ def simulate_message(
     )
 
 
-class _Automaton:
-    """Codeword trie as flat transition tables for the array decoder.
-
-    State 0 is the root; the extra absorbing state (index dead) is entered
-    on any bit with no trie edge, which models the sequential decoder
-    stopping at a dead end. The flat tables are indexed by 3 * state +
-    input, where input is a bit or _PAST_END for a slot after the message,
-    which keeps the state and emits nothing. next_at holds 3 * the next
-    state; emit holds the decoded symbol index when the edge completes a
-    codeword, else -1.
-    """
-
-    def __init__(self, cb: Codebook, symbols: Sequence[str]):
-        order = {s: i for i, s in enumerate(symbols)}
-        children: list[list[int]] = [[-1, -1]]
-        leaf: list[list[int]] = [[-1, -1]]
-        for sym, word in cb.codewords.items():
-            node = 0
-            for bit in word[:-1]:
-                b = int(bit)
-                if children[node][b] == -1:
-                    children.append([-1, -1])
-                    leaf.append([-1, -1])
-                    children[node][b] = len(children) - 1
-                node = children[node][b]
-            leaf[node][int(word[-1])] = order[sym]
-        n = len(children)
-        self.dead = n
-        nxt = np.full((n + 1, 3), self.dead, dtype=np.int64)
-        nxt[:, _PAST_END] = np.arange(n + 1)
-        self.emit = np.full((n + 1, 3), -1, dtype=np.int16)
-        for s in range(n):
-            for b in (0, 1):
-                if leaf[s][b] >= 0:
-                    nxt[s, b] = 0
-                    self.emit[s, b] = leaf[s][b]
-                elif children[s][b] >= 0:
-                    nxt[s, b] = children[s][b]
-        self.next_at = (3 * nxt).ravel()
-        self.emit = self.emit.ravel()
-
-
-class _Tables:
-    """Per-codebook constants shared by all chunks of a run."""
+class _Tables(codec.CodeTables):
+    """Per-link constants shared by all chunks of a run."""
 
     def __init__(self, cfg: LinkConfig):
-        dist = cfg.distribution
-        self.words = [cfg.codebook.codewords[s] for s in dist.symbols]
-        self.probs = np.asarray(dist.probs)
-        self.word_len = np.array([len(w) for w in self.words], dtype=np.int64)
-        self.word_flat = np.array(
-            [int(b) for w in self.words for b in w], dtype=np.int8
-        )
-        self.word_off = np.zeros(len(self.words), dtype=np.int64)
-        np.cumsum(self.word_len[:-1], out=self.word_off[1:])
-        self.automaton = _Automaton(cfg.codebook, dist.symbols)
+        super().__init__(cfg.codebook, cfg.distribution.symbols)
+        self.probs = np.asarray(cfg.distribution.probs)
         self.correct = cfg.codebook.kind == "proposed"
-
-
-def _excl_cumsum(a: np.ndarray) -> np.ndarray:
-    out = np.zeros(len(a), dtype=np.int64)
-    np.cumsum(a[:-1], out=out[1:])
-    return out
 
 
 def _sample_bits(tables: _Tables, trials: int, msg_len: int, rng: np.random.Generator):
     """Draw messages and lay their codewords into a padded bit matrix."""
-    syms = rng.choice(len(tables.words), size=trials * msg_len, p=tables.probs)
+    syms = rng.choice(len(tables.probs), size=trials * msg_len, p=tables.probs)
     syms = syms.reshape(trials, msg_len)
-    reps = tables.word_len[syms.ravel()]
-    tlen = reps.reshape(trials, msg_len).sum(axis=1)
-    total = int(reps.sum())
-    in_word = np.arange(total, dtype=np.int64) - np.repeat(_excl_cumsum(reps), reps)
-    flat_bits = tables.word_flat[np.repeat(tables.word_off[syms.ravel()], reps) + in_word]
-
-    max_t = int(tlen.max())
-    row = np.repeat(np.arange(trials, dtype=np.int64), tlen)
-    col = np.arange(total, dtype=np.int64) - np.repeat(_excl_cumsum(tlen), tlen)
-    bitmat = np.zeros((trials, max_t), dtype=np.int8)
-    bitmat[row, col] = flat_bits
+    tlen = tables.word_len[syms].sum(axis=1)
+    bitmat = np.zeros((trials, int(tlen.max())), dtype=np.int8)
+    bitmat[np.arange(bitmat.shape[1]) < tlen[:, None]] = tables.lay(syms)[0]
     return syms, tlen, bitmat
 
 
@@ -410,8 +308,8 @@ def _correct_rows(det: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, auto: _Automaton):
-    """Walk the trie automaton along every row and score it against syms.
+def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: _Tables):
+    """Walk the codeword trie along every row and score it against syms.
 
     Returns per-row character errors (positions among the first msg_len
     whose decoded symbol differs from the sent one or is missing), the
@@ -419,7 +317,7 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, auto: _A
     """
     trials, max_t = final.shape
     msg_len = syms.shape[1]
-    inputs = np.where(np.arange(max_t) < tlen[:, None], final, _PAST_END)
+    inputs = np.where(np.arange(max_t) < tlen[:, None], final, codec.PAST_END)
     # Decoded symbol j of a row is checked against sent[row, min(j, msg_len)];
     # the extra column holds -2, which no emission equals.
     sent = np.full((trials, msg_len + 1), -2, dtype=np.int16)
@@ -431,12 +329,12 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, auto: _A
     matches = np.zeros(trials, dtype=np.int64)
     for t in range(max_t):
         edge = at + inputs[:, t]
-        sym = auto.emit[edge]
-        at = auto.next_at[edge]
+        sym = tables.emit[edge]
+        at = tables.next_at[edge]
         matches += sym == sent[base + np.minimum(decoded, msg_len)]
         decoded += sym >= 0
     state = at // 3
-    dead = state == auto.dead
+    dead = state == tables.dead
     incomplete = (~dead) & (state != 0)
     return msg_len - matches, decoded, dead, incomplete
 
@@ -463,9 +361,7 @@ def _run_chunk(cfg: LinkConfig, tables: _Tables, trials: int, tau: float, seed_t
     syms, tlen, bitmat = _sample_bits(tables, trials, cfg.msg_len, rng)
     counts = _accumulate_counts(bitmat, tlen, cfg, rng)
     final = _read_bits(counts, _count_cut(tau), tables)
-    err_per_trial, dec_len, dead, incomplete = _decode_rows(
-        final, tlen, syms, tables.automaton
-    )
+    err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
     sum_err = int(err_per_trial.sum())
     sum_err_sq = int((err_per_trial ** 2).sum())
 
@@ -644,7 +540,7 @@ def _calibrate_threshold(
         counts = _accumulate_counts(bitmat, tlen, cfg, rng)
         for cut in cut_errors:
             final = _read_bits(counts, cut, tables)
-            cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables.automaton)[0].sum())
+            cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())
         remaining -= size
         index += 1
     return float(min(candidates, key=lambda tau: (cut_errors[_count_cut(tau)], tau)))
@@ -667,11 +563,12 @@ def sweep(
     """Character error rate across codebooks at equal molecules per character.
 
     budgets are expected molecule counts per transmitted character; each
-    codebook's bit-1 budget is budget / E[ones](kind) rounded, the same
-    equalization as fair_budgets. All kinds also share the character rate,
-    so rows with equal budget are directly comparable. By default the
-    run-length-limited kind resolves its threshold from pilots and the
-    conventional kinds calibrate a fixed threshold on a training batch.
+    codebook's bit-1 budget is budget / E[ones](kind) rounded, so every kind
+    spends the same expected molecule count per character. All kinds also
+    share the character rate, so rows with equal budget are directly
+    comparable. By default the run-length-limited kind resolves its
+    threshold from pilots and the conventional kinds calibrate a fixed
+    threshold on a training batch.
 
     Returns one row dict per (kind, budget); a row whose threshold cannot
     be resolved (a CalibrationError, for example pilots that cannot
@@ -680,10 +577,7 @@ def sweep(
     or a bad thread count, raise ValueError before any row is simulated.
     progress, when given, is called with each finished row.
     """
-    builders = {"huffman": build_huffman, "proposed": build_proposed, "ita2": lambda d: ita2()}
-    for kind in kinds:
-        if kind not in builders:
-            raise ValueError(f"unknown codebook kind {kind!r}")
+    books = [build(kind, dist) for kind in kinds]
     n_threads = _thread_count(threads)
     if thresholds is None:
         thresholds = {}
@@ -694,8 +588,7 @@ def sweep(
     }
 
     rows: list[dict] = []
-    for kind in kinds:
-        cb = builders[kind](dist)
+    for kind, cb in zip(kinds, books):
         strategy = thresholds.get(kind, default_thresholds[kind])
         for budget in budgets:
             cfg = LinkConfig.build(

@@ -207,11 +207,30 @@ class TestConfigHandling:
         cfg.write_text("distribution: /nonexistent/d.csv\n")
         assert run(["--config", str(cfg), "codebook"]) == 2
 
+    @pytest.mark.parametrize("text", [
+        "simulate:\n  trials: null\n",
+        "simulate:\n  budgets: 5\n",
+        "simulate:\n  kinds: 5\n",
+        "channel:\n  memory: [3]\n",
+        "distribution: {dist}\n",
+    ], ids=["trials-null", "budgets-number", "kinds-number", "memory-list", "prob-missing"])
+    def test_value_mistakes_are_usage_errors(self, tmp_path, capsys, text):
+        dist = tmp_path / "d.csv"
+        dist.write_text("symbol,prob\na,0.6\nb\n")  # b has no probability cell
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text.format(dist=dist))
+        out = tmp_path / "sim.csv"
+        assert run(["--config", str(cfg), "simulate", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestInternalErrorPath:
     def test_invariant_failures_exit_three(self, monkeypatch):
-        def boom(*args, **kwargs):
-            raise RuntimeError("sentinel")
+        # Internal TypeErrors and KeyErrors are bugs, not usage errors.
+        for error in (RuntimeError, TypeError, KeyError):
+            def boom(*args, **kwargs):
+                raise error("sentinel")
 
-        monkeypatch.setattr(cli.mc_sim, "sweep", boom)
-        assert run(["simulate", "--trials", "100", "--budgets", "60"]) == 3
+            monkeypatch.setattr(cli.mc_sim, "sweep", boom)
+            assert run(["simulate", "--trials", "100", "--budgets", "60"]) == 3, error

@@ -18,8 +18,58 @@ from molcode import (
     pilot_threshold,
 )
 from molcode.codebooks import Codebook, CharacterDistribution, build_huffman
+from molcode.codec import CodeTables
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
+
+
+def _contraction_decode(bits, cb):
+    """The sequential dict-trie decoder that decode replaced, as a reference.
+
+    The run-length-limited kind is decoded on its contracted tree: each
+    10 pair walks branch 1, and a 1 followed by another 1 stops decoding
+    as a contract violation. Returns (symbols, residue, dead_end, violation).
+    """
+    contracted = cb.kind == "proposed"
+    if contracted:
+        words = {s: w.replace("10", "1") for s, w in cb.codewords.items()}
+    else:
+        words = cb.codewords
+    root = {}
+    for sym, word in words.items():
+        node = root
+        for bit in word[:-1]:
+            node = node.setdefault(bit, {})
+        node[word[-1]] = sym
+
+    symbols = []
+    node = root
+    word_start = pos = 0
+    violation = dead_end = False
+    n = len(bits)
+    while pos < n:
+        bit = bits[pos]
+        if contracted and bit == "1":
+            if pos + 1 >= n:
+                break  # incomplete pair, left as residue
+            if bits[pos + 1] == "1":
+                violation = True
+                break
+            step = 2
+        else:
+            step = 1
+        nxt = node.get(bit)
+        if nxt is None:
+            dead_end = True
+            break
+        pos += step
+        if isinstance(nxt, dict):
+            node = nxt
+        else:
+            symbols.append(nxt)
+            node = root
+            word_start = pos
+    return tuple(symbols), bits[word_start:], dead_end, violation
 
 
 class TestEncode:
@@ -77,7 +127,7 @@ class TestDecode:
         res = decode(encode(text, hcb), hcb)
         assert res.text == text
         assert res.residue == ""
-        assert not res.violation and not res.dead_end
+        assert not res.dead_end
 
     def test_round_trip_proposed(self, pcb):
         text = "JUMPSOVERTHELAZYDOG"
@@ -97,8 +147,9 @@ class TestDecode:
 
     def test_adjacent_ones_flagged_for_proposed(self, pcb):
         res = decode("11", pcb)
-        assert res.violation
+        assert res.dead_end
         assert res.symbols == ()
+        assert res.residue == "11"
 
     def test_dead_end_on_unassigned_pattern(self, icb):
         # 00000 is not one of the 26 assigned five-bit patterns.
@@ -111,6 +162,48 @@ class TestDecode:
     def test_round_trip_property(self, hcb, pcb, icb, text):
         for cb in (hcb, pcb, icb):
             assert decode(encode(text, cb), cb).text == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ETAONISRHQZ", max_size=8), bitstrings)
+    def test_matches_contraction_reference(self, hcb, pcb, icb, text, bits):
+        # A valid prefix (empty when text is) followed by arbitrary bits.
+        incomplete = Codebook(kind="custom", codewords={"a": "00", "b": "01", "c": "110"})
+        cases = [(cb, encode(text, cb) + bits) for cb in (hcb, pcb, icb)]
+        for cb, stream in cases + [(incomplete, bits)]:
+            got = decode(stream, cb)
+            symbols, residue, dead_end, violation = _contraction_decode(stream, cb)
+            assert got.symbols == symbols
+            assert got.residue == residue
+            assert got.dead_end == (dead_end or violation)
+
+    @pytest.mark.parametrize("words", [
+        {"a": "0", "b": "01", "c": "11"},  # a codeword is a prefix of another
+        {"a": "01", "b": "0", "c": "11"},  # a codeword ends at an interior node
+        {"a": "0", "b": "10", "c": "10"},  # duplicate codewords
+    ], ids=["prefix", "interior-end", "duplicate"])
+    def test_code_that_is_not_prefix_free_rejected(self, words):
+        cb = Codebook(kind="custom", codewords=words)
+        with pytest.raises(ValueError, match="not prefix free"):
+            decode("", cb)
+
+
+class TestCodeTables:
+    def test_alphabet_beyond_int16_rejected(self):
+        words = {f"s{i}": format(i, "015b") for i in range(2 ** 15)}
+        cb = Codebook(kind="custom", codewords=words)
+        with pytest.raises(ValueError, match="32768 symbols exceed the limit of 32767"):
+            CodeTables(cb, cb.symbols)
+        # One symbol fewer fits: the last index is still an int16.
+        del words["s0"]
+        tables = CodeTables(Codebook(kind="custom", codewords=words), tuple(words))
+        assert tables.emit.max() == 2 ** 15 - 2
+
+    def test_lay_places_codewords_back_to_back(self, hcb):
+        tables = CodeTables(hcb, hcb.symbols)
+        syms = np.array([hcb.symbols.index(c) for c in "EAT"])
+        bits, pos = tables.lay(syms)
+        assert "".join(map(str, bits)) == encode("EAT", hcb)
+        assert list(pos) == [t for c in "EAT" for t in range(len(hcb[c]))]
 
 
 class TestPilotThresholdFormula:

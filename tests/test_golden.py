@@ -19,20 +19,17 @@ from molcode import (
     ChannelParams,
     LinkConfig,
     PilotThreshold,
-    build_huffman,
-    build_proposed,
     english_letter_distribution,
-    ita2,
     resolve_threshold,
     run_cer,
 )
+from molcode.codebooks import build
 from molcode.mc_sim import _budget_share
 
 GOLDEN_PATH = Path(__file__).with_name("data") / "golden_sweep.json"
 
 PARAMS = ChannelParams(diffusion=79.4, distance=4.0, receiver_radius=2.0)
 KINDS = ("huffman", "proposed", "ita2")
-BUILDERS = {"huffman": build_huffman, "proposed": build_proposed, "ita2": lambda d: ita2()}
 #: The thresholds sweep uses by default: calibration for the conventional
 #: kinds, pilots for the run-length-limited one.
 DEFAULT_THRESHOLDS = {
@@ -54,7 +51,7 @@ CALIBRATED_KINDS = ("huffman", "ita2")
 
 def _config(kind, budget, trials, seed):
     dist = english_letter_distribution()
-    cb = BUILDERS[kind](dist)
+    cb = build(kind, dist)
     return LinkConfig.build(
         codebook=cb,
         distribution=dist,

@@ -14,7 +14,7 @@ from molcode import (
     decode,
     detect,
     error_correct,
-    fair_budgets,
+    expected_ones,
     resolve_threshold,
     run_cer,
     sample_arrivals,
@@ -22,6 +22,7 @@ from molcode import (
     sweep,
 )
 from molcode import mc_sim
+from molcode.codebooks import Codebook, CharacterDistribution, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
 
@@ -233,18 +234,34 @@ class TestEngineAgreesWithScalarPath:
         assert errors == rep.char_errors
 
 
+class TestCodeTables:
+    def test_run_cer_rejects_a_code_that_is_not_prefix_free(self, params):
+        dist = CharacterDistribution(("a", "b", "c"), (0.5, 0.3, 0.2))
+        cb = Codebook(kind="custom", codewords={"a": "0", "b": "01", "c": "11"})
+        cfg = LinkConfig.build(
+            codebook=cb, distribution=dist, params=params,
+            molecules_per_one=40, char_duration=0.5,
+            threshold=ConstantThreshold(8.0), trials=100, master_seed=1,
+        )
+        with pytest.raises(ValueError, match="prefix free"):
+            run_cer(cfg)
+
+
 class TestFairness:
     def test_fair_budgets_reference_point(self, dist):
-        shares = fair_budgets(dist, 1000)
+        # A huffman bit-1 budget of 1000 molecules, as molecules per character.
+        per_char = 1000 * expected_ones(build("huffman", dist), dist)
+        shares = {kind: _budget_share(dist, build(kind, dist), per_char)
+                  for kind in ("huffman", "proposed", "ita2")}
         assert shares == {"huffman": 1000, "proposed": 1000, "ita2": 800}
 
     def test_budget_share_scales_by_ones_density(self, dist, hcb, icb):
         assert _budget_share(dist, hcb, 85.0) == 43
         assert _budget_share(dist, icb, 85.0) == 34
 
-    def test_rejects_nonpositive_base(self, dist):
+    def test_rejects_negative_budget(self, dist, hcb):
         with pytest.raises(ValueError):
-            fair_budgets(dist, 0)
+            _budget_share(dist, hcb, -1.0)
 
 
 class TestThresholdResolution:
