@@ -207,9 +207,11 @@ def _fmt(value) -> str:
 def _parse_kinds(kinds: list[str]) -> list[str]:
     if kinds == ["all"]:
         return sorted(codebooks.KINDS)
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         if kind not in codebooks.KINDS:
             raise ValueError(f"unknown codebook kind {kind!r}")
+        if kind in kinds[:i]:
+            raise ValueError(f"codebook kind {kind!r} is given twice")
     return kinds
 
 
@@ -301,8 +303,6 @@ def _cmd_simulate(args, cfg: dict) -> int:
     seed = args.seed if args.seed is not None else int(sim["seed"])
     budgets = args.budgets if args.budgets is not None else [float(b) for b in sim["budgets"]]
     kinds = _parse_kinds(args.kinds if args.kinds is not None else list(sim["kinds"]))
-    if any(b < 0 for b in budgets):
-        raise ValueError("budgets must be non-negative")
 
     def progress(row: dict) -> None:
         state = f"cer {row['cer']:.6f}" if row["error"] is None else row["error"]
@@ -389,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budgets", type=_float_list,
                    help="comma separated molecules per character")
     p.add_argument("--kinds", type=_csv_list)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int,
+                   help="worker threads (default: MOLCODE_THREADS, else the "
+                        "available cores); results do not depend on it")
     p.add_argument("--plot-stub", help="also write a matplotlib script to this path")
     p.add_argument("--out", help="output file (default stdout)")
     return parser

@@ -425,15 +425,20 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
 
 
 def _thread_count(threads: int | None) -> int:
-    """Worker threads: threads if given, else MOLCODE_THREADS, else 1.
+    """Worker threads: threads if given, else MOLCODE_THREADS, else the cores.
 
-    A count below 1 or a MOLCODE_THREADS that is not an integer is a
-    configuration mistake and raises ValueError.
+    The cores are those this process may run on (os.sched_getaffinity),
+    or os.cpu_count() where that is unavailable, or 1 where neither is
+    known. A count below 1 or a MOLCODE_THREADS that is not an integer is
+    a configuration mistake and raises ValueError.
     """
     if threads is None:
         env = os.environ.get("MOLCODE_THREADS", "").strip()
         if not env:
-            return 1
+            try:
+                return len(os.sched_getaffinity(0))
+            except AttributeError:
+                return os.cpu_count() or 1
         try:
             threads = int(env)
         except ValueError:
@@ -445,13 +450,37 @@ def _thread_count(threads: int | None) -> int:
     return int(threads)
 
 
+def _map_in_order(fn, items: list, workers: int, each=None) -> list:
+    """[fn(item) for item in items], on up to workers threads.
+
+    Starts no pool when one thread would do. each, when given, is called
+    with every result in item order, as soon as it and all results before
+    it are in. If fn or each raises, the items not yet started are
+    cancelled and the exception propagates once the running ones finish.
+    """
+    workers = min(workers, len(items))
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    results = []
+    try:
+        for result in pool.map(fn, items) if pool else map(fn, items):
+            results.append(result)
+            if each is not None:
+                each(result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    return results
+
+
 def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     """Estimate the character error rate of a link over random messages.
 
-    Runs cfg.trials messages seeded from cfg.master_seed. threads defaults
-    to the MOLCODE_THREADS environment variable (1 when unset); the result
-    is bit-identical for any thread count.
+    Runs cfg.trials messages seeded from cfg.master_seed on up to threads
+    worker threads, one chunk each; threads defaults to the MOLCODE_THREADS
+    environment variable, else to the available cores. The result is
+    bit-identical for any thread count.
     """
+    n_threads = _thread_count(threads)
     trials = cfg.trials
     master_seed = cfg.master_seed
     tau, origin = resolve_threshold(cfg, master_seed)
@@ -464,13 +493,7 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
         index, size = item
         return _run_chunk(cfg, tables, size, tau, (master_seed, _MAIN_TAG, index))
 
-    jobs = list(enumerate(sizes))
-    n_threads = _thread_count(threads)
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            parts = list(pool.map(work, jobs))
-    else:
-        parts = [work(j) for j in jobs]
+    parts = _map_in_order(work, list(enumerate(sizes)), n_threads)
 
     sum_err = sum(p["sum_err"] for p in parts)
     sum_err_sq = sum(p["sum_err_sq"] for p in parts)
@@ -570,13 +593,25 @@ def sweep(
     threshold from pilots and the conventional kinds calibrate a fixed
     threshold on a training batch.
 
-    Returns one row dict per (kind, budget); a row whose threshold cannot
-    be resolved (a CalibrationError, for example pilots that cannot
-    separate signal from interference at a tiny budget) carries an error
-    tag instead of a CER. Configuration mistakes, such as an unknown kind
-    or a bad thread count, raise ValueError before any row is simulated.
-    progress, when given, is called with each finished row.
+    Returns one row dict per (kind, budget), kinds outer and budgets inner;
+    a row whose threshold cannot be resolved (a CalibrationError, for
+    example pilots that cannot separate signal from interference at a tiny
+    budget) carries an error tag instead of a CER. Configuration mistakes,
+    such as an unknown or repeated kind, a repeated or negative budget, a
+    budget whose counts could overflow, or a bad thread count, raise
+    ValueError before any row is simulated.
+
+    Rows run concurrently: min(threads, rows) of them at a time, each on
+    threads // rows (at least 1) threads of its own, so one row's threshold
+    resolution overlaps another row's sampling. threads defaults as in
+    run_cer. Every row is bit-identical for any thread count. progress,
+    when given, is called with each finished row, in row order.
     """
+    budgets = list(budgets)
+    for name, values in (("kind", kinds), ("budget", [float(b) for b in budgets])):
+        repeated = sorted({v for v in values if values.count(v) > 1})
+        if repeated:
+            raise ValueError(f"repeated {name}s: {', '.join(map(str, repeated))}")
     books = [build(kind, dist) for kind in kinds]
     n_threads = _thread_count(threads)
     if thresholds is None:
@@ -586,40 +621,42 @@ def sweep(
         "proposed": PilotThreshold(),
         "ita2": CalibratedThreshold(),
     }
+    grid = [
+        (kind, budget, LinkConfig.build(
+            codebook=cb,
+            distribution=dist,
+            params=params,
+            molecules_per_one=_budget_share(dist, cb, budget),
+            char_duration=1.0 / chars_per_second,
+            threshold=thresholds.get(kind, default_thresholds[kind]),
+            msg_len=msg_len,
+            memory=memory,
+            trials=trials,
+            master_seed=master_seed,
+        ))
+        for kind, cb in zip(kinds, books)
+        for budget in budgets
+    ]
+    row_threads = max(1, n_threads // max(len(grid), 1))
 
-    rows: list[dict] = []
-    for kind, cb in zip(kinds, books):
-        strategy = thresholds.get(kind, default_thresholds[kind])
-        for budget in budgets:
-            cfg = LinkConfig.build(
-                codebook=cb,
-                distribution=dist,
-                params=params,
-                molecules_per_one=_budget_share(dist, cb, budget),
-                char_duration=1.0 / chars_per_second,
-                threshold=strategy,
-                msg_len=msg_len,
-                memory=memory,
-                trials=trials,
-                master_seed=master_seed,
-            )
-            row = {
-                "codebook": kind,
-                "molecules_per_char": float(budget),
-                "N_bit1": cfg.molecules_per_one,
-                "t_s": cfg.profile.slot,
-                "trials": trials,
-                "seed": master_seed,
-            }
-            try:
-                report = run_cer(cfg, threads=n_threads)
-            except CalibrationError as exc:
-                row.update(tau=None, cer=None, cer_stderr=None,
-                           error=f"uncalibratable: {exc}")
-            else:
-                row.update(tau=report.tau, cer=report.cer,
-                           cer_stderr=report.cer_stderr, error=None)
-            rows.append(row)
-            if progress is not None:
-                progress(row)
-    return rows
+    def run_row(item) -> dict:
+        kind, budget, cfg = item
+        row = {
+            "codebook": kind,
+            "molecules_per_char": float(budget),
+            "N_bit1": cfg.molecules_per_one,
+            "t_s": cfg.profile.slot,
+            "trials": trials,
+            "seed": master_seed,
+        }
+        try:
+            report = run_cer(cfg, threads=row_threads)
+        except CalibrationError as exc:
+            row.update(tau=None, cer=None, cer_stderr=None,
+                       error=f"uncalibratable: {exc}")
+        else:
+            row.update(tau=report.tau, cer=report.cer,
+                       cer_stderr=report.cer_stderr, error=None)
+        return row
+
+    return _map_in_order(run_row, grid, n_threads, each=progress)

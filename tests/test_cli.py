@@ -138,6 +138,20 @@ class TestSimulateCommand:
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
 
+    @pytest.mark.parametrize("kinds, budgets, message", [
+        ("proposed,proposed", "60", "'proposed' is given twice"),
+        ("proposed", "60,60", "repeated budgets: 60.0"),
+    ], ids=["kind", "budget"])
+    def test_repeats_are_usage_errors_without_rows(self, tmp_path, capsys,
+                                                   kinds, budgets, message):
+        out = tmp_path / "sim.csv"
+        code = run(["simulate", "--trials", "100", "--kinds", kinds,
+                    "--budgets", budgets, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert message in err and "done " not in err
+
     def test_bad_thread_env_is_usage_error_without_rows(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("MOLCODE_THREADS", "abc")
         out = tmp_path / "sim.csv"

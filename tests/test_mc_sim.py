@@ -1,6 +1,8 @@
 """Monte Carlo link engine: sampling, determinism, fairness, sweeps."""
 import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,6 +26,20 @@ from molcode import (
 from molcode import mc_sim
 from molcode.codebooks import Codebook, CharacterDistribution, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every thread pool mc_sim starts, in order."""
+    sizes = []
+
+    class Recording(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(mc_sim, "ThreadPoolExecutor", Recording)
+    return sizes
 
 
 @pytest.fixture(scope="module")
@@ -349,6 +365,55 @@ class TestSweep:
             sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
                   kinds=("morse",))
 
+    def test_one_shot_budget_iterator_covers_every_kind(self, dist, params):
+        rows = sweep(dist, params, budgets=iter([60.0]), trials=200, master_seed=1,
+                     kinds=("huffman", "proposed"))
+        assert [r["codebook"] for r in rows] == ["huffman", "proposed"]
+
+    @pytest.mark.parametrize("kinds, budgets, match", [
+        (("proposed", "proposed"), [60.0], "repeated kinds: proposed"),
+        (("huffman",), [60.0, 85.0, 60], "repeated budgets: 60.0"),
+    ], ids=["kind", "budget"])
+    def test_repeats_rejected_before_any_row(self, dist, params, monkeypatch,
+                                             kinds, budgets, match):
+        monkeypatch.setattr(mc_sim, "run_cer", lambda cfg, threads=None: 1 / 0)
+        with pytest.raises(ValueError, match=match):
+            sweep(dist, params, budgets=budgets, trials=100, master_seed=1, kinds=kinds)
+
+    def test_rows_agree_for_any_thread_count(self, dist, params, pool_sizes):
+        runs = {}
+        for threads in (1, 3):
+            seen = []
+            rows = sweep(dist, params, budgets=[0.0, 60.0], trials=300, master_seed=4,
+                         kinds=("huffman", "proposed"), threads=threads,
+                         progress=seen.append)
+            runs[threads] = (rows, seen)
+            assert seen == rows
+        assert runs[1] == runs[3]
+        assert [(r["codebook"], r["molecules_per_char"]) for r in runs[1][0]] == [
+            ("huffman", 0.0), ("huffman", 60.0), ("proposed", 0.0), ("proposed", 60.0),
+        ]
+        assert runs[1][0][2]["error"].startswith("uncalibratable")
+        # One pool of three rows at a time; each row then runs on one thread.
+        assert pool_sizes == [3]
+
+    def test_failing_row_cancels_queued_rows(self, dist, params, monkeypatch):
+        started = []
+
+        def broken(cfg, threads=None):
+            started.append(cfg.molecules_per_one)
+            if len(started) == 1:
+                raise RuntimeError("internal bug")
+            threading.Event().wait(1.0)
+
+        monkeypatch.setattr(mc_sim, "run_cer", broken)
+        with pytest.raises(RuntimeError, match="internal bug"):
+            sweep(dist, params, budgets=[50.0, 60.0, 70.0, 80.0, 90.0, 100.0],
+                  trials=100, master_seed=1, kinds=("huffman",), threads=2)
+        # The failing row, and at most the two rows its worker and the
+        # other worker took before the failure was seen.
+        assert len(started) <= 3
+
 
 class TestThreadEnvCap:
     def test_env_variable_limits_threads(self, link, monkeypatch):
@@ -373,6 +438,38 @@ class TestThreadEnvCap:
             sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
                   kinds=("huffman",), progress=seen.append)
         assert seen == []
+
+    @pytest.mark.parametrize("bad, match", [(-1.0, "negative"), (1e9, "2\\*\\*31")],
+                             ids=["negative", "int32_overflow"])
+    def test_bad_budget_raises_before_any_row(self, dist, params, bad, match):
+        seen = []
+        with pytest.raises(ValueError, match=match):
+            sweep(dist, params, budgets=[60.0, bad], trials=100, master_seed=1,
+                  kinds=("huffman",), progress=seen.append)
+        assert seen == []
+
+    def test_default_is_the_available_cores(self, monkeypatch):
+        monkeypatch.delenv("MOLCODE_THREADS", raising=False)
+        monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                            raising=False)
+        assert mc_sim._thread_count(None) == 3
+        monkeypatch.delattr(mc_sim.os, "sched_getaffinity")
+        monkeypatch.setattr(mc_sim.os, "cpu_count", lambda: 6)
+        assert mc_sim._thread_count(None) == 6
+        monkeypatch.setattr(mc_sim.os, "cpu_count", lambda: None)
+        assert mc_sim._thread_count(None) == 1
+        assert mc_sim._thread_count(2) == 2
+
+    def test_pool_is_clamped_to_the_chunks(self, dist, pcb, params, pool_sizes):
+        for trials in (CHUNK_TRIALS + 500, 500):
+            cfg = LinkConfig.build(
+                codebook=pcb, distribution=dist, params=params,
+                molecules_per_one=40, char_duration=0.5,
+                threshold=ConstantThreshold(8.0), trials=trials,
+            )
+            run_cer(cfg, threads=8)
+        # Two chunks take two workers; a single chunk starts no pool.
+        assert pool_sizes == [2]
 
 
 class TestErrorClassification:
