@@ -55,7 +55,6 @@ from .mc_sim import (
     resolve_threshold,
     run_cer,
     sample_arrivals,
-    simulate_message,
     sweep,
 )
 
@@ -101,7 +100,6 @@ __all__ = [
     "resolve_threshold",
     "run_cer",
     "sample_arrivals",
-    "simulate_message",
     "sweep",
     "__version__",
 ]

@@ -146,24 +146,21 @@ def min_symbol_slot(
     memory: int = DEFAULT_MEMORY,
     tail_floor: float = TAIL_FLOOR,
     eps_tail: float = EPS_TAIL,
-    ceiling: float = 1e4,
-    rel_tol: float = 1e-6,
 ) -> float:
     """Smallest slot length for which the memory window is adequate.
 
     Adequate means all three predicates hold: the memory window captures
     more than tail_floor of the molecules, the slot after the window
     receives less than eps_tail, and the coefficients strictly decrease.
-    Each predicate's own threshold slot is located on a log grid and
-    refined by bisection to relative tolerance rel_tol; the answer is the
-    largest of the three. A predicate true over the whole grid contributes
-    a floor of zero; one still false at the ceiling raises ValueError.
+    Each predicate's own threshold slot is located on a log grid of 512
+    slots from 1e-8 s to a ceiling of 1e4 s and refined by bisection to a
+    relative tolerance of 1e-6; the answer is the largest of the three. A
+    predicate true over the whole grid contributes a floor of zero; one
+    still false at the ceiling raises ValueError.
     """
-    if ceiling <= 0:
-        raise ValueError("ceiling must be positive")
     grid_points = 512
-    lo0 = 1e-8
-    log_lo, log_hi = math.log10(lo0), math.log10(ceiling)
+    ceiling = 1e4
+    log_lo, log_hi = math.log10(1e-8), math.log10(ceiling)
     grid = [10 ** (log_lo + (log_hi - log_lo) * i / (grid_points - 1)) for i in range(grid_points)]
 
     flags = [_memory_predicates(params, t, memory, tail_floor, eps_tail) for t in grid]
@@ -179,7 +176,7 @@ def min_symbol_slot(
             continue
         last_false = max(i for i, ok in enumerate(column) if not ok)
         lo, hi = grid[last_false], grid[last_false + 1]
-        while (hi - lo) > rel_tol * hi:
+        while (hi - lo) > 1e-6 * hi:
             mid = math.sqrt(lo * hi)
             if _memory_predicates(params, mid, memory, tail_floor, eps_tail)[p]:
                 hi = mid

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ __all__ = [
     "expected_ones",
     "validate",
     "load_distribution",
-    "write_codebook_csv",
 ]
 
 # Letter appearance frequencies (percent) from a dictionary-headword count,
@@ -78,8 +78,8 @@ class CharacterDistribution:
             raise ValueError("duplicate symbols in distribution")
         if len(self.symbols) != len(self.probs):
             raise ValueError("symbols and probs length mismatch")
-        if any(p <= 0.0 for p in self.probs):
-            raise ValueError("probabilities must be positive")
+        if any(not (p > 0.0 and math.isfinite(p)) for p in self.probs):
+            raise ValueError("probabilities must be positive and finite")
         total = sum(self.probs)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -97,8 +97,8 @@ class CharacterDistribution:
         if len(pairs) < 2:
             raise ValueError("a distribution needs at least 2 symbols")
         total = sum(p for _, p in pairs)
-        if total <= 0:
-            raise ValueError("weights must sum to a positive value")
+        if not (total > 0 and math.isfinite(total)):
+            raise ValueError(f"weights must sum to a finite positive value, got {total!r}")
         scale = 100.0 if total > 50.0 else 1.0
         if abs(total / scale - 1.0) > _SUM_TOLERANCE:
             raise ValueError(
@@ -114,9 +114,6 @@ class CharacterDistribution:
             return self.probs[self.symbols.index(symbol)]
         except ValueError:
             raise KeyError(symbol) from None
-
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(self.symbols, self.probs))
 
 
 _ENGLISH: CharacterDistribution | None = None
@@ -236,16 +233,6 @@ def build_proposed(dist: CharacterDistribution) -> Codebook:
     huff = build_huffman(dist)
     words = {s: w.replace("1", "10") for s, w in huff.codewords.items()}
     return Codebook(kind="proposed", codewords=words, source=dist)
-
-
-def _proposed_via_tree(dist: CharacterDistribution) -> Codebook:
-    """Same code built directly on the merge tree with branch labels 10 / 0.
-
-    Kept as an independent construction route; it must agree with
-    build_proposed exactly and the test suite enforces that.
-    """
-    words = _tree_codewords(_build_tree(dist), "10")
-    return Codebook(kind="proposed", codewords={s: words[s] for s in dist.symbols}, source=dist)
 
 
 def ita2() -> Codebook:
@@ -391,13 +378,3 @@ def load_distribution(path: str | Path) -> CharacterDistribution:
             pairs.append((sym, float(cell)))
     return CharacterDistribution.from_weights(pairs)
 
-
-def write_codebook_csv(cb: Codebook, dist: CharacterDistribution, path: str | Path) -> None:
-    """Write symbol, codeword, probability rows for cb under dist."""
-    _check_symbols(cb, dist)
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["symbol", "codeword", "probability"])
-        for sym in cb.codewords:
-            writer.writerow([sym, cb.codewords[sym], repr(dist.prob(sym))])

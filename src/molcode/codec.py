@@ -202,13 +202,11 @@ class ConstantThreshold:
 class PilotThreshold:
     """Derive the threshold from per-codeword pilot transmissions.
 
-    repetitions pilots are sent for every codeword. Slots with zero counts
-    are skipped when reading the pilots; set drop_first_slot to instead
-    discard slot 1 of every pilot and keep the zeros.
+    repetitions pilots are sent for every codeword and read as
+    collect_pilot_stats describes.
     """
 
     repetitions: int = 100
-    drop_first_slot: bool = False
 
     def __post_init__(self) -> None:
         if self.repetitions < 1:
@@ -235,8 +233,8 @@ class CalibratedThreshold:
         if self.candidates is not None:
             if not self.candidates:
                 raise ValueError("candidate grid must not be empty")
-            if any(not (c > 0) for c in self.candidates):
-                raise ValueError("candidate thresholds must be positive")
+            if any(not (c > 0) or not math.isfinite(c) for c in self.candidates):
+                raise ValueError("candidate thresholds must be positive and finite")
 
 
 ThresholdStrategy = Union[ConstantThreshold, PilotThreshold, CalibratedThreshold]
@@ -288,7 +286,7 @@ class PilotStats:
 
     counts holds one (repetitions, codeword length) array of per-slot
     molecule counts for each symbol; peak_means the per-codeword mean of
-    the per-pilot peak counts.
+    the positive per-pilot peak counts.
     """
 
     counts: dict[str, "object"]
@@ -306,16 +304,16 @@ def collect_pilot_stats(
     molecules: int,
     master_seed: int,
     repetitions: int = 100,
-    drop_first_slot: bool = False,
 ) -> PilotStats:
     """Transmit every codeword repeatedly and derive detection levels.
 
     Each pilot sends one codeword and records per-slot molecule counts over
-    the codeword duration. The signal level is the smallest per-codeword
-    mean peak count (so even the weakest codeword clears the threshold);
-    the interference level is the mean peak count after masking every
-    bit-1 slot and its successor (leaving only spillover into quiet slots).
-    Pilots with nothing left after masking or zero dropping are skipped.
+    the codeword duration; a pilot is read by its peak, the largest of
+    those counts, and only positive peaks are averaged. The signal level is
+    the smallest per-codeword mean peak (so even the weakest codeword
+    clears the threshold); the interference level is the mean peak after
+    masking every bit-1 slot and its successor (leaving only spillover
+    into quiet slots).
     """
     from . import mc_sim
 
@@ -339,35 +337,17 @@ def collect_pilot_stats(
             counts[:, i:i + keep] += arrivals[:, :keep]
         all_counts[sym] = counts
 
-        readable = np.ones(length, dtype=bool)
-        if drop_first_slot:
-            readable[0] = False
-        read = counts[:, readable]
-        if drop_first_slot:
-            usable = np.ones(repetitions, dtype=bool) if read.shape[1] else np.zeros(
-                repetitions, dtype=bool)
-            peaks = read.max(axis=1) if read.shape[1] else np.zeros(repetitions)
-        else:
-            usable = (read > 0).any(axis=1)
-            peaks = read.max(axis=1, initial=0)
-        if usable.any():
-            peak_means[sym] = float(peaks[usable].mean())
+        peaks = counts.max(axis=1)
+        if peaks.any():
+            peak_means[sym] = float(peaks[peaks > 0].mean())
 
         quiet = np.ones(length, dtype=bool)
         for i in ones:
             quiet[i] = False
             if i + 1 < length:
                 quiet[i + 1] = False
-        if drop_first_slot:
-            quiet[0] = False
-        quiet_counts = counts[:, quiet]
-        if quiet_counts.shape[1]:
-            q_peaks = quiet_counts.max(axis=1, initial=0)
-            if drop_first_slot:
-                exc_peaks.extend(float(x) for x in q_peaks)
-            else:
-                q_usable = (quiet_counts > 0).any(axis=1)
-                exc_peaks.extend(float(x) for x in q_peaks[q_usable])
+        q_peaks = counts[:, quiet].max(axis=1, initial=0)
+        exc_peaks.extend(float(x) for x in q_peaks[q_peaks > 0])
 
     if not peak_means:
         raise CalibrationError("no usable pilot readings for the signal level")

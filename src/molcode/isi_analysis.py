@@ -8,13 +8,14 @@ character distribution.
 
 The central quantity is the lag profile of a bit-0 slot: for each lag
 j - 1 in the channel memory window, the probability that the slot j - 1
-steps earlier carried a 1, scaled by the overall bit-0 frequency p0. Two
-window rules are supported. The word-interior rule conditions on zeros
-whose full memory window lies inside their own codeword (each such zero
-weighted by its codeword probability); it is the rule behind the reference
-coefficient values for the bundled English codebooks. The stream rule uses
-the unrestricted stationary law and is the fallback when a codebook has no
-zero deep enough for the requested memory, e.g. any single-bit code.
+steps earlier carried a 1, scaled by the overall bit-0 frequency p0. The
+window rule that draws the conditioning zeros is chosen automatically. The
+word-interior rule conditions on zeros whose full memory window lies
+inside their own codeword (each such zero weighted by its codeword
+probability); it is the rule behind the reference coefficient values for
+the bundled English codebooks, and it is used whenever such a zero exists.
+Otherwise, e.g. for any single-bit code, the stream rule applies: it uses
+the unrestricted stationary law.
 """
 from __future__ import annotations
 
@@ -34,8 +35,6 @@ __all__ = [
     "isi_oracle",
     "isi_reduction_report",
 ]
-
-_RULES = ("auto", "word-interior", "stream")
 
 
 @dataclass(frozen=True)
@@ -177,38 +176,21 @@ def expected_isi_bit0(
     dist: CharacterDistribution,
     memory: int = 3,
     corrected: bool = False,
-    window_rule: str = "auto",
 ) -> IsiCoefficients:
     """Closed-form lag profile of a bit-0 slot of the coded stream.
 
-    window_rule picks how the conditioning windows are drawn: word-interior
-    (reference rule, see module docstring), stream, or auto, which uses
-    word-interior when the codebook has qualifying zeros and otherwise
-    falls back to stream. Requesting word-interior explicitly on a codebook
-    without qualifying zeros raises ValueError.
+    Uses the word-interior rule when the codebook has qualifying zeros and
+    the stream rule otherwise (see module docstring); the result's
+    window_rule names the rule used.
     """
     if memory < 2:
         raise ValueError("memory must be at least 2 to have any interference lag")
-    if window_rule not in _RULES:
-        raise ValueError(f"unknown window rule {window_rule!r}")
     if corrected and cb.kind != "proposed":
         raise ValueError("only the run-length-limited kind supports correction")
 
-    rule = window_rule
-    result = None
-    if rule in ("auto", "word-interior"):
-        result = _interior_lag_profile(cb, dist, memory)
-        if result is None:
-            if rule == "word-interior":
-                raise ValueError(
-                    "no codeword has a zero deep enough for this memory; "
-                    "use the stream rule"
-                )
-            rule = "stream"
-        else:
-            rule = "word-interior"
+    result, rule = _interior_lag_profile(cb, dist, memory), "word-interior"
     if result is None:
-        result = _stream_lag_profile(cb, dist, memory)
+        result, rule = _stream_lag_profile(cb, dist, memory), "stream"
     p0, coeffs = result
     if corrected:
         coeffs = {j: c for j, c in coeffs.items() if j != 2}
@@ -222,29 +204,25 @@ def isi_oracle(
     dist: CharacterDistribution,
     memory: int = 3,
     corrected: bool = False,
-    window_rule: str = "auto",
     samples: int = 10_000_000,
     rng: np.random.Generator | None = None,
-    batches: int = 100,
 ) -> IsiCoefficients:
     """Monte Carlo estimate of expected_isi_bit0 with batch-means errors.
 
     Simulates a coded stream of roughly samples bits (at least 1e5, below
-    which the batch error estimates are meaningless), splits it into
+    which the batch error estimates are meaningless), splits it into 100
     batches, and reports the batch mean and standard error of every
-    coefficient. Meant as an independent check of the closed form.
+    coefficient under the window rule expected_isi_bit0 would use. Meant as
+    an independent check of the closed form.
     """
     if memory < 2:
         raise ValueError("memory must be at least 2 to have any interference lag")
     if corrected and cb.kind != "proposed":
         raise ValueError("only the run-length-limited kind supports correction")
-    if window_rule not in _RULES:
-        raise ValueError(f"unknown window rule {window_rule!r}")
     if samples < 100_000:
         raise ValueError("the oracle needs at least 1e5 stream bits")
-    rule = window_rule
-    if rule == "auto":
-        rule = "word-interior" if _interior_lag_profile(cb, dist, memory) else "stream"
+    rule = "word-interior" if _interior_lag_profile(cb, dist, memory) else "stream"
+    batches = 100
 
     mean_len = sum(p * len(cb.codewords[s]) for s, p in zip(dist.symbols, dist.probs))
     symbols = max(int(samples / mean_len), memory * batches * 4)

@@ -37,9 +37,7 @@ __all__ = [
     "CHUNK_TRIALS",
     "LinkConfig",
     "CerReport",
-    "SimulatedMessage",
     "sample_arrivals",
-    "simulate_message",
     "resolve_threshold",
     "run_cer",
     "sweep",
@@ -154,8 +152,11 @@ class CerReport:
 
 def _budget_share(dist: CharacterDistribution, cb: Codebook, molecules_per_char: float) -> int:
     """Bit-1 budget that spends molecules_per_char on average per character."""
-    if molecules_per_char < 0:
-        raise ValueError("a molecule budget cannot be negative")
+    if not (math.isfinite(molecules_per_char) and molecules_per_char >= 0):
+        raise ValueError(
+            "a molecule budget must be a finite, non-negative number, "
+            f"got {molecules_per_char!r}"
+        )
     return int(round(molecules_per_char / expected_ones(cb, dist)))
 
 
@@ -163,26 +164,24 @@ def sample_arrivals(
     molecules: int,
     coefficients: Sequence[float],
     rng: np.random.Generator,
-    size: int | None = None,
+    size: int,
 ) -> np.ndarray:
-    """Arrival counts per memory slot for one release of molecules.
+    """Arrival counts per memory slot for size independent releases of molecules.
 
     Sampling is sequential binomial over the slots: conditioned on what
     already arrived, the count of slot k is binomial out of the remaining
     molecules with the renormalized slot probability. The marginal of each
     slot count is Binomial(molecules, a_k) and the total never exceeds the
-    release. With size given, that many independent releases are drawn and
-    an array of shape (size, memory) is returned. Counts are int32 unless
-    molecules exceeds the int32 range.
+    release. Returns an array of shape (size, memory); counts are int32
+    unless molecules exceeds the int32 range.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     if molecules < 0:
         raise ValueError("molecule count must be non-negative")
     if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
         raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    n = 1 if size is None else int(size)
-    remaining = np.full(n, molecules, dtype=np.int64)
-    out = np.empty((n, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
+    remaining = np.full(size, molecules, dtype=np.int64)
+    out = np.empty((size, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
     consumed = 0.0
     for k, a in enumerate(coeffs):
         rest = 1.0 - consumed
@@ -190,65 +189,7 @@ def sample_arrivals(
         out[:, k] = rng.binomial(remaining, p)
         remaining -= out[:, k]
         consumed += a
-    return out[0] if size is None else out
-
-
-@dataclass(frozen=True)
-class SimulatedMessage:
-    """Single-trial transcript, the readable counterpart of the array engine."""
-
-    text: str
-    sent_bits: str
-    slot_counts: tuple[int, ...]
-    detected_bits: str
-    corrected_bits: str | None
-    decoded: codec.DecodeResult
-    char_errors: int
-
-
-def simulate_message(
-    text: str,
-    cfg: LinkConfig,
-    rng: np.random.Generator,
-    tau: float | None = None,
-) -> SimulatedMessage:
-    """Run one message through the full pipeline, step by step.
-
-    The threshold must already be a number: either pass tau explicitly or
-    configure the link with a ConstantThreshold.
-    """
-    if tau is None:
-        if not isinstance(cfg.threshold, ConstantThreshold):
-            raise ValueError(
-                "simulate_message needs a resolved threshold; pass tau or use "
-                "a ConstantThreshold"
-            )
-        tau = cfg.threshold.tau
-    bits = codec.encode(text, cfg.codebook)
-    memory = cfg.profile.memory
-    counts = np.zeros(len(bits), dtype=np.int64)
-    for i, b in enumerate(bits):
-        if b != "1":
-            continue
-        arrivals = sample_arrivals(cfg.molecules_per_one, cfg.profile.coefficients, rng)
-        keep = min(memory, len(bits) - i)
-        counts[i:i + keep] += arrivals[:keep]
-    detected = codec.detect(counts.tolist(), tau)
-    corrected = codec.error_correct(detected) if cfg.codebook.kind == "proposed" else None
-    decoded = codec.decode(corrected if corrected is not None else detected, cfg.codebook)
-    errors = sum(
-        1 for i in range(len(text))
-        if i >= len(decoded.symbols) or decoded.symbols[i] != text[i]
-    )
-    return SimulatedMessage(
-        text=text,
-        sent_bits=bits,
-        slot_counts=tuple(int(c) for c in counts),
-        detected_bits=detected,
-        corrected_bits=corrected,
-        decoded=decoded,
-        char_errors=errors,
-    )
+    return out
 
 
 class _Tables(codec.CodeTables):
@@ -416,7 +357,6 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
             cfg.molecules_per_one,
             master_seed,
             repetitions=strat.repetitions,
-            drop_first_slot=strat.drop_first_slot,
         )
         return stats.tau, "pilot"
     if isinstance(strat, CalibratedThreshold):
@@ -579,7 +519,6 @@ def sweep(
     chars_per_second: float = 2.0,
     msg_len: int = 10,
     memory: int = 10,
-    thresholds: dict[str, ThresholdStrategy] | None = None,
     threads: int | None = None,
     progress=None,
 ) -> list[dict]:
@@ -589,9 +528,9 @@ def sweep(
     codebook's bit-1 budget is budget / E[ones](kind) rounded, so every kind
     spends the same expected molecule count per character. All kinds also
     share the character rate, so rows with equal budget are directly
-    comparable. By default the run-length-limited kind resolves its
-    threshold from pilots and the conventional kinds calibrate a fixed
-    threshold on a training batch.
+    comparable. The run-length-limited kind resolves its threshold from
+    pilots and the conventional kinds calibrate a fixed threshold on a
+    training batch.
 
     Returns one row dict per (kind, budget), kinds outer and budgets inner;
     a row whose threshold cannot be resolved (a CalibrationError, for
@@ -614,13 +553,6 @@ def sweep(
             raise ValueError(f"repeated {name}s: {', '.join(map(str, repeated))}")
     books = [build(kind, dist) for kind in kinds]
     n_threads = _thread_count(threads)
-    if thresholds is None:
-        thresholds = {}
-    default_thresholds: dict[str, ThresholdStrategy] = {
-        "huffman": CalibratedThreshold(),
-        "proposed": PilotThreshold(),
-        "ita2": CalibratedThreshold(),
-    }
     grid = [
         (kind, budget, LinkConfig.build(
             codebook=cb,
@@ -628,7 +560,7 @@ def sweep(
             params=params,
             molecules_per_one=_budget_share(dist, cb, budget),
             char_duration=1.0 / chars_per_second,
-            threshold=thresholds.get(kind, default_thresholds[kind]),
+            threshold=PilotThreshold() if kind == "proposed" else CalibratedThreshold(),
             msg_len=msg_len,
             memory=memory,
             trials=trials,

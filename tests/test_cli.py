@@ -48,6 +48,15 @@ class TestCodebookCommand:
     def test_unknown_kind_is_usage_error(self):
         assert run(["codebook", "--kinds", "morse"]) == 2
 
+    def test_nan_probability_is_usage_error_without_rows(self, tmp_path, capsys):
+        distfile = tmp_path / "d.csv"
+        distfile.write_text("symbol,prob\na,nan\nb,0.5\n")
+        cfgfile = tmp_path / "cfg.yaml"
+        cfgfile.write_text(f"distribution: {distfile}\n")
+        assert run(["--config", str(cfgfile), "codebook"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
 
 class TestChannelCommand:
     def test_schema_and_summary(self, tmp_path, capsys):
@@ -137,6 +146,15 @@ class TestSimulateCommand:
 
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
+
+    @pytest.mark.parametrize("budget", ["inf", "nan"])
+    def test_non_finite_budget_is_usage_error_without_rows(self, capsys, budget):
+        code = run(["simulate", "--trials", "100", "--budgets", budget,
+                    "--kinds", "huffman"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"got {budget}" in captured.err and "done " not in captured.err
 
     @pytest.mark.parametrize("kinds, budgets, message", [
         ("proposed,proposed", "60", "'proposed' is given twice"),

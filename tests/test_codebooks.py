@@ -17,7 +17,6 @@ from molcode.codebooks import (
     ita2,
     load_distribution,
     validate,
-    write_codebook_csv,
 )
 
 # Reference codeword table for the English letter distribution. Frozen from
@@ -41,6 +40,15 @@ EXP_ONES_ITA2 = 2.469588530411469
 ONES_RATIO = 0.7998611915900243
 
 
+def _proposed_via_tree(dist: CharacterDistribution) -> Codebook:
+    """The proposed code built directly on the merge tree with branch labels 10 / 0.
+
+    An independent construction route that must agree with build_proposed.
+    """
+    words = codebooks._tree_codewords(codebooks._build_tree(dist), "10")
+    return Codebook(kind="proposed", codewords={s: words[s] for s in dist.symbols}, source=dist)
+
+
 def small_distributions():
     """Random distributions over 2..6 symbols for property tests."""
     return st.integers(2, 6).flatmap(
@@ -60,7 +68,7 @@ class TestEnglishDistribution:
         assert math.fsum(dist.probs) == pytest.approx(1.0, abs=1e-12)
 
     def test_e_is_most_frequent(self, dist):
-        assert max(dist.as_dict(), key=dist.prob) == "E"
+        assert max(dist.symbols, key=dist.prob) == "E"
 
     def test_probabilities_keep_relative_weights(self, dist):
         # E/A weight ratio survives normalization exactly.
@@ -148,7 +156,7 @@ class TestProposed:
         assert expected_ones(pcb, dist) == pytest.approx(EXP_ONES_HUFFMAN, abs=1e-12)
 
     def test_matches_tree_labeled_construction(self, dist, pcb):
-        alt = codebooks._proposed_via_tree(dist)
+        alt = _proposed_via_tree(dist)
         assert alt.codewords == pcb.codewords
 
     def test_kraft_strictly_below_one(self, pcb):
@@ -249,11 +257,14 @@ class TestDistributionIO:
         with pytest.raises(ValueError):
             load_distribution(p)
 
-    def test_codebook_csv_round_trip(self, tmp_path, hcb, dist):
-        p = tmp_path / "cb.csv"
-        write_codebook_csv(hcb, dist, p)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "symbol,codeword,probability"
-        assert len(lines) == 27
-        body = {row[0]: row[1] for row in (line.split(",") for line in lines[1:])}
-        assert body == dict(hcb.codewords)
+    @pytest.mark.parametrize("probs", [(math.nan, math.nan), (0.5, math.nan), (math.inf, 0.5)])
+    def test_rejects_non_finite_probabilities(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            CharacterDistribution(("a", "b"), probs)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_load_distribution_rejects_non_finite(self, tmp_path, cell):
+        p = tmp_path / "d.csv"
+        p.write_text(f"symbol,prob\na,{cell}\nb,0.5\n")
+        with pytest.raises(ValueError, match="finite"):
+            load_distribution(p)

@@ -264,6 +264,17 @@ class TestStrategyObjects:
         with pytest.raises(ValueError):
             ConstantThreshold(0.0)
 
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantThreshold(float("inf")),
+        lambda: ConstantThreshold(float("nan")),
+        lambda: CalibratedThreshold(candidates=(0.0,)),
+        lambda: CalibratedThreshold(candidates=(float("inf"),)),
+        lambda: CalibratedThreshold(candidates=(4.0, float("nan"))),
+    ], ids=["constant-inf", "constant-nan", "candidate-zero", "candidate-inf", "candidate-nan"])
+    def test_thresholds_must_be_positive_and_finite(self, make):
+        with pytest.raises(ValueError, match="positive and finite"):
+            make()
+
     def test_defaults(self):
         assert PilotThreshold().repetitions == 100
         assert CalibratedThreshold().messages == 10_000

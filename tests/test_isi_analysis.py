@@ -82,26 +82,16 @@ class TestExactProfiles:
 
 
 class TestWindowRules:
-    def test_auto_prefers_word_interior_when_available(self, hcb, dist):
-        auto = expected_isi_bit0(hcb, dist, memory=3, window_rule="auto")
-        explicit = expected_isi_bit0(hcb, dist, memory=3, window_rule="word-interior")
-        assert auto.coefficients == explicit.coefficients
-
     def test_auto_falls_back_to_stream_for_shallow_codebooks(self, coin):
         d, cb = coin
         prof = expected_isi_bit0(cb, d, memory=3)
         assert prof.window_rule == "stream"
 
-    def test_word_interior_impossible_for_shallow_codebooks(self, coin):
-        d, cb = coin
-        with pytest.raises(ValueError):
-            expected_isi_bit0(cb, d, memory=3, window_rule="word-interior")
-
     def test_fair_coin_stream_profile(self, coin):
         # Independent fair bits: a zero sees a one at any lag with
         # probability 1/2, and half of all slots are zeros.
         d, cb = coin
-        prof = expected_isi_bit0(cb, d, memory=3, window_rule="stream")
+        prof = expected_isi_bit0(cb, d, memory=3)
         assert prof.p0 == pytest.approx(0.5, abs=1e-12)
         assert prof.coefficients[2] == pytest.approx(0.25, abs=1e-12)
         assert prof.coefficients[3] == pytest.approx(0.25, abs=1e-12)
@@ -109,7 +99,7 @@ class TestWindowRules:
     def test_biased_coin_stream_profile(self):
         d = CharacterDistribution.from_weights({"s0": 0.8, "s1": 0.2})
         cb = Codebook(kind="custom", codewords={"s0": "0", "s1": "1"})
-        prof = expected_isi_bit0(cb, d, memory=4, window_rule="stream")
+        prof = expected_isi_bit0(cb, d, memory=4)
         for j in (2, 3, 4):
             assert prof.coefficients[j] == pytest.approx(0.8 * 0.2, abs=1e-12)
 

@@ -20,7 +20,6 @@ from molcode import (
     resolve_threshold,
     run_cer,
     sample_arrivals,
-    simulate_message,
     sweep,
 )
 from molcode import mc_sim
@@ -88,11 +87,6 @@ class TestSampleArrivals:
         s = sum(coeffs)
         se = math.sqrt(n * s * (1 - s) / draws)
         assert abs(got.sum(axis=1).mean() - n * s) < 4 * se
-
-    def test_scalar_draw_shape(self):
-        rng = np.random.default_rng(4)
-        got = sample_arrivals(10, (0.5, 0.2), rng)
-        assert got.shape == (2,)
 
     def test_int32_unless_the_release_exceeds_it(self):
         rng = np.random.default_rng(5)
@@ -200,15 +194,6 @@ class TestReportInternals:
 
 
 class TestEngineAgreesWithScalarPath:
-    def test_message_pipeline_consistency(self, link):
-        # The scalar helper must reproduce its own stages exactly.
-        rng = np.random.default_rng(42)
-        sim = simulate_message("MOLEC", link, rng, tau=8.0)
-        assert detect(sim.slot_counts, 8.0) == sim.detected_bits
-        assert error_correct(sim.detected_bits) == sim.corrected_bits
-        redecoded = decode(sim.corrected_bits, link.codebook)
-        assert redecoded.symbols == sim.decoded.symbols
-
     def test_quiet_channel_recovers_text(self, dist, pcb, params):
         # A huge budget and a decisive threshold make the link noiseless
         # in slot one, and correction strips the interference.
@@ -439,8 +424,9 @@ class TestThreadEnvCap:
                   kinds=("huffman",), progress=seen.append)
         assert seen == []
 
-    @pytest.mark.parametrize("bad, match", [(-1.0, "negative"), (1e9, "2\\*\\*31")],
-                             ids=["negative", "int32_overflow"])
+    @pytest.mark.parametrize("bad, match", [
+        (-1.0, "negative"), (1e9, "2\\*\\*31"), (math.inf, "got inf"), (math.nan, "got nan"),
+    ], ids=["negative", "int32_overflow", "infinite", "nan"])
     def test_bad_budget_raises_before_any_row(self, dist, params, bad, match):
         seen = []
         with pytest.raises(ValueError, match=match):
