@@ -46,12 +46,17 @@ class ChannelParams:
     receiver_radius: float
 
     def __post_init__(self) -> None:
-        if self.diffusion <= 0:
-            raise ValueError("diffusion coefficient must be positive")
-        if self.receiver_radius <= 0:
-            raise ValueError("receiver radius must be positive")
-        if self.distance <= self.receiver_radius:
-            raise ValueError("transmitter must sit outside the receiver")
+        if not 0 < self.diffusion < math.inf:
+            raise ValueError(f"diffusion must be positive and finite, got {self.diffusion!r}")
+        if not 0 < self.receiver_radius < math.inf:
+            raise ValueError(
+                f"receiver_radius must be positive and finite, got {self.receiver_radius!r}"
+            )
+        if not self.receiver_radius < self.distance < math.inf:
+            raise ValueError(
+                "distance must be finite and put the transmitter outside the receiver, "
+                f"got {self.distance!r}"
+            )
 
 
 def hit_probability(params: ChannelParams, t: float) -> float:
@@ -81,8 +86,8 @@ def channel_coefficients(
     happens when the slot is short enough that the arrival-rate peak falls
     beyond the first slot.
     """
-    if slot <= 0:
-        raise ValueError("slot length must be positive")
+    if not 0 < slot < math.inf:
+        raise ValueError(f"slot length must be positive and finite, got {slot!r}")
     if memory < 1:
         raise ValueError("memory must be at least 1")
     hits = [hit_probability(params, k * slot) for k in range(memory + 1)]

@@ -18,6 +18,7 @@ import csv
 import math
 import sys
 import traceback
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Sequence
 
@@ -77,40 +78,6 @@ _VALUE_RULES = {
     "kinds": (lambda v: isinstance(v, list) and all(isinstance(k, str) for k in v),
               "a list of codebook kinds"),
 }
-
-_PLOT_STUB = """\
-#!/usr/bin/env python3
-\"\"\"Plot character error rate against molecules per character.
-
-Reads the CSV produced by `molcode simulate` (path as the only argument)
-and draws one line per codebook on a log-scale error axis.
-\"\"\"
-import csv
-import sys
-from collections import defaultdict
-
-import matplotlib.pyplot as plt
-
-series = defaultdict(list)
-with open(sys.argv[1], newline="") as fh:
-    for row in csv.DictReader(fh):
-        if row["cer"] and not row["cer"].startswith("error:"):
-            series[row["codebook"]].append(
-                (float(row["molecules_per_char"]), float(row["cer"]))
-            )
-
-for name, points in sorted(series.items()):
-    points.sort()
-    plt.plot(*zip(*points), marker="o", label=name)
-plt.xlabel("molecules per character")
-plt.ylabel("character error rate")
-plt.yscale("log")
-plt.legend()
-plt.grid(True, which="both", alpha=0.3)
-plt.tight_layout()
-plt.savefig(sys.argv[2] if len(sys.argv) > 2 else "cer_vs_budget.png", dpi=150)
-"""
-
 
 def load_config(path: str | None) -> dict:
     """DEFAULTS with the sections of a YAML file merged on top."""
@@ -181,12 +148,7 @@ def _channel_params(cfg: dict) -> channel_mod.ChannelParams:
 
 
 def _write_rows(path: str | None, header: list[str], rows: list[list]) -> None:
-    if path is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return
-    with open(path, "w", newline="") as fh:
+    with nullcontext(sys.stdout) if path is None else open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -341,9 +303,16 @@ def _cmd_simulate(args, cfg: dict) -> int:
          "trials", "seed", "error"],
         out_rows,
     )
-    if args.plot_stub:
-        Path(args.plot_stub).write_text(_PLOT_STUB)
-        _note(f"wrote plot stub to {args.plot_stub}")
+    cer = {(r["codebook"], r["molecules_per_char"]): r for r in rows if r["cer"] is not None}
+    for budget in dict.fromkeys(r["molecules_per_char"] for r in rows):
+        huff, prop = cer.get(("huffman", budget)), cer.get(("proposed", budget))
+        if huff and prop:
+            gap = huff["cer"] - prop["cer"]
+            se = math.hypot(huff["cer_stderr"], prop["cer_stderr"])
+            sigmas = f"{gap / se:+.1f}" if se else "n/a"
+            _note(f"separation at {budget:g} molecules/char: huffman cer {huff['cer']:.6f}, "
+                  f"proposed cer {prop['cer']:.6f}, gap {gap:+.6f} = {sigmas} "
+                  "combined standard errors")
     return 0
 
 
@@ -392,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int,
                    help="worker threads (default: MOLCODE_THREADS, else the "
                         "available cores); results do not depend on it")
-    p.add_argument("--plot-stub", help="also write a matplotlib script to this path")
     p.add_argument("--out", help="output file (default stdout)")
     return parser
 

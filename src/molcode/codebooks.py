@@ -4,6 +4,10 @@ Three codebook families are supported: classic Huffman trees built with the
 low-probability branch labeled 1, a run-length-limited variant of the same
 tree in which every 1 is expanded to "10" (so no transmitted codeword stream
 ever contains adjacent ones), and a fixed 5-bit teleprinter alphabet.
+
+Every codebook also carries its CodeTables, built once on first use: the
+codeword layout that lays symbols into a stream, and the codeword trie
+that every decoder walks.
 """
 from __future__ import annotations
 
@@ -12,12 +16,17 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "CharacterDistribution",
     "Codebook",
+    "PAST_END",
+    "CodeTables",
     "ValidationIssue",
     "ValidationReport",
     "english_letter_distribution",
@@ -57,6 +66,12 @@ _ITA2_ALPHABETICAL: tuple[str, ...] = (
 # normalization of an input distribution. The boundary is inclusive up to
 # float summation noise: a percent column off by exactly 1e-4 is accepted.
 _SUM_TOLERANCE = 1e-6 * (1.0 + 1e-9)
+
+#: Trie input for a slot after the end of a message.
+PAST_END = 2
+
+#: Symbol indices are int16 in the trie and in the decoder's sent symbols.
+_MAX_SYMBOLS = int(np.iinfo(np.int16).max)
 
 
 @dataclass(frozen=True)
@@ -156,11 +171,77 @@ class Codebook:
     def __getitem__(self, symbol: str) -> str:
         return self.codewords[symbol]
 
+    @cached_property
+    def tables(self) -> "CodeTables":
+        """The codebook as CodeTables, symbol i being symbols[i]; built once."""
+        return CodeTables(self)
+
     def kraft_sum(self) -> Fraction:
         return sum(
             (Fraction(1, 2 ** len(w)) for w in self.codewords.values()),
             start=Fraction(0),
         )
+
+
+class CodeTables:
+    """A codebook as flat arrays: its codeword layout and its codeword trie.
+
+    Symbol i is cb.symbols[i]; its codeword is word_flat[word_off[i]:][:word_len[i]].
+    The trie is an automaton indexed by 3 * state + input, where input is a
+    bit or PAST_END (a slot after the message, which keeps the state and
+    emits nothing). next_at holds 3 * the next state; emit holds the index
+    of the symbol an edge completes, else -1. State 0 is the root; any bit
+    with no trie edge enters the absorbing state dead, where a sequential
+    decoder stops.
+
+    Raises ValueError for a code that is not prefix free and, before any
+    table is built, for an alphabet beyond the int16 symbol indices.
+    """
+
+    def __init__(self, cb: Codebook):
+        words = list(cb.codewords.values())
+        if len(words) > _MAX_SYMBOLS:
+            raise ValueError(
+                f"{len(words)} symbols exceed the limit of {_MAX_SYMBOLS} per codebook"
+            )
+        self.word_len = np.array([len(w) for w in words], dtype=np.int64)
+        self.word_flat = np.array([int(b) for w in words for b in w], dtype=np.int8)
+        self.word_off = np.cumsum(self.word_len) - self.word_len
+
+        # Per state and bit: the next state (-1 for no edge) and the emitted
+        # symbol; an edge that completes a codeword returns to the root.
+        nxt: list[list[int]] = [[-1, -1]]
+        emit: list[list[int]] = [[-1, -1]]
+        for index, word in enumerate(words):
+            node = 0
+            for bit in map(int, word[:-1]):
+                if emit[node][bit] >= 0:
+                    raise ValueError(f"codeword table is not prefix free at {word!r}")
+                if nxt[node][bit] < 0:
+                    nxt[node][bit] = len(nxt)
+                    nxt.append([-1, -1])
+                    emit.append([-1, -1])
+                node = nxt[node][bit]
+            last = int(word[-1])
+            if nxt[node][last] >= 0:
+                raise ValueError(f"codeword table is not prefix free at {word!r}")
+            nxt[node][last] = 0
+            emit[node][last] = index
+        self.dead = len(nxt)
+        nxt.append([-1, -1])
+        emit.append([-1, -1])
+        table = np.array(nxt, dtype=np.int64)
+        table[table < 0] = self.dead
+        self.next_at = 3 * np.column_stack([table, np.arange(len(nxt))]).ravel()
+        self.emit = np.column_stack([emit, np.full(len(emit), -1)]).astype(np.int16).ravel()
+
+    def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The codewords of syms back to back, and each bit's in-word position."""
+        syms = syms.ravel()
+        reps = self.word_len[syms]
+        starts = np.cumsum(reps) - reps
+        pos = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
+        return self.word_flat[np.repeat(self.word_off[syms], reps) + pos], pos
 
 
 class _Node:

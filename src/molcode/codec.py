@@ -4,10 +4,10 @@ The run-length-limited codebook kind ("proposed") carries a structural
 guarantee: a transmitted stream never contains adjacent ones. The receiver
 exploits it by forcing any 1 that follows a decided 1 back to 0 (error
 correction), then parses the stream with the prefix code like any other
-kind. CodeTables holds a codebook as arrays: the codeword layout that
-lays symbols into a stream, and the codeword trie that every decoder here
-walks. Its trie over the expanded codewords has no edge for a 1 after a
-1, so such a stream stops decoding at a dead end.
+kind. The codeword tables that every decoder walks live on the codebook:
+Codebook.tables, built once per codebook on first use. Its trie over the
+expanded codewords has no edge for a 1 after a 1, so such a stream stops
+decoding at a dead end.
 """
 from __future__ import annotations
 
@@ -20,8 +20,6 @@ import numpy as np
 from .codebooks import Codebook
 
 __all__ = [
-    "PAST_END",
-    "CodeTables",
     "DecodeResult",
     "encode",
     "error_correct",
@@ -36,12 +34,6 @@ __all__ = [
     "pilot_threshold",
     "collect_pilot_stats",
 ]
-
-#: Trie input for a slot after the end of a message.
-PAST_END = 2
-
-#: Symbol indices are int16 in the trie and in the decoder's sent symbols.
-_MAX_SYMBOLS = int(np.iinfo(np.int16).max)
 
 
 def encode(text: Iterable[str], cb: Codebook) -> str:
@@ -100,67 +92,6 @@ class DecodeResult:
         return "".join(self.symbols)
 
 
-class CodeTables:
-    """A codebook as flat arrays: its codeword layout and its codeword trie.
-
-    Symbol i is symbols[i]; its codeword is word_flat[word_off[i]:][:word_len[i]].
-    The trie is an automaton indexed by 3 * state + input, where input is a
-    bit or PAST_END (a slot after the message, which keeps the state and
-    emits nothing). next_at holds 3 * the next state; emit holds the index
-    of the symbol an edge completes, else -1. State 0 is the root; any bit
-    with no trie edge enters the absorbing state dead, where a sequential
-    decoder stops.
-
-    Raises ValueError for a code that is not prefix free and, before any
-    table is built, for an alphabet beyond the int16 symbol indices.
-    """
-
-    def __init__(self, cb: Codebook, symbols: Sequence[str]):
-        if len(symbols) > _MAX_SYMBOLS:
-            raise ValueError(
-                f"{len(symbols)} symbols exceed the limit of {_MAX_SYMBOLS} per codebook"
-            )
-        words = [cb.codewords[s] for s in symbols]
-        self.word_len = np.array([len(w) for w in words], dtype=np.int64)
-        self.word_flat = np.array([int(b) for w in words for b in w], dtype=np.int8)
-        self.word_off = np.cumsum(self.word_len) - self.word_len
-
-        # Per state and bit: the next state (-1 for no edge) and the emitted
-        # symbol; an edge that completes a codeword returns to the root.
-        nxt: list[list[int]] = [[-1, -1]]
-        emit: list[list[int]] = [[-1, -1]]
-        for index, word in enumerate(words):
-            node = 0
-            for bit in map(int, word[:-1]):
-                if emit[node][bit] >= 0:
-                    raise ValueError(f"codeword table is not prefix free at {word!r}")
-                if nxt[node][bit] < 0:
-                    nxt[node][bit] = len(nxt)
-                    nxt.append([-1, -1])
-                    emit.append([-1, -1])
-                node = nxt[node][bit]
-            last = int(word[-1])
-            if nxt[node][last] >= 0:
-                raise ValueError(f"codeword table is not prefix free at {word!r}")
-            nxt[node][last] = 0
-            emit[node][last] = index
-        self.dead = len(nxt)
-        nxt.append([-1, -1])
-        emit.append([-1, -1])
-        table = np.array(nxt, dtype=np.int64)
-        table[table < 0] = self.dead
-        self.next_at = 3 * np.column_stack([table, np.arange(len(nxt))]).ravel()
-        self.emit = np.column_stack([emit, np.full(len(emit), -1)]).astype(np.int16).ravel()
-
-    def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The codewords of syms back to back, and each bit's in-word position."""
-        syms = syms.ravel()
-        reps = self.word_len[syms]
-        starts = np.cumsum(reps) - reps
-        pos = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
-        return self.word_flat[np.repeat(self.word_off[syms], reps) + pos], pos
-
-
 def decode(bits: str, cb: Codebook) -> DecodeResult:
     """Parse a bit string into symbols of cb by walking its codeword trie.
 
@@ -171,7 +102,7 @@ def decode(bits: str, cb: Codebook) -> DecodeResult:
     if set(bits) - {"0", "1"}:
         raise ValueError("bit string may contain only 0 and 1")
     names = cb.symbols
-    tables = CodeTables(cb, names)
+    tables = cb.tables
     symbols: list[str] = []
     at = 0  # 3 * the current state
     word_start = 0

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codebooks import Codebook, CharacterDistribution, build_huffman, build_proposed
-from .codec import CodeTables
 
 __all__ = [
     "WindowDistribution",
@@ -96,14 +95,14 @@ class IsiCoefficients:
 def _word_chain(cb: Codebook, dist: CharacterDistribution):
     """Markov chain over (symbol, in-word position) states of the stream.
 
-    State i is bit i of the codeword layout CodeTables.word_flat. Returns
+    State i is bit i of the codeword layout cb.tables.word_flat. Returns
     (bits, T, pi): per-state bit values, the transition matrix, and the
     stationary distribution pi(sym, t) = p(sym) / mean codeword length.
     """
     if set(cb.codewords) != set(dist.symbols):
         raise ValueError("codebook and distribution symbols differ")
-    tables = CodeTables(cb, dist.symbols)
-    probs = np.asarray(dist.probs)
+    tables = cb.tables
+    probs = np.array([dist.prob(s) for s in cb.symbols])
     n = len(tables.word_flat)
     starts = np.zeros(n)
     starts[tables.word_off] = probs
@@ -228,8 +227,8 @@ def isi_oracle(
     symbols = max(int(samples / mean_len), memory * batches * 4)
     if rng is None:
         rng = np.random.default_rng(0)
-    syms = rng.choice(len(dist.symbols), size=symbols, p=np.asarray(dist.probs))
-    stream, pos = CodeTables(cb, dist.symbols).lay(syms)
+    probs = np.array([dist.prob(s) for s in cb.symbols])
+    stream, pos = cb.tables.lay(rng.choice(len(probs), size=symbols, p=probs))
 
     n = len(stream)
     p0 = float((stream == 0).mean())
@@ -286,8 +285,6 @@ def isi_reduction_report(
     dist: CharacterDistribution,
     channel,
     memory: int = 3,
-    huffman_cb: Codebook | None = None,
-    proposed_cb: Codebook | None = None,
 ) -> IsiReductionReport:
     """Expected bit-0 interference for uncoded, Huffman and corrected links.
 
@@ -303,14 +300,12 @@ def isi_reduction_report(
 
     uncoded_dist = CharacterDistribution(("0", "1"), (0.5, 0.5))
     uncoded_cb = Codebook(kind="custom", codewords={"0": "0", "1": "1"})
-    hcb = huffman_cb if huffman_cb is not None else build_huffman(dist)
-    pcb = proposed_cb if proposed_cb is not None else build_proposed(dist)
 
     rows = []
     for name, cb, d, corrected in (
         ("uncoded", uncoded_cb, uncoded_dist, False),
-        ("huffman", hcb, dist, False),
-        ("proposed", pcb, dist, True),
+        ("huffman", build_huffman(dist), dist, False),
+        ("proposed", build_proposed(dist), dist, True),
     ):
         prof = expected_isi_bit0(cb, d, memory=memory, corrected=corrected)
         rows.append(

@@ -24,7 +24,15 @@ import numpy as np
 
 from . import codec
 from .channel import ChannelParams, ChannelProfile
-from .codebooks import Codebook, CharacterDistribution, build, expected_length, expected_ones
+from .codebooks import (
+    PAST_END,
+    CharacterDistribution,
+    Codebook,
+    CodeTables,
+    build,
+    expected_length,
+    expected_ones,
+)
 from .codec import (
     CalibratedThreshold,
     CalibrationError,
@@ -192,18 +200,15 @@ def sample_arrivals(
     return out
 
 
-class _Tables(codec.CodeTables):
-    """Per-link constants shared by all chunks of a run."""
-
-    def __init__(self, cfg: LinkConfig):
-        super().__init__(cfg.codebook, cfg.distribution.symbols)
-        self.probs = np.asarray(cfg.distribution.probs)
-        self.correct = cfg.codebook.kind == "proposed"
+def _symbol_probs(cfg: LinkConfig) -> np.ndarray:
+    """Symbol probabilities in the order of cfg.codebook.symbols."""
+    return np.array([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
-def _sample_bits(tables: _Tables, trials: int, msg_len: int, rng: np.random.Generator):
+def _sample_bits(tables: CodeTables, probs: np.ndarray, trials: int, msg_len: int,
+                 rng: np.random.Generator):
     """Draw messages and lay their codewords into a padded bit matrix."""
-    syms = rng.choice(len(tables.probs), size=trials * msg_len, p=tables.probs)
+    syms = rng.choice(len(probs), size=trials * msg_len, p=probs)
     syms = syms.reshape(trials, msg_len)
     tlen = tables.word_len[syms].sum(axis=1)
     bitmat = np.zeros((trials, int(tlen.max())), dtype=np.int8)
@@ -249,7 +254,7 @@ def _correct_rows(det: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: _Tables):
+def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: CodeTables):
     """Walk the codeword trie along every row and score it against syms.
 
     Returns per-row character errors (positions among the first msg_len
@@ -258,7 +263,7 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     """
     trials, max_t = final.shape
     msg_len = syms.shape[1]
-    inputs = np.where(np.arange(max_t) < tlen[:, None], final, codec.PAST_END)
+    inputs = np.where(np.arange(max_t) < tlen[:, None], final, PAST_END)
     # Decoded symbol j of a row is checked against sent[row, min(j, msg_len)];
     # the extra column holds -2, which no emission equals.
     sent = np.full((trials, msg_len + 1), -2, dtype=np.int16)
@@ -290,18 +295,19 @@ def _count_cut(tau: float) -> int:
     return _COUNT_LIMIT if tau >= _COUNT_LIMIT else math.ceil(tau)
 
 
-def _read_bits(counts: np.ndarray, cut: int, tables: _Tables) -> np.ndarray:
-    """Read counts >= cut as bits, then correct them if the kind is corrected."""
+def _read_bits(counts: np.ndarray, cut: int, correct: bool) -> np.ndarray:
+    """Read counts >= cut as bits, then error correct them if correct is set."""
     det = (counts >= cut).view(np.int8)
-    return _correct_rows(det) if tables.correct else det
+    return _correct_rows(det) if correct else det
 
 
-def _run_chunk(cfg: LinkConfig, tables: _Tables, trials: int, tau: float, seed_tuple):
+def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed_tuple):
     """Simulate, detect, correct, decode and score one chunk of trials."""
+    tables = cfg.codebook.tables
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
-    syms, tlen, bitmat = _sample_bits(tables, trials, cfg.msg_len, rng)
+    syms, tlen, bitmat = _sample_bits(tables, probs, trials, cfg.msg_len, rng)
     counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-    final = _read_bits(counts, _count_cut(tau), tables)
+    final = _read_bits(counts, _count_cut(tau), cfg.codebook.kind == "proposed")
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
     sum_err = int(err_per_trial.sum())
     sum_err_sq = int((err_per_trial ** 2).sum())
@@ -424,14 +430,14 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     trials = cfg.trials
     master_seed = cfg.master_seed
     tau, origin = resolve_threshold(cfg, master_seed)
-    tables = _Tables(cfg)
+    probs = _symbol_probs(cfg)
     sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)
     if trials % CHUNK_TRIALS:
         sizes.append(trials % CHUNK_TRIALS)
 
     def work(item):
         index, size = item
-        return _run_chunk(cfg, tables, size, tau, (master_seed, _MAIN_TAG, index))
+        return _run_chunk(cfg, probs, size, tau, (master_seed, _MAIN_TAG, index))
 
     parts = _map_in_order(work, list(enumerate(sizes)), n_threads)
 
@@ -490,7 +496,9 @@ def _calibrate_threshold(
     The fewest errors win; ties go to the smaller tau.
     """
     candidates = strategy.candidates or _default_candidates(cfg)
-    tables = _Tables(cfg)
+    tables = cfg.codebook.tables
+    probs = _symbol_probs(cfg)
+    correct = cfg.codebook.kind == "proposed"
     cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
     remaining = strategy.messages
     index = 0
@@ -499,10 +507,10 @@ def _calibrate_threshold(
         rng = np.random.default_rng(
             np.random.SeedSequence((master_seed, _CAL_TAG, index))
         )
-        syms, tlen, bitmat = _sample_bits(tables, size, cfg.msg_len, rng)
+        syms, tlen, bitmat = _sample_bits(tables, probs, size, cfg.msg_len, rng)
         counts = _accumulate_counts(bitmat, tlen, cfg, rng)
         for cut in cut_errors:
-            final = _read_bits(counts, cut, tables)
+            final = _read_bits(counts, cut, correct)
             cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())
         remaining -= size
         index += 1

@@ -82,6 +82,20 @@ class TestChannelCommand:
         cfg.write_text("channel:\n  receiver_radius: 4.0\n")
         assert run(["--config", str(cfg), "channel"]) == 2
 
+    @pytest.mark.parametrize("config, argv, name, value", [
+        ("channel:\n  memory: 1\n", ["--slot", "nan"], "slot length", "nan"),
+        ("", ["--slot", "inf"], "slot length", "inf"),
+        ("channel:\n  diffusion: .nan\n", [], "diffusion", "nan"),
+    ], ids=["slot-nan", "slot-inf", "diffusion-nan"])
+    def test_non_finite_input_is_usage_error_without_rows(self, tmp_path, capsys,
+                                                          config, argv, name, value):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(config)
+        assert run(["--config", str(cfg), "channel", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {name} must be positive and finite, got {value}")
+
 
 class TestIsiCommand:
     def test_schema_with_oracle_columns(self, tmp_path):
@@ -125,16 +139,27 @@ class TestSimulateCommand:
         assert good_row[8] == "" and 0.0 <= float(good_row[5]) <= 1.0
         err = capsys.readouterr().err
         assert "done proposed" in err
+        assert "separation" not in err
 
-    def test_plot_stub_emitted(self, tmp_path):
+    def test_separation_summary_only_where_both_kinds_have_a_cer(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
-        stub = tmp_path / "plot.py"
-        run([
-            "simulate", "--trials", "200", "--budgets", "60",
-            "--kinds", "huffman", "--plot-stub", str(stub), "--out", str(out),
-        ])
-        text = stub.read_text()
-        assert "matplotlib" in text and "molecules per character" in text
+        code = run(["simulate", "--trials", "2000", "--budgets", "0,60",
+                    "--kinds", "huffman,proposed", "--out", str(out)])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == (
+            "codebook,molecules_per_char,N_bit1,t_s,tau,cer,trials,seed,error"
+        )
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == 4 and all(len(r) == 9 for r in rows)
+        cer = {(r[0], r[1]): float(r[5]) for r in rows if r[5]}
+        # The proposed row at budget 0 is uncalibratable: no line for 0.
+        (line,) = [l for l in capsys.readouterr().err.splitlines() if "separation" in l]
+        assert line.startswith(
+            f"separation at 60 molecules/char: huffman cer {cer['huffman', '60.0']:.6f}, "
+            f"proposed cer {cer['proposed', '60.0']:.6f}, gap +"
+        )
+        assert line.endswith(" combined standard errors")
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

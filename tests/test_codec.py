@@ -18,7 +18,6 @@ from molcode import (
     pilot_threshold,
 )
 from molcode.codebooks import Codebook, CharacterDistribution, build_huffman
-from molcode.codec import CodeTables
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
 
@@ -192,14 +191,17 @@ class TestCodeTables:
         words = {f"s{i}": format(i, "015b") for i in range(2 ** 15)}
         cb = Codebook(kind="custom", codewords=words)
         with pytest.raises(ValueError, match="32768 symbols exceed the limit of 32767"):
-            CodeTables(cb, cb.symbols)
+            cb.tables
         # One symbol fewer fits: the last index is still an int16.
         del words["s0"]
-        tables = CodeTables(Codebook(kind="custom", codewords=words), tuple(words))
+        tables = Codebook(kind="custom", codewords=words).tables
         assert tables.emit.max() == 2 ** 15 - 2
 
+    def test_built_once_per_codebook(self, hcb):
+        assert hcb.tables is hcb.tables
+
     def test_lay_places_codewords_back_to_back(self, hcb):
-        tables = CodeTables(hcb, hcb.symbols)
+        tables = hcb.tables
         syms = np.array([hcb.symbols.index(c) for c in "EAT"])
         bits, pos = tables.lay(syms)
         assert "".join(map(str, bits)) == encode("EAT", hcb)

@@ -19,7 +19,7 @@ from molcode.mc_sim import (
     _calibrate_threshold,
     _default_candidates,
     _sample_bits,
-    _Tables,
+    _symbol_probs,
 )
 
 
@@ -53,9 +53,9 @@ class TestAccumulateCounts:
     @pytest.mark.parametrize("kind", ["huffman", "proposed"])
     def test_matches_release_loop(self, kind, dist, hcb, pcb, params):
         cfg = _link(hcb if kind == "huffman" else pcb, dist, params, molecules=40, msg_len=4)
-        tables = _Tables(cfg)
         rng = np.random.default_rng(11)
-        syms, tlen, bitmat = _sample_bits(tables, 300, cfg.msg_len, rng)
+        tables, probs = cfg.codebook.tables, _symbol_probs(cfg)
+        syms, tlen, bitmat = _sample_bits(tables, probs, 300, cfg.msg_len, rng)
         state = rng.bit_generator.state
         fast = _accumulate_counts(bitmat, tlen, cfg, rng)
         rng.bit_generator.state = state
@@ -144,14 +144,14 @@ def _reference_correct(det):
 
 def _brute_force_calibration(cfg, strategy, master_seed):
     candidates = strategy.candidates or _default_candidates(cfg)
-    tables = _Tables(cfg)
-    trie = _ReferenceTrie(cfg.codebook, cfg.distribution.symbols)
+    tables, probs = cfg.codebook.tables, _symbol_probs(cfg)
+    trie = _ReferenceTrie(cfg.codebook, cfg.codebook.symbols)
     errors = [0] * len(candidates)
     remaining, index = strategy.messages, 0
     while remaining > 0:
         size = min(CHUNK_TRIALS, remaining)
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, _CAL_TAG, index)))
-        syms, tlen, bitmat = _sample_bits(tables, size, cfg.msg_len, rng)
+        syms, tlen, bitmat = _sample_bits(tables, probs, size, cfg.msg_len, rng)
         counts = _reference_counts(bitmat, cfg, rng)
         for ci, tau in enumerate(candidates):
             det = (counts >= tau).astype(np.int8)

@@ -217,13 +217,13 @@ class TestEngineAgreesWithScalarPath:
         )
         rep = run_cer(cfg)
 
-        from molcode.mc_sim import _MAIN_TAG, _Tables, _sample_bits, _accumulate_counts
+        from molcode.mc_sim import _MAIN_TAG, _sample_bits, _accumulate_counts, _symbol_probs
 
-        tables = _Tables(cfg)
         rng = np.random.default_rng(np.random.SeedSequence((17, _MAIN_TAG, 0)))
-        syms, tlen, bitmat = _sample_bits(tables, cfg.trials, cfg.msg_len, rng)
+        syms, tlen, bitmat = _sample_bits(pcb.tables, _symbol_probs(cfg), cfg.trials,
+                                          cfg.msg_len, rng)
         counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-        alphabet = cfg.distribution.symbols
+        alphabet = pcb.symbols
         errors = 0
         for i in range(cfg.trials):
             sent = [alphabet[s] for s in syms[i]]
