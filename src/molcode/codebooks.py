@@ -124,11 +124,13 @@ class CharacterDistribution:
             probs=tuple(p / total for _, p in pairs),
         )
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Position of every symbol in symbols; built once."""
+        return {s: i for i, s in enumerate(self.symbols)}
+
     def prob(self, symbol: str) -> float:
-        try:
-            return self.probs[self.symbols.index(symbol)]
-        except ValueError:
-            raise KeyError(symbol) from None
+        return self.probs[self._index[symbol]]
 
 
 _ENGLISH: CharacterDistribution | None = None

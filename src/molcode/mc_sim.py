@@ -168,6 +168,21 @@ def _budget_share(dist: CharacterDistribution, cb: Codebook, molecules_per_char:
     return int(round(molecules_per_char / expected_ones(cb, dist)))
 
 
+#: Largest release sampled from inversion tables; remaining counts fit uint8.
+_TABLE_MOLECULES = 255
+
+
+def _slot_probabilities(coeffs: np.ndarray) -> list[float]:
+    """Slot k's probability given the molecules still in flight."""
+    probs = []
+    consumed = 0.0
+    for a in coeffs:
+        rest = 1.0 - consumed
+        probs.append(float(min(a / rest, 1.0)) if rest > 1e-15 else 0.0)
+        consumed += a
+    return probs
+
+
 def sample_arrivals(
     molecules: int,
     coefficients: Sequence[float],
@@ -182,21 +197,38 @@ def sample_arrivals(
     slot count is Binomial(molecules, a_k) and the total never exceeds the
     release. Returns an array of shape (size, memory); counts are int32
     unless molecules exceeds the int32 range.
+
+    The draws are those of rng.binomial(remaining, p) slot by slot, bit for
+    bit, and leave rng in the same state. Where numpy samples by inversion
+    (p <= 0.5, molecules * p <= 30) and molecules <= 255, the counts are
+    read from exact tables of numpy's inversion walk, built on first use
+    per link; any other slot, and a slot where numpy would redraw, calls
+    rng.binomial itself.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     if molecules < 0:
         raise ValueError("molecule count must be non-negative")
     if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
         raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    remaining = np.full(size, molecules, dtype=np.int64)
-    out = np.empty((size, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
-    consumed = 0.0
-    for k, a in enumerate(coeffs):
-        rest = 1.0 - consumed
-        p = min(a / rest, 1.0) if rest > 1e-15 else 0.0
+    probs = _slot_probabilities(coeffs)
+    small = molecules <= _TABLE_MOLECULES
+    tables = (None,) * len(probs)
+    if small and molecules and size:
+        from . import _inversion  # compiled on first use, not by every import
+
+        tables = _inversion.link_tables(molecules, tuple(probs))
+        buf = np.empty(min(size, _inversion.BLOCK))
+    remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
+    dtype = np.int32 if molecules <= _COUNT_LIMIT else np.int64
+    out = np.empty((size, len(coeffs)), dtype=dtype)
+    for k, (p, table) in enumerate(zip(probs, tables)):
+        if table is not None:
+            state = rng.bit_generator.state
+            if _inversion.draw_slot(table, remaining, out[:, k], rng, buf):
+                continue
+            rng.bit_generator.state = state
         out[:, k] = rng.binomial(remaining, p)
-        remaining -= out[:, k]
-        consumed += a
+        remaining -= out[:, k].astype(remaining.dtype)
     return out
 
 

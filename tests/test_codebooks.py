@@ -268,3 +268,20 @@ class TestDistributionIO:
         p.write_text(f"symbol,prob\na,{cell}\nb,0.5\n")
         with pytest.raises(ValueError, match="finite"):
             load_distribution(p)
+
+    def test_unknown_symbol_is_a_key_error(self, dist):
+        with pytest.raises(KeyError):
+            dist.prob("?")
+
+    def test_statistics_of_a_large_alphabet(self):
+        # 20000 equiprobable symbols, symbol i coded as i in 15 binary
+        # digits. Bit b is set in (n >> b + 1) << b numbers below n, plus
+        # the part of the last incomplete period above 2**b.
+        n, width = 20_000, 15
+        syms = [f"s{i}" for i in range(n)]
+        dist = CharacterDistribution.from_weights([(s, 1.0 / n) for s in syms])
+        cb = Codebook(kind="custom",
+                      codewords={s: format(i, f"0{width}b") for i, s in enumerate(syms)})
+        ones = sum((n >> b + 1 << b) + max(0, n % (2 << b) - (1 << b)) for b in range(width))
+        assert expected_length(cb, dist) == pytest.approx(width, rel=1e-9)
+        assert expected_ones(cb, dist) == pytest.approx(ones / n, rel=1e-9)

@@ -6,10 +6,13 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from molcode import (
     CalibratedThreshold,
     CalibrationError,
+    ChannelProfile,
     ConstantThreshold,
     LinkConfig,
     PilotThreshold,
@@ -22,7 +25,7 @@ from molcode import (
     sample_arrivals,
     sweep,
 )
-from molcode import mc_sim
+from molcode import _inversion, mc_sim
 from molcode.codebooks import Codebook, CharacterDistribution, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
@@ -93,6 +96,141 @@ class TestSampleArrivals:
         assert sample_arrivals(100, (0.5, 0.2), rng, size=3).dtype == np.int32
         big = sample_arrivals(2**40, (0.5,), rng, size=3)
         assert big.dtype == np.int64 and (big > 2**38).all()
+
+
+def binomial_loop(molecules, coefficients, rng, size):
+    """The sequential binomial sampler as one rng.binomial call per slot.
+
+    sample_arrivals must return the same counts and leave rng in the same
+    state, so a numpy release that changes its binomial algorithm fails
+    the tests below.
+    """
+    coeffs = np.asarray(coefficients, dtype=float)
+    remaining = np.full(size, molecules, dtype=np.int64)
+    out = np.empty((size, len(coeffs)), dtype=np.int32 if molecules <= 2**31 - 1 else np.int64)
+    consumed = 0.0
+    for k, a in enumerate(coeffs):
+        rest = 1.0 - consumed
+        p = min(a / rest, 1.0) if rest > 1e-15 else 0.0
+        out[:, k] = rng.binomial(remaining, p)
+        remaining -= out[:, k]
+        consumed += a
+    return out
+
+
+def assert_same_stream(molecules, coeffs, seed, size):
+    got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = sample_arrivals(molecules, coeffs, got_rng, size=size)
+    want = binomial_loop(molecules, coeffs, want_rng, size)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.random() == want_rng.random()
+
+
+@st.composite
+def arrival_coefficients(draw):
+    """Dyadic coefficient vectors, so sums are exact: zeros, sums below 1,
+    sums of exactly 1, and renormalized slots with p > 0.5 all occur."""
+    weights = draw(st.lists(st.integers(0, 64), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        weights.append(max(0, 64 - sum(weights)))
+        den = max(64, 2 ** (sum(weights) - 1).bit_length())
+    else:
+        den = draw(st.sampled_from([64, 256, 4096]))
+        den = max(den, 2 ** max(sum(weights) - 1, 0).bit_length())
+    return tuple(w / den for w in weights)
+
+
+class TestArrivalStreamIdentity:
+    """sample_arrivals draws exactly what the rng.binomial loop draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        molecules=st.integers(0, 300),
+        coeffs=arrival_coefficients(),
+        seed=st.integers(0, 2**32 - 1),
+        size=st.one_of(st.sampled_from([0, 1]), st.integers(0, 3000)),
+    )
+    @example(molecules=255, coeffs=(0.25, 0.25, 0.5), seed=0, size=500)
+    @example(molecules=40, coeffs=(0.0, 0.125, 0.0, 0.75), seed=1, size=1)
+    @example(molecules=300, coeffs=(0.375, 0.5, 0.0625), seed=2, size=200)
+    def test_matches_binomial_loop(self, molecules, coeffs, seed, size):
+        assert_same_stream(molecules, coeffs, seed, size)
+
+    @pytest.mark.parametrize("molecules, counts", [(43, range(1, 44)), (255, (1, 2, 100, 255))])
+    def test_lookup_is_exact_at_every_cut(self, profile, molecules, counts):
+        # A sampled stream almost never lands within a few 2**-53 of a cut,
+        # so the uniforms at and just above each cut are checked directly
+        # against numpy's inversion walk, transcribed from its C source.
+        def numpy_walk(n, p, u):
+            q = 1.0 - p
+            x, px = 0, math.exp(n * math.log(q))
+            bound = int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1)))
+            while u > px:
+                x += 1
+                if x > bound:
+                    return None  # numpy redraws
+                u -= px
+                px = ((n - x + 1) * p * px) / (x * q)
+            return x
+
+        probs = mc_sim._slot_probabilities(np.asarray(profile.coefficients))
+        tables = _inversion.link_tables(molecules, tuple(probs))
+        for p, table in zip(probs, tables):
+            if table is None:
+                continue
+            for n in counts:
+                cuts = table.cuts[n * table.width:][:table.bound[n] + 1]
+                u = np.concatenate([cuts, np.minimum(cuts + 2.0**-53, 1 - 2.0**-53)])
+                want = [numpy_walk(n, p, v) for v in u]
+                got, redraw = table.lookup(np.full(len(u), n, dtype=np.uint8), u)
+                assert redraw == (None in want)
+                assert [x if x <= table.bound[n] else None for x in got] == want
+
+    @pytest.mark.parametrize("slot", [0.08, 0.2, 0.5, 1.0, 2.0])
+    def test_reference_link_grid(self, params, slot):
+        coeffs = ChannelProfile.build(params, slot, 10).coefficients
+        for molecules in (1, 2, 5, 17, 30, 43, 60, 90, 150, 255):
+            for seed in range(4):
+                assert_same_stream(molecules, coeffs, seed, 20_000)
+
+    def test_slot_past_the_inversion_regime_calls_numpy(self):
+        # 100 * 0.4 > 30: numpy samples slot 0 by BTPE, so it has no table.
+        coeffs = (0.4, 0.1, 0.05)
+        probs = mc_sim._slot_probabilities(np.asarray(coeffs))
+        tables = _inversion.link_tables(100, tuple(probs))
+        assert [table is not None for table in tables] == [False, True, True]
+        assert_same_stream(100, coeffs, 7, 5000)
+
+    def test_redraw_falls_back_to_numpy(self, monkeypatch, profile):
+        # A real redraw has probability near 1e-16, so cap the cuts of slot
+        # 3 at 0.999: a uniform above that lands past the bound, several
+        # blocks into the slot, and the whole slot is redone by numpy.
+        molecules, coeffs = 43, profile.coefficients
+        probs = mc_sim._slot_probabilities(np.asarray(coeffs))
+        tables = list(_inversion.link_tables(molecules, tuple(probs)))
+        table = tables[3]
+        cuts = table.cuts.reshape(-1, table.width)
+        within = np.arange(table.width) <= table.bound[:, None]
+        cuts = np.where(within, np.minimum(cuts, 0.999), cuts)
+        tables[3] = table._replace(cuts=cuts.ravel(), safe=0.0)
+        monkeypatch.setattr(_inversion, "link_tables", lambda *key: tables)
+        monkeypatch.setattr(_inversion, "BLOCK", 100)
+        slots = []
+        real = _inversion.draw_slot
+
+        def spy(table, remaining, column, rng, buf):
+            done = real(table, remaining, column, rng, buf)
+            slots.append(done)
+            return done
+
+        monkeypatch.setattr(_inversion, "draw_slot", spy)
+        got_rng, want_rng = np.random.default_rng(4), np.random.default_rng(4)
+        got = sample_arrivals(molecules, coeffs, got_rng, size=5000)
+        want = binomial_loop(molecules, coeffs, want_rng, 5000)
+        assert slots[3] is False and slots.count(False) == 1
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 class TestLinkConfig:

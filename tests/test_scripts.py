@@ -1,4 +1,5 @@
 """The scripts under scripts/ still run against the package API."""
+import json
 import os
 import subprocess
 import sys
@@ -21,3 +22,23 @@ def test_script_runs(argv, first_line):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == first_line
+
+
+def test_bench_writes_a_trajectory(tmp_path):
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--workloads", "cer_hotpath",
+         "--seeds", "1", "--seconds", "0", "--size", "tiny", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(out.read_text())
+    assert doc["benchmark"]["seeds"] == [1] and "pairs" not in doc
+    (checkout,) = doc["checkouts"]
+    run = checkout["workloads"]["cer_hotpath"]
+    assert {"git_revision", "threads", "numpy", "round0_digest", "failed"} <= set(run)
+    assert run["threads"] == 1 and run["failed"] == 0 and set(run["round0_digest"]) == {"1"}
+    assert set(run["metrics"]) == {"setup_s", "chars_per_s", "peak_rss_mb"}
+    for entry in run["metrics"].values():
+        assert {"median", "min", "max"} <= set(entry)
+        assert entry["min"] <= entry["median"] <= entry["max"]
