@@ -134,11 +134,11 @@ def main(argv=None) -> int:
         ap.error(f"unknown workloads: {', '.join(sorted(set(workloads) - set(names)))}")
 
     records = {label: {w: {} for w in workloads} for label in labels}
+    sides = list(zip(labels, checkouts))
     for workload in workloads:
         for i, seed in enumerate(args.seeds):
-            shift = i % len(checkouts)
-            for label, checkout in list(zip(labels, checkouts))[shift:] + \
-                    list(zip(labels, checkouts))[:shift]:
+            shift = i % len(sides)
+            for label, checkout in sides[shift:] + sides[:shift]:
                 rec = run_once(checkout, workload, seed, args.seconds, args.size)
                 records[label][workload][seed] = rec
                 metrics = rec["result"]["metrics"]
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
         "checkouts": [
             {"label": label, "dirty": dirty(checkout),
              "workloads": {w: summarize(records[label][w], metrics) for w in workloads}}
-            for label, checkout in zip(labels, checkouts)
+            for label, checkout in sides
         ],
     }
     if len(checkouts) == 2:

@@ -219,8 +219,7 @@ def sample_arrivals(
         tables = _inversion.link_tables(molecules, tuple(probs))
         buf = np.empty(min(size, _inversion.BLOCK))
     remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
-    dtype = np.int32 if molecules <= _COUNT_LIMIT else np.int64
-    out = np.empty((size, len(coeffs)), dtype=dtype)
+    out = np.empty((size, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
     for k, (p, table) in enumerate(zip(probs, tables)):
         if table is not None:
             state = rng.bit_generator.state
