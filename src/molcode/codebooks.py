@@ -155,7 +155,6 @@ class Codebook:
 
     kind: str
     codewords: dict[str, str] = field(repr=False)
-    source: CharacterDistribution | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS and self.kind != "custom":
@@ -288,23 +287,23 @@ def _build_tree(dist: CharacterDistribution) -> _Node:
 
 
 def _tree_codewords(root: _Node, one_label: str) -> dict[str, str]:
+    """Leaf codewords in pre-order, branch 1 first; iterative, so any depth works."""
     codes: dict[str, str] = {}
-
-    def walk(node: _Node, prefix: str) -> None:
+    stack = [(root, "")]
+    while stack:
+        node, prefix = stack.pop()
         if node.symbol is not None:
             codes[node.symbol] = prefix
-            return
-        walk(node.one_child, prefix + one_label)
-        walk(node.zero_child, prefix + "0")
-
-    walk(root, "")
+        else:
+            stack.append((node.zero_child, prefix + "0"))
+            stack.append((node.one_child, prefix + one_label))
     return codes
 
 
 def build_huffman(dist: CharacterDistribution) -> Codebook:
     """Optimal prefix code for dist with bit-0 on the higher probability branch."""
     words = _tree_codewords(_build_tree(dist), "1")
-    return Codebook(kind="huffman", codewords={s: words[s] for s in dist.symbols}, source=dist)
+    return Codebook(kind="huffman", codewords={s: words[s] for s in dist.symbols})
 
 
 def build_proposed(dist: CharacterDistribution) -> Codebook:
@@ -315,7 +314,7 @@ def build_proposed(dist: CharacterDistribution) -> Codebook:
     """
     huff = build_huffman(dist)
     words = {s: w.replace("1", "10") for s, w in huff.codewords.items()}
-    return Codebook(kind="proposed", codewords=words, source=dist)
+    return Codebook(kind="proposed", codewords=words)
 
 
 def ita2() -> Codebook:
@@ -329,7 +328,7 @@ def ita2() -> Codebook:
     """
     dist = english_letter_distribution()
     words = dict(zip(dist.symbols, _ITA2_ALPHABETICAL))
-    return Codebook(kind="ita2", codewords=words, source=dist)
+    return Codebook(kind="ita2", codewords=words)
 
 
 _BUILDERS = {

@@ -7,7 +7,8 @@ correction), then parses the stream with the prefix code like any other
 kind. The codeword tables that every decoder walks live on the codebook:
 Codebook.tables, built once per codebook on first use. Its trie over the
 expanded codewords has no edge for a 1 after a 1, so such a stream stops
-decoding at a dead end.
+decoding at a dead end. Nothing here draws random numbers: mc_sim sends
+the pilots, and collect_pilot_stats only reads their counts.
 """
 from __future__ import annotations
 
@@ -133,8 +134,8 @@ class ConstantThreshold:
 class PilotThreshold:
     """Derive the threshold from per-codeword pilot transmissions.
 
-    repetitions pilots are sent for every codeword and read as
-    collect_pilot_stats describes.
+    The simulator sends repetitions pilots of every codeword, and
+    collect_pilot_stats reads them.
     """
 
     repetitions: int = 100
@@ -229,55 +230,39 @@ class PilotStats:
     repetitions: int
 
 
-def collect_pilot_stats(
-    cb: Codebook,
-    profile,
-    molecules: int,
-    master_seed: int,
-    repetitions: int = 100,
-) -> PilotStats:
-    """Transmit every codeword repeatedly and derive detection levels.
+def collect_pilot_stats(cb: Codebook, counts: dict, molecules: int) -> PilotStats:
+    """Read pilots of every codeword into detection levels.
 
-    Each pilot sends one codeword and records per-slot molecule counts over
-    the codeword duration; a pilot is read by its peak, the largest of
-    those counts, and only positive peaks are averaged. The signal level is
-    the smallest per-codeword mean peak (so even the weakest codeword
-    clears the threshold); the interference level is the mean peak after
-    masking every bit-1 slot and its successor (leaving only spillover
-    into quiet slots).
+    counts maps every symbol of cb to a (repetitions, codeword length)
+    array of per-slot molecule counts, one row per pilot: the codeword sent
+    alone, each bit-1 releasing molecules. A pilot is read by its peak, the
+    largest of its counts, and only positive peaks are averaged. The signal
+    level is the smallest per-codeword mean peak (so even the weakest
+    codeword clears the threshold); the interference level is the mean peak
+    after masking every bit-1 slot and its successor (leaving only spillover
+    into quiet slots). A counts entry that is missing, has no rows or has
+    the wrong width raises ValueError.
     """
-    from . import mc_sim
-
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
-    rng = np.random.default_rng(np.random.SeedSequence((master_seed, 0x9110_07)))
-    coeffs = np.asarray(profile.coefficients)
-    memory = len(coeffs)
-
-    all_counts: dict[str, np.ndarray] = {}
     peak_means: dict[str, float] = {}
     exc_peaks: list[float] = []
+    repetitions = 0
     for sym, word in cb.codewords.items():
-        length = len(word)
-        ones = [i for i, b in enumerate(word) if b == "1"]
-        counts = np.zeros((repetitions, length), dtype=np.int64)
-        for i in ones:
-            arrivals = mc_sim.sample_arrivals(molecules, profile.coefficients, rng,
-                                              size=repetitions)
-            keep = min(memory, length - i)
-            counts[:, i:i + keep] += arrivals[:, :keep]
-        all_counts[sym] = counts
-
-        peaks = counts.max(axis=1)
+        shape = np.shape(counts.get(sym))  # () for a missing symbol
+        if not repetitions and shape:
+            repetitions = shape[0]
+        if not repetitions or shape != (repetitions, len(word)):
+            raise ValueError(
+                f"pilot counts for {sym!r} have shape {shape}; every symbol needs "
+                f"the same number (at least 1) of rows of {len(word)} slots"
+            )
+        sym_counts = np.asarray(counts[sym])
+        peaks = sym_counts.max(axis=1)
         if peaks.any():
             peak_means[sym] = float(peaks[peaks > 0].mean())
 
-        quiet = np.ones(length, dtype=bool)
-        for i in ones:
-            quiet[i] = False
-            if i + 1 < length:
-                quiet[i + 1] = False
-        q_peaks = counts[:, quiet].max(axis=1, initial=0)
+        ones = np.array([b == "1" for b in word])
+        quiet = ~(ones | np.r_[False, ones[:-1]])
+        q_peaks = sym_counts[:, quiet].max(axis=1, initial=0)
         exc_peaks.extend(float(x) for x in q_peaks[q_peaks > 0])
 
     if not peak_means:
@@ -293,7 +278,7 @@ def collect_pilot_stats(
         )
     tau = pilot_threshold(signal_level, interference_level, molecules)
     return PilotStats(
-        counts=all_counts,
+        counts={sym: counts[sym] for sym in cb.codewords},
         peak_means=peak_means,
         signal_level=signal_level,
         interference_level=interference_level,

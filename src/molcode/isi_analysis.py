@@ -96,20 +96,26 @@ def _word_chain(cb: Codebook, dist: CharacterDistribution):
     """Markov chain over (symbol, in-word position) states of the stream.
 
     State i is bit i of the codeword layout cb.tables.word_flat. Returns
-    (bits, T, pi): per-state bit values, the transition matrix, and the
-    stationary distribution pi(sym, t) = p(sym) / mean codeword length.
+    (bits, step, pi): per-state bit values, the one-step map of a mass
+    vector over the states, and the stationary distribution
+    pi(sym, t) = p(sym) / mean codeword length. step moves the mass of each
+    state to the next bit of its codeword, and the mass of all codeword
+    ends to the codeword starts in proportion to the symbol probabilities.
     """
     if set(cb.codewords) != set(dist.symbols):
         raise ValueError("codebook and distribution symbols differ")
     tables = cb.tables
     probs = np.array([dist.prob(s) for s in cb.symbols])
-    n = len(tables.word_flat)
-    starts = np.zeros(n)
-    starts[tables.word_off] = probs
-    T = np.eye(n, k=1)
-    T[tables.word_off + tables.word_len - 1] = starts
+    ends = tables.word_off + tables.word_len - 1
+
+    def step(vec: np.ndarray) -> np.ndarray:
+        out = np.empty_like(vec)
+        out[1:] = vec[:-1]
+        out[tables.word_off] = vec[ends].sum() * probs
+        return out
+
     pi = np.repeat(probs, tables.word_len) / float(np.dot(probs, tables.word_len))
-    return tables.word_flat, T, pi
+    return tables.word_flat, step, pi
 
 
 def window_distribution(
@@ -118,14 +124,14 @@ def window_distribution(
     """Exact stationary law of a memory-length window of the coded stream."""
     if memory < 1:
         raise ValueError("memory must be at least 1")
-    bits, T, pi = _word_chain(cb, dist)
+    bits, step, pi = _word_chain(cb, dist)
     layers: dict[str, np.ndarray] = {"": pi}
     for _ in range(memory):
         nxt: dict[str, np.ndarray] = {}
         for prefix, vec in layers.items():
             for b in (0, 1):
                 masked = vec * (bits == b)
-                nxt[prefix + str(b)] = masked @ T
+                nxt[prefix + str(b)] = step(masked)
         layers = nxt
     # Each vector now carries the joint mass of (pattern seen, state after
     # the window); its sum is the pattern probability.
@@ -135,12 +141,12 @@ def window_distribution(
 
 def _stream_lag_profile(cb, dist, memory):
     """c_j via the unrestricted stationary law, for j = 2..memory."""
-    bits, T, pi = _word_chain(cb, dist)
+    bits, step, pi = _word_chain(cb, dist)
     p0 = float(pi[bits == 0].sum())
     out: dict[int, float] = {}
     vec = pi * (bits == 1)  # joint mass of (bit 1 now, state)
     for lag in range(1, memory):
-        vec = vec @ T
+        vec = step(vec)
         out[lag + 1] = float(vec[bits == 0].sum())
     return p0, out
 

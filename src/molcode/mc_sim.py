@@ -59,6 +59,7 @@ _COUNT_LIMIT = int(np.iinfo(np.int32).max)
 
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
+_PILOT_TAG = 0x9110_07
 
 
 @dataclass(frozen=True)
@@ -378,23 +379,40 @@ def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed
     }
 
 
+def _pilot_counts(cb: Codebook, coefficients: Sequence[float], molecules: int,
+                  master_seed: int, repetitions: int) -> dict[str, np.ndarray]:
+    """Per-slot counts of repetitions pilots of every codeword of cb.
+
+    A pilot sends one codeword alone: every bit-1 releases molecules, and
+    arrivals past the end of the codeword are dropped. Returns one
+    (repetitions, codeword length) array per symbol, in cb.codewords order.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, _PILOT_TAG)))
+    memory = len(coefficients)
+    out = {}
+    for sym, word in cb.codewords.items():
+        counts = out[sym] = np.zeros((repetitions, len(word)), dtype=np.int64)
+        for i in [i for i, bit in enumerate(word) if bit == "1"]:
+            arrivals = sample_arrivals(molecules, coefficients, rng, size=repetitions)
+            keep = min(memory, len(word) - i)
+            counts[:, i:i + keep] += arrivals[:, :keep]
+    return out
+
+
 def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
     """Turn the configured threshold strategy into a number.
 
     Pilot and calibration randomness comes from dedicated substreams of
-    master_seed, so resolving never perturbs the main simulation stream.
+    master_seed, so resolving never perturbs the main simulation stream;
+    codec.collect_pilot_stats reads the pilots _pilot_counts sends.
     """
     strat = cfg.threshold
     if isinstance(strat, ConstantThreshold):
         return strat.tau, "constant"
     if isinstance(strat, PilotThreshold):
-        stats = codec.collect_pilot_stats(
-            cfg.codebook,
-            cfg.profile,
-            cfg.molecules_per_one,
-            master_seed,
-            repetitions=strat.repetitions,
-        )
+        counts = _pilot_counts(cfg.codebook, cfg.profile.coefficients, cfg.molecules_per_one,
+                               master_seed, strat.repetitions)
+        stats = codec.collect_pilot_stats(cfg.codebook, counts, cfg.molecules_per_one)
         return stats.tau, "pilot"
     if isinstance(strat, CalibratedThreshold):
         return _calibrate_threshold(cfg, strat, master_seed), "calibrated"

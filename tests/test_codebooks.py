@@ -46,7 +46,7 @@ def _proposed_via_tree(dist: CharacterDistribution) -> Codebook:
     An independent construction route that must agree with build_proposed.
     """
     words = codebooks._tree_codewords(codebooks._build_tree(dist), "10")
-    return Codebook(kind="proposed", codewords={s: words[s] for s in dist.symbols}, source=dist)
+    return Codebook(kind="proposed", codewords={s: words[s] for s in dist.symbols})
 
 
 def small_distributions():
@@ -99,6 +99,15 @@ class TestHuffman:
         d = CharacterDistribution.from_weights({"a": 0.9, "b": 0.1})
         cb = build_huffman(d)
         assert cb.codewords == {"a": "0", "b": "1"}
+
+    def test_deep_tree_builds(self):
+        # p_i = 2**-i makes a chain-shaped tree 1049 levels deep, far past
+        # the interpreter's recursion limit.
+        n = 1050
+        d = CharacterDistribution(tuple(f"s{i}" for i in range(1, n + 1)),
+                                  tuple(2.0 ** -i for i in range(1, n + 1)))
+        lengths = sorted(len(w) for w in build_huffman(d).codewords.values())
+        assert lengths == list(range(1, n)) + [n - 1]
 
     @settings(max_examples=60, deadline=None)
     @given(small_distributions())

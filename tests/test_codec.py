@@ -17,6 +17,7 @@ from molcode import (
     error_correct,
     pilot_threshold,
 )
+from molcode import mc_sim
 from molcode.codebooks import Codebook, CharacterDistribution, build_huffman
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
@@ -240,25 +241,51 @@ class TestPilotThresholdFormula:
             pilot_threshold(1200.0, 100.0, 1000)
 
 
+def _pilot_stats(cb, params, molecules, master_seed):
+    """Send 100 pilots of every codeword of cb, then read them."""
+    profile = ChannelProfile.build(params, slot=0.08, memory=10)
+    counts = mc_sim._pilot_counts(cb, profile.coefficients, molecules, master_seed, 100)
+    return collect_pilot_stats(cb, counts, molecules)
+
+
 class TestPilotProtocol:
     def test_levels_separate_on_reasonable_link(self, pcb, params):
-        profile = ChannelProfile.build(params, slot=0.08, memory=10)
-        stats = collect_pilot_stats(pcb, profile, molecules=60, master_seed=1)
+        stats = _pilot_stats(pcb, params, molecules=60, master_seed=1)
         assert stats.signal_level > stats.interference_level
         assert stats.interference_level < stats.tau <= stats.signal_level
         assert stats.counts["E"].shape == (100, len(pcb.codewords["E"]))
 
     def test_deterministic_in_master_seed(self, pcb, params):
-        profile = ChannelProfile.build(params, slot=0.08, memory=10)
-        a = collect_pilot_stats(pcb, profile, molecules=60, master_seed=5)
-        b = collect_pilot_stats(pcb, profile, molecules=60, master_seed=5)
+        a = _pilot_stats(pcb, params, molecules=60, master_seed=5)
+        b = _pilot_stats(pcb, params, molecules=60, master_seed=5)
         assert a.tau == b.tau
         assert np.array_equal(a.counts["E"], b.counts["E"])
 
     def test_zero_budget_uncalibratable(self, pcb, params):
-        profile = ChannelProfile.build(params, slot=0.08, memory=10)
         with pytest.raises(CalibrationError):
-            collect_pilot_stats(pcb, profile, molecules=0, master_seed=1)
+            _pilot_stats(pcb, params, molecules=0, master_seed=1)
+
+    def test_reading_hand_made_counts(self):
+        # "100": peaks 5 and 7, quiet slot 2 peaks 2 and 0; "0" sends nothing.
+        cb = Codebook(kind="custom", codewords={"a": "100", "b": "0"})
+        counts = {"a": np.array([[5, 1, 2], [7, 0, 0]]), "b": np.zeros((2, 1))}
+        stats = collect_pilot_stats(cb, counts, molecules=10)
+        assert stats.peak_means == {"a": 6.0}
+        assert (stats.signal_level, stats.interference_level) == (6.0, 2.0)
+        assert stats.tau == pilot_threshold(6.0, 2.0, 10)
+        assert stats.repetitions == 2
+
+    @pytest.mark.parametrize("counts", [
+        {"a": np.ones((2, 3))},
+        {"a": np.ones((0, 3)), "b": np.ones((0, 1))},
+        {"a": np.ones((2, 2)), "b": np.ones((2, 1))},
+        {"a": np.ones((2, 3)), "b": np.ones((3, 1))},
+        {"a": np.ones(3), "b": np.ones(1)},
+    ], ids=["missing-symbol", "zero-rows", "wrong-width", "uneven-rows", "one-dimensional"])
+    def test_malformed_counts_rejected(self, counts):
+        cb = Codebook(kind="custom", codewords={"a": "100", "b": "0"})
+        with pytest.raises(ValueError, match="pilot counts"):
+            collect_pilot_stats(cb, counts, molecules=10)
 
 
 class TestStrategyObjects:

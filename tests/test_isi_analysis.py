@@ -1,15 +1,18 @@
 """Closed-form interference lag profiles against the Monte Carlo oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from molcode import (
+    build_proposed,
     expected_isi_bit0,
     isi_oracle,
     isi_reduction_report,
     window_distribution,
 )
+from molcode import isi_analysis
 from molcode.codebooks import (
     Codebook,
     CharacterDistribution,
@@ -130,6 +133,64 @@ class TestWindowDistribution:
         for pattern, mass in wd3.probs.items():
             folded = wd4.probs[pattern + "0"] + wd4.probs[pattern + "1"]
             assert folded == pytest.approx(mass, abs=1e-12)
+
+
+def _dense_chain(cb, dist, memory):
+    """Window law and stream lag profile through the dense transition matrix.
+
+    The reference the one-step map must reproduce: T[i, i + 1] = 1 inside a
+    codeword, and a codeword's last bit moves to every codeword start with
+    that symbol's probability.
+    """
+    tables = cb.tables
+    probs = np.array([dist.prob(s) for s in cb.symbols])
+    n = len(tables.word_flat)
+    T = np.eye(n, k=1)
+    T[tables.word_off + tables.word_len - 1] = 0.0
+    T[np.ix_(tables.word_off + tables.word_len - 1, tables.word_off)] = probs
+    bits = tables.word_flat
+    pi = np.repeat(probs, tables.word_len) / float(np.dot(probs, tables.word_len))
+    layers = {"": pi}
+    for _ in range(memory):
+        layers = {prefix + str(b): (vec * (bits == b)) @ T
+                  for prefix, vec in layers.items() for b in (0, 1)}
+    window = {pattern: float(vec.sum()) for pattern, vec in layers.items()}
+    vec, lags = pi * (bits == 1), {}
+    for lag in range(1, memory):
+        vec = vec @ T
+        lags[lag + 1] = float(vec[bits == 0].sum())
+    return window, lags
+
+
+class TestOneStepMap:
+    @pytest.mark.parametrize("memory", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["hcb", "pcb", "icb", "small"])
+    def test_matches_dense_matrix(self, request, dist, name, memory):
+        if name == "small":
+            d = CharacterDistribution.from_weights({"a": 0.5, "b": 0.3, "c": 0.2})
+            cb = Codebook(kind="custom", codewords={"a": "0", "b": "110", "c": "10"})
+        else:
+            d, cb = dist, request.getfixturevalue(name)
+        window, lags = _dense_chain(cb, d, memory)
+        got = window_distribution(cb, d, memory).probs
+        assert list(got) == list(window)
+        assert list(got.values()) == pytest.approx(list(window.values()), rel=1e-12, abs=1e-17)
+        _, got_lags = isi_analysis._stream_lag_profile(cb, d, memory)
+        assert got_lags == pytest.approx(lags, rel=1e-12, abs=1e-17)
+
+    def test_memory_is_linear_in_the_code_size(self):
+        # 500 equiprobable symbols lay out about 6700 proposed code bits; a
+        # dense transition matrix over them alone takes about 360 MB.
+        d = CharacterDistribution(tuple(f"s{i}" for i in range(500)), (1 / 500,) * 500)
+        cb = build_proposed(d)
+        tracemalloc.start()
+        try:
+            expected_isi_bit0(cb, d, memory=5)
+            window_distribution(cb, d, memory=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
 
 
 class TestOracle:

@@ -11,9 +11,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("argv, first_line", [
-    (["channel_sizing.py"], "arrival peak at 8.396 ms, minimum usable slot 13.016 ms"),
     (["isi_profile.py", "--samples", "100000"], "memory 3, oracle on 100000 stream bits"),
-], ids=["channel_sizing", "isi_profile"])
+], ids=["isi_profile"])
 def test_script_runs(argv, first_line):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
