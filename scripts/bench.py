@@ -11,7 +11,8 @@ The output holds, per checkout and workload, the median, quartiles,
 minimum and maximum of every end-to-end metric BENCHMARK.json names, the
 round0_digest of every seed, the attempted and failed call counts, and
 the git revision, thread count and numpy version from the run records.
-With exactly two checkouts it also counts, per workload and metric, the
+With exactly two checkouts it also gives, per workload and metric, the
+size of the change (the second median over the first, minus 1) and the
 seeds on which the second did better than the first, and says whether
 their digests agree on every seed.
 
@@ -93,13 +94,16 @@ def summarize(records: dict[int, dict], metrics: list[dict]) -> dict:
 
 
 def compare(first: dict, second: dict, metrics: list[dict]) -> dict:
-    """Seeds on which second beat first, per metric; ties count for neither."""
+    """Per metric, second's median over first's minus 1 (None if first's is
+    0), and the seeds on which second beat first; ties count for neither."""
     out = {"digests_equal": first["round0_digest"] == second["round0_digest"]}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
-        pairs = list(zip(first["metrics"][m["name"]]["values"],
-                         second["metrics"][m["name"]]["values"]))
+        a_side, b_side = first["metrics"][m["name"]], second["metrics"][m["name"]]
+        pairs = list(zip(a_side["values"], b_side["values"]))
         out[m["name"]] = {
+            "median_change": (b_side["median"] / a_side["median"] - 1
+                              if a_side["median"] else None),
             "pairs": len(pairs),
             "second_better": sum(sign * (b - a) > 0 for a, b in pairs),
             "second_worse": sum(sign * (b - a) < 0 for a, b in pairs),

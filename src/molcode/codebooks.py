@@ -7,7 +7,8 @@ ever contains adjacent ones), and a fixed 5-bit teleprinter alphabet.
 
 Every codebook also carries its CodeTables, built once on first use: the
 codeword layout that lays symbols into a stream, and the codeword trie
-that every decoder walks.
+that every decoder walks, one slot at a time or, through its step table,
+several slots at a time.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -72,6 +73,13 @@ PAST_END = 2
 
 #: Symbol indices are int16 in the trie and in the decoder's sent symbols.
 _MAX_SYMBOLS = int(np.iinfo(np.int16).max)
+
+#: Most slots a step table entry covers, so that its bits fit a byte.
+_STEP_SLOTS = 8
+#: Largest step table; a trie with more states takes fewer slots per step.
+_STEP_ENTRIES = 1 << 20
+#: Entries walked at a time while a step table is built.
+_STEP_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -184,6 +192,29 @@ class Codebook:
         )
 
 
+class StepTable(NamedTuple):
+    """The codeword trie walked slots slots at a time.
+
+    Entry (state * (slots + 1) + valid) * 2**slots + bits is the walk of
+    slots slots from state in which the first valid slots read the bits
+    of bits, lowest bit first, and the rest are PAST_END. next holds span
+    times the state it ends in, span being (slots + 1) * 2**slots, so that
+    next + valid * 2**slots + bits is the entry of the following step.
+    emit[j, entry] is the index of the j-th symbol the entry completes, or
+    -1; emit has as many rows as any entry completes symbols, and count
+    says how many the entry completes.
+    """
+
+    slots: int
+    next: np.ndarray
+    emit: np.ndarray
+    count: np.ndarray
+
+    @property
+    def span(self) -> int:
+        return (self.slots + 1) << self.slots
+
+
 class CodeTables:
     """A codebook as flat arrays: its codeword layout and its codeword trie.
 
@@ -193,7 +224,8 @@ class CodeTables:
     emits nothing). next_at holds 3 * the next state; emit holds the index
     of the symbol an edge completes, else -1. State 0 is the root; any bit
     with no trie edge enters the absorbing state dead, where a sequential
-    decoder stops.
+    decoder stops. steps is the same automaton read several slots per
+    lookup, built from next_at and emit on first use, so there is one trie.
 
     Raises ValueError for a code that is not prefix free and, before any
     table is built, for an alphabet beyond the int16 symbol indices.
@@ -235,6 +267,52 @@ class CodeTables:
         table[table < 0] = self.dead
         self.next_at = 3 * np.column_stack([table, np.arange(len(nxt))]).ravel()
         self.emit = np.column_stack([emit, np.full(len(emit), -1)]).astype(np.int16).ravel()
+
+    @cached_property
+    def steps(self) -> StepTable:
+        """The trie as a StepTable of up to 8 slots per step; built once.
+
+        The slots per step are the most, up to 8, for which the table of
+        every state stays within _STEP_ENTRIES entries. The entries are
+        walked slot by slot through next_at and emit, a block of states at
+        a time.
+        """
+        states = self.dead + 1
+        slots = next((k for k in range(_STEP_SLOTS, 0, -1)
+                      if states * ((k + 1) << k) <= _STEP_ENTRIES), 1)
+        span = (slots + 1) << slots
+        next_at = self.next_at.reshape(states, 3)
+        emits = self.emit.reshape(states, 3) >= 0
+        # most[s]: the most symbols that a walk of j bits from s completes.
+        most = np.zeros(states, dtype=np.int64)
+        for _ in range(slots):
+            most = np.maximum(emits[:, 0] + most[next_at[:, 0] // 3],
+                              emits[:, 1] + most[next_at[:, 1] // 3])
+
+        table = StepTable(
+            slots=slots,
+            next=np.empty(states * span, dtype=np.int32),
+            emit=np.full((int(most.max()), states * span), -1, dtype=np.int16),
+            count=np.zeros(states * span, dtype=np.uint8),
+        )
+        # The trie input of slot j of every entry of one state.
+        valid, bits = np.divmod(np.arange(span, dtype=np.int16), 1 << slots)
+        inputs = [np.where(valid > j, (bits >> j) & 1, PAST_END) for j in range(slots)]
+        per_block = max(1, _STEP_BLOCK // span)
+        for first in range(0, states, per_block):
+            block = np.arange(first, min(first + per_block, states))
+            rows = slice(first * span, (first + len(block)) * span)
+            count, emit = table.count[rows], table.emit[:, rows]
+            at = np.repeat(3 * block, span)
+            for slot_input in inputs:
+                edge = at + np.tile(slot_input, len(block))
+                sym = self.emit[edge]
+                at = self.next_at[edge]
+                done = np.flatnonzero(sym >= 0)
+                emit[count[done], done] = sym[done]
+                count[done] += 1
+            table.next[rows] = at // 3 * span
+        return table
 
     def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codewords of syms back to back, and each bit's in-word position."""

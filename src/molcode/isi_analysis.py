@@ -216,9 +216,11 @@ def isi_oracle(
 
     Simulates a coded stream of roughly samples bits (at least 1e5, below
     which the batch error estimates are meaningless), splits it into 100
-    batches, and reports the batch mean and standard error of every
-    coefficient under the window rule expected_isi_bit0 would use. Meant as
-    an independent check of the closed form.
+    batches, and reports every coefficient under the window rule
+    expected_isi_bit0 would use: its estimate from the whole stream, and a
+    standard error from the spread of the batches' own estimates, each of
+    them the batch's p0 times its hit ratio. Meant as an independent check
+    of the closed form.
     """
     if memory < 2:
         raise ValueError("memory must be at least 2 to have any interference lag")
@@ -249,6 +251,9 @@ def isi_oracle(
 
     edges = np.linspace(0, n, batches + 1).astype(np.int64)
     batch_of = np.searchsorted(edges, idx, side="right") - 1
+    batch_p0 = np.add.reduceat(stream == 0, edges[:-1]) / np.diff(edges)
+    per_tot = np.bincount(batch_of, minlength=batches)
+    keep = per_tot > 0
     lags = [lag for lag in range(1, memory) if not (corrected and lag == 1)]
     coeffs: dict[int, float] = {}
     errs: dict[int, float] = {}
@@ -257,9 +262,7 @@ def isi_oracle(
         ratio = float(hit.mean())
         coeffs[lag + 1] = p0 * ratio
         per_hit = np.bincount(batch_of, weights=hit.astype(float), minlength=batches)
-        per_tot = np.bincount(batch_of, minlength=batches)
-        keep = per_tot > 0
-        per_batch = p0 * (per_hit[keep] / per_tot[keep])
+        per_batch = batch_p0[keep] * (per_hit[keep] / per_tot[keep])
         errs[lag + 1] = float(per_batch.std(ddof=1) / np.sqrt(keep.sum()))
     return IsiCoefficients(
         p0=p0, coefficients=coeffs, corrected=corrected, window_rule=rule, stderr=errs

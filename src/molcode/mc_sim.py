@@ -25,7 +25,6 @@ import numpy as np
 from . import codec
 from .channel import ChannelParams, ChannelProfile
 from .codebooks import (
-    PAST_END,
     CharacterDistribution,
     Codebook,
     CodeTables,
@@ -289,32 +288,55 @@ def _correct_rows(det: np.ndarray) -> np.ndarray:
 def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: CodeTables):
     """Walk the codeword trie along every row and score it against syms.
 
+    final has a column per slot of the longest message, so at least
+    msg_len. The walk reads tables.steps, the same trie k slots per
+    lookup, in ceil(max_t / k) steps: each row's bits are packed into
+    k-bit codes, time major, and a step looks up every row's entry from
+    its state, its count of those k slots that lie before its tlen, and
+    their code. A step writes the entry's emit column (its symbols, then
+    -1) into the row's stretch of an int16 buffer from the row's decoded
+    count on. A row decodes at most max_t symbols and a step writes at
+    most the table's width past that, so stretches of max_t + width never
+    spill into each other, and past a row's decoded count they hold -1.
+
     Returns per-row character errors (positions among the first msg_len
     whose decoded symbol differs from the sent one or is missing), the
-    number of decoded symbols and the dead-end and incomplete-tail flags.
+    number of decoded symbols and the dead-end and incomplete-tail flags,
+    all equal to those of a walk of one slot at a time.
     """
+    steps = tables.steps
+    k, width = steps.slots, len(steps.emit)
     trials, max_t = final.shape
     msg_len = syms.shape[1]
-    inputs = np.where(np.arange(max_t) < tlen[:, None], final, PAST_END)
-    # Decoded symbol j of a row is checked against sent[row, min(j, msg_len)];
-    # the extra column holds -2, which no emission equals.
-    sent = np.full((trials, msg_len + 1), -2, dtype=np.int16)
-    sent[:, :msg_len] = syms
-    sent = sent.ravel()
-    base = np.arange(trials, dtype=np.int64) * (msg_len + 1)
-    at = np.zeros(trials, dtype=np.int64)  # 3 * the state of each row
-    decoded = np.zeros(trials, dtype=np.int64)
-    matches = np.zeros(trials, dtype=np.int64)
-    for t in range(max_t):
-        edge = at + inputs[:, t]
-        sym = tables.emit[edge]
-        at = tables.next_at[edge]
-        matches += sym == sent[base + np.minimum(decoded, msg_len)]
-        decoded += sym >= 0
-    state = at // 3
+    # Step s reads slots s * k to s * k + k - 1 of every row: the number
+    # of them before the row's tlen, and their bits, from 16-bit windows
+    # of the packed rows.
+    starts = np.arange(0, max_t, k, dtype=np.int32)
+    row_bytes = -(-max_t // 8)
+    padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
+    padded[:, :max_t] = final
+    wide = np.zeros((row_bytes + 1, trials), dtype=np.uint16)
+    wide[:-1] = np.packbits(padded, bitorder="little").reshape(trials, row_bytes).T
+    window = wide[starts >> 3] | wide[(starts >> 3) + 1] << 8
+    keys = np.clip(tlen.astype(np.int32) - starts[:, None], 0, k) << k
+    keys += (window >> (starts & 7)[:, None]) & ((1 << k) - 1)
+
+    stride = max_t + width
+    out = np.full(trials * stride, -1, dtype=np.int16)
+    first = np.arange(trials, dtype=np.int64) * stride
+    put = first.copy()  # where each row's next symbol goes
+    lanes = np.arange(width)[:, None]
+    at = np.zeros(trials, dtype=np.int32)  # span * the state of each row
+    for key in keys:
+        entry = at + key
+        out[put + lanes] = steps.emit.take(entry, axis=1)
+        put += steps.count.take(entry)
+        at = steps.next.take(entry)
+    matches = np.count_nonzero(out.reshape(trials, stride)[:, :msg_len] == syms, axis=1)
+    state = at // steps.span
     dead = state == tables.dead
     incomplete = (~dead) & (state != 0)
-    return msg_len - matches, decoded, dead, incomplete
+    return msg_len - matches, put - first, dead, incomplete
 
 
 def _count_cut(tau: float) -> int:
@@ -467,6 +489,22 @@ def _map_in_order(fn, items: list, workers: int, each=None) -> list:
     return results
 
 
+def _build_link_tables(cfg: LinkConfig) -> None:
+    """Build the cached tables a link's chunks read, before any chunk runs.
+
+    These are the codebook's step table and, for releases of 1 to 255
+    molecules, the inversion tables of the link. They live as long as their
+    caches, so building them while no chunk array exists keeps them from
+    pinning the heap above a chunk's peak.
+    """
+    cfg.codebook.tables.steps
+    if 0 < cfg.molecules_per_one <= _TABLE_MOLECULES:
+        from . import _inversion
+
+        coeffs = np.asarray(cfg.profile.coefficients, dtype=float)
+        _inversion.link_tables(cfg.molecules_per_one, tuple(_slot_probabilities(coeffs)))
+
+
 def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     """Estimate the character error rate of a link over random messages.
 
@@ -478,6 +516,7 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     n_threads = _thread_count(threads)
     trials = cfg.trials
     master_seed = cfg.master_seed
+    _build_link_tables(cfg)
     tau, origin = resolve_threshold(cfg, master_seed)
     probs = _symbol_probs(cfg)
     sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)

@@ -1,22 +1,36 @@
 """The fast simulator paths against slow references kept here.
 
-Count accumulation is checked against a per-release Python loop, and
+Count accumulation is checked against a per-release Python loop, the
+step-table decoder against the one-slot trie walk it replaced, and
 threshold calibration against the brute-force scorer it replaced: float
 counts from full-length bincount passes, then a full detect, correct,
-decode and score of every candidate tau on its own. Both references must
+decode and score of every candidate tau on its own. Every reference must
 agree exactly, not statistically.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from molcode import CalibratedThreshold, LinkConfig, sample_arrivals
+from molcode import (
+    CalibratedThreshold,
+    Codebook,
+    LinkConfig,
+    build_huffman,
+    build_proposed,
+    english_letter_distribution,
+    ita2,
+    sample_arrivals,
+)
+from molcode.codebooks import _STEP_ENTRIES, PAST_END
 from molcode.mc_sim import (
     _CAL_TAG,
     CHUNK_TRIALS,
     _accumulate_counts,
     _calibrate_threshold,
+    _decode_rows,
     _default_candidates,
     _sample_bits,
     _symbol_probs,
@@ -70,6 +84,103 @@ class TestAccumulateCounts:
         # And counts past a message's own end stay in the matrix.
         past_end = np.arange(bitmat.shape[1]) >= tlen[:, None]
         assert fast[past_end].any()
+
+
+# -- the step-table decoder against the one-slot trie walk ---------------
+def _one_slot_decode_rows(final, tlen, syms, tables):
+    """The decoder the step table replaced: one trie edge per row and slot."""
+    trials, max_t = final.shape
+    msg_len = syms.shape[1]
+    inputs = np.where(np.arange(max_t) < tlen[:, None], final, PAST_END)
+    # Decoded symbol j of a row is checked against sent[row, min(j, msg_len)];
+    # the extra column holds -2, which no emission equals.
+    sent = np.full((trials, msg_len + 1), -2, dtype=np.int16)
+    sent[:, :msg_len] = syms
+    sent = sent.ravel()
+    base = np.arange(trials, dtype=np.int64) * (msg_len + 1)
+    at = np.zeros(trials, dtype=np.int64)  # 3 * the state of each row
+    decoded = np.zeros(trials, dtype=np.int64)
+    matches = np.zeros(trials, dtype=np.int64)
+    for t in range(max_t):
+        edge = at + inputs[:, t]
+        sym = tables.emit[edge]
+        at = tables.next_at[edge]
+        matches += sym == sent[base + np.minimum(decoded, msg_len)]
+        decoded += sym >= 0
+    state = at // 3
+    dead = state == tables.dead
+    incomplete = (~dead) & (state != 0)
+    return msg_len - matches, decoded, dead, incomplete
+
+
+_ENGLISH = english_letter_distribution()
+DECODE_CODES = {
+    "huffman": build_huffman(_ENGLISH),
+    "proposed": build_proposed(_ENGLISH),
+    "ita2": ita2(),
+    # 11 and 101 have no trie edge, so random bits reach dead ends.
+    "incomplete": Codebook(kind="custom", codewords={"a": "00", "b": "01", "c": "100"}),
+    # Every slot completes a symbol: the most emissions an entry can hold.
+    "one-bit": Codebook(kind="custom", codewords={"a": "0", "b": "1"}),
+}
+
+
+def _random_rows(cb, rng, trials, msg_len, max_t, ones):
+    """Random read bits, message lengths and sent symbols for cb."""
+    final = (rng.random((trials, max_t)) < ones).astype(np.int8)
+    tlen = rng.integers(0, max_t + 1, size=trials)
+    syms = rng.integers(0, len(cb.codewords), size=(trials, msg_len))
+    return final, tlen, syms
+
+
+def _assert_same_decode(final, tlen, syms, tables):
+    want = _one_slot_decode_rows(final, tlen, syms, tables)
+    got = _decode_rows(final, tlen, syms, tables)
+    for name, w, g in zip(("errors", "decoded", "dead", "incomplete"), want, got):
+        np.testing.assert_array_equal(g, w, err_msg=name)
+
+
+class TestStepDecoder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        code=st.sampled_from(sorted(DECODE_CODES)),
+        seed=st.integers(0, 2**32 - 1),
+        trials=st.integers(1, 60),
+        msg_len=st.integers(1, 12),
+        extra=st.integers(0, 70),
+        ones=st.floats(0.0, 1.0),
+    )
+    def test_matches_one_slot_walk(self, code, seed, trials, msg_len, extra, ones):
+        # Rows hold at least msg_len slots, as every message of msg_len
+        # codewords does; tlen may fall anywhere up to the row end.
+        cb = DECODE_CODES[code]
+        rng = np.random.default_rng(seed)
+        final, tlen, syms = _random_rows(cb, rng, trials, msg_len, msg_len + extra, ones)
+        _assert_same_decode(final, tlen, syms, cb.tables)
+
+    @pytest.mark.parametrize("code", sorted(DECODE_CODES))
+    def test_matches_one_slot_walk_on_sent_messages(self, code):
+        # Clean messages decode fully; a few flipped bits desynchronize.
+        cb = DECODE_CODES[code]
+        rng = np.random.default_rng(3)
+        probs = np.full(len(cb.codewords), 1 / len(cb.codewords))
+        syms, tlen, bitmat = _sample_bits(cb.tables, probs, 500, 10, rng)
+        flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
+        _assert_same_decode(bitmat, tlen, syms, cb.tables)
+        _assert_same_decode(bitmat ^ flips, tlen, syms, cb.tables)
+
+    @pytest.mark.parametrize("symbols, bits, slots", [(1000, 10, 7), (2**15 - 1, 15, 3)])
+    def test_large_alphabet_takes_fewer_slots(self, symbols, bits, slots):
+        # Fixed-length words of the first symbols integers: a trie too big
+        # for 8 slots per step, with dead ends past the last word.
+        words = {f"s{i}": format(i, f"0{bits}b") for i in range(symbols)}
+        cb = Codebook(kind="custom", codewords=words)
+        steps = cb.tables.steps
+        assert steps.slots == slots
+        assert len(steps.next) == len(steps.count) == steps.emit.shape[1] <= _STEP_ENTRIES
+        rng = np.random.default_rng(symbols)
+        final, tlen, syms = _random_rows(cb, rng, 300, 3, 3 * bits + 5, 0.5)
+        _assert_same_decode(final, tlen, syms, cb.tables)
 
 
 # -- the brute-force calibration: one full scoring pass per candidate ------

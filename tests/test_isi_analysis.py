@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from molcode import (
+    build_huffman,
     build_proposed,
     expected_isi_bit0,
     isi_oracle,
@@ -210,6 +211,22 @@ class TestOracle:
             rng=np.random.default_rng(11),
         )
         assert abs(mc.coefficients[3] - exact.coefficients[3]) < 3.0 * mc.stderr[3]
+
+    def test_stderr_carries_the_sampling_error_of_p0(self):
+        # p_i = 2^-i: the huffman words are 1...10, so every qualifying zero
+        # sees ones at both lags and only p0 varies from batch to batch.
+        # With the whole-stream p0 in every batch the errors read 5.6e-18
+        # while the estimate misses the closed form by 1.4e-4.
+        d = CharacterDistribution.from_weights([(f"s{i}", 2.0 ** -i) for i in range(1, 31)])
+        cb = build_huffman(d)
+        exact = expected_isi_bit0(cb, d, memory=3)
+        mc = isi_oracle(cb, d, memory=3, samples=200_000, rng=np.random.default_rng(1))
+        for j in (2, 3):
+            assert mc.coefficients[j] == mc.p0 == 0.49985754060092874
+            gap = abs(mc.coefficients[j] - exact.coefficients[j])
+            assert gap == pytest.approx(1.4e-4, abs=1e-5)
+            assert 1e-4 < mc.stderr[j] < 1e-2
+            assert gap < 3.0 * mc.stderr[j]
 
     def test_rejects_tiny_sample_budgets(self, hcb, dist):
         with pytest.raises(ValueError):
