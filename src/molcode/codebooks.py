@@ -283,7 +283,7 @@ class CodeTables:
         span = (slots + 1) << slots
         next_at = self.next_at.reshape(states, 3)
         emits = self.emit.reshape(states, 3) >= 0
-        # most[s]: the most symbols that a walk of j bits from s completes.
+        # After j passes, most[s] is the most symbols a walk of j bits from s completes.
         most = np.zeros(states, dtype=np.int64)
         for _ in range(slots):
             most = np.maximum(emits[:, 0] + most[next_at[:, 0] // 3],
