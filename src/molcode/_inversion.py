@@ -19,8 +19,11 @@ import numpy as np
 _INVERSION_MEAN = 30.0
 #: Buckets of the guide that starts each table lookup.
 _GUIDE_BUCKETS = 256
-#: Releases looked up at a time, which bounds the lookup temporaries.
-BLOCK = 8192
+#: Releases looked up at a time. numpy lets go of the GIL only inside a
+#: call, so each call must run over many releases for two sampling
+#: threads not to wait on each other (at 8192, two threads sampled no
+#: faster than one). It also sizes the reused Scratch, 26 bytes a release.
+BLOCK = 1 << 16
 #: Generator.random returns m * 2**-53 for an integer 0 <= m < 2**53.
 _LATTICE = 2 ** 53
 
@@ -46,21 +49,54 @@ class Table(NamedTuple):
     width: int
     safe: float
 
-    def lookup(self, n: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, bool]:
+    def lookup(self, n: np.ndarray, u: np.ndarray,
+               scratch: Scratch | None = None) -> tuple[np.ndarray, bool]:
         """X for remaining counts n >= 1 and their uniforms u, and whether
-        numpy would have redrawn any of them."""
-        row = n.astype(np.intp)
-        base = row * self.width
-        row *= _GUIDE_BUCKETS
-        row += (u * _GUIDE_BUCKETS).astype(np.intp)
-        pos = base + self.guide[row]
-        todo = np.flatnonzero(u > self.cuts[pos])
+        numpy would have redrawn any of them.
+
+        Each pass over the whole block writes into scratch (fresh buffers
+        if None), and X is a view of scratch.pos; only the few uniforms
+        above their guide entry's cut are walked on, by index lists.
+        """
+        s = Scratch.empty(n.size) if scratch is None else scratch.head(n.size)
+        idx, pos = s.idx, s.pos
+        np.multiply(u, _GUIDE_BUCKETS, out=idx, casting="unsafe")
+        np.add(idx, np.multiply(n, _GUIDE_BUCKETS, out=pos, dtype=np.int64), out=idx)
+        self.guide.take(idx, out=s.start, mode="clip")
+        np.add(np.multiply(n, self.width, out=pos, dtype=np.int64), s.start, out=pos)
+        np.greater(u, self.cuts.take(pos, out=s.cut, mode="clip"), out=s.more)
+        todo = np.flatnonzero(s.more)
         while todo.size:
             pos[todo] += 1
             todo = todo[u[todo] > self.cuts[pos[todo]]]
-        x = pos - base
+        x = np.subtract(pos, np.multiply(n, self.width, out=idx, dtype=np.int64), out=pos)
         redraw = bool(u.size) and u.max() > self.safe and bool((x > self.bound[n]).any())
         return x, redraw
+
+
+class Scratch(NamedTuple):
+    """Buffers that Table.lookup reuses from block to block: the uniforms,
+    the guide and cut indices, the guide entries and the walk's step mask.
+    The cuts read share the guide index's memory, which is spent by then."""
+
+    u: np.ndarray
+    idx: np.ndarray
+    pos: np.ndarray
+    start: np.ndarray
+    more: np.ndarray
+
+    @classmethod
+    def empty(cls, size: int) -> Scratch:
+        return cls(np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64),
+                   np.empty(size, np.uint8), np.empty(size, bool))
+
+    @property
+    def cut(self) -> np.ndarray:
+        return self.idx.view(np.float64)
+
+    def head(self, size: int) -> Scratch:
+        """The first size entries of every buffer."""
+        return Scratch(*(buf[:size] for buf in self))
 
 
 def _walk_stops(px: np.ndarray, rows: np.ndarray, xs: np.ndarray, m: np.ndarray):
@@ -161,28 +197,29 @@ def link_tables(molecules: int, probs: tuple[float, ...]) -> tuple[Table | None,
 
 
 def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
-              rng: np.random.Generator, buf: np.ndarray) -> bool:
+              rng: np.random.Generator, scratch: Scratch) -> bool:
     """Draw one slot from its table, in place; False if numpy would redraw.
 
     Reads one uniform per nonzero remaining count, in release order, as
-    numpy's binomial loop does, into buf a block at a time. Writes every
-    entry of column. On False, remaining is as it was and the caller
-    restores the generator.
+    numpy's binomial loop does, a block at a time into scratch, which
+    holds at least min(len(remaining), BLOCK) entries. Writes every entry
+    of column. On False, remaining is as it was and the caller restores
+    the generator.
     """
     for start in range(0, len(remaining), BLOCK):
         rem = remaining[start:start + BLOCK]
         col = column[start:start + BLOCK]
         if np.count_nonzero(rem) == rem.size:
-            nz = slice(None)
+            nz, n = slice(None), rem
         else:
             nz = np.flatnonzero(rem)
+            n = rem[nz]
             col[:] = 0
-        n = rem[nz]
-        u = rng.random(n.size, out=buf[:n.size])
-        x, redraw = table.lookup(n, u)
+        u = rng.random(n.size, out=scratch.u[:n.size])
+        x, redraw = table.lookup(n, u, scratch)
         if redraw:
             remaining[:start] += column[:start].astype(np.uint8)
             return False
         col[nz] = x
-        rem[nz] = n - x.astype(np.uint8)
+        np.subtract(rem, col, out=rem, casting="unsafe")
     return True

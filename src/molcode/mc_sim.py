@@ -204,6 +204,10 @@ def sample_arrivals(
     read from exact tables of numpy's inversion walk, built on first use
     per link; any other slot, and a slot where numpy would redraw, calls
     rng.binomial itself.
+
+    The counts are stored slot-major, as (memory, size), and the result is
+    the transpose of that storage: each slot's draws are written, and each
+    slot's column is read, as one contiguous run.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     if molecules < 0:
@@ -217,18 +221,18 @@ def sample_arrivals(
         from . import _inversion  # compiled on first use, not by every import
 
         tables = _inversion.link_tables(molecules, tuple(probs))
-        buf = np.empty(min(size, _inversion.BLOCK))
+        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
     remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
-    out = np.empty((size, len(coeffs)), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
-    for k, (p, table) in enumerate(zip(probs, tables)):
+    out = np.empty((len(coeffs), size), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
+    for column, p, table in zip(out, probs, tables):
         if table is not None:
             state = rng.bit_generator.state
-            if _inversion.draw_slot(table, remaining, out[:, k], rng, buf):
+            if _inversion.draw_slot(table, remaining, column, rng, scratch):
                 continue
             rng.bit_generator.state = state
-        out[:, k] = rng.binomial(remaining, p)
-        remaining -= out[:, k].astype(remaining.dtype)
-    return out
+        column[:] = rng.binomial(remaining, p)
+        remaining -= column.astype(remaining.dtype)
+    return out.T
 
 
 def _symbol_probs(cfg: LinkConfig) -> np.ndarray:
@@ -256,20 +260,24 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     a window that runs past max_t spills there instead of being masked, and
     each lag k is one fancy-index add at the release columns shifted by k:
     within one lag every (row, column) pair occurs at most once, so the add
-    is exact. Returns a (trials, max_t) view without the spare columns.
+    is exact; each lag reads one contiguous column of the slot-major
+    arrivals. The release columns are found after sampling, so they are
+    not held alongside the sampler's scratch. Returns a (trials, max_t)
+    view without the spare columns.
     """
     trials, max_t = bitmat.shape
     spare = cfg.profile.memory - 1
     counts = np.zeros((trials, max_t + spare), dtype=np.int32)
-    where = np.flatnonzero(bitmat)
-    if where.size:
+    releases = np.count_nonzero(bitmat)
+    if releases:
         arrivals = sample_arrivals(
-            cfg.molecules_per_one, cfg.profile.coefficients, rng, size=where.size
+            cfg.molecules_per_one, cfg.profile.coefficients, rng, size=releases
         )
+        where = np.flatnonzero(bitmat)
         where += where // max_t * spare
         flat = counts.reshape(-1)
-        for k in range(cfg.profile.memory):
-            flat[where] += arrivals[:, k]
+        for column in arrivals.T:
+            flat[where] += column
             where += 1
     return counts[:, :max_t]
 

@@ -194,6 +194,13 @@ class TestArrivalStreamIdentity:
             for seed in range(4):
                 assert_same_stream(molecules, coeffs, seed, 20_000)
 
+    @pytest.mark.parametrize("molecules", [1, 2, 43])
+    def test_matches_binomial_loop_past_the_first_block(self, profile, molecules):
+        # Two full lookup blocks and 17 releases more. With 1 or 2 molecules
+        # the later slots see zero remaining counts in every block; with 43
+        # every block after the first is full.
+        assert_same_stream(molecules, profile.coefficients, 5, 2 * _inversion.BLOCK + 17)
+
     def test_slot_past_the_inversion_regime_calls_numpy(self):
         # 100 * 0.4 > 30: numpy samples slot 0 by BTPE, so it has no table.
         coeffs = (0.4, 0.1, 0.05)
@@ -231,6 +238,42 @@ class TestArrivalStreamIdentity:
         assert slots[3] is False and slots.count(False) == 1
         np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def correct_row(bits):
+    """The receiver's rule x_t = d_t * (1 - x_{t-1}), one slot at a time."""
+    out, prev = [], 0
+    for d in bits:
+        prev = d * (1 - prev)
+        out.append(prev)
+    return out
+
+
+class TestCorrectRows:
+    """mc_sim._correct_rows applies the correction rule along every row."""
+
+    def test_runs_of_ones(self):
+        rows = [[0] * lead + [1] * run + [0] + [1] * (6 - run) + [0] * (3 - lead)
+                for run in range(1, 6) for lead in range(3)]
+        det = np.array(rows, dtype=np.int8)
+        got = mc_sim._correct_rows(det)
+        assert got.dtype == det.dtype
+        assert got.tolist() == [correct_row(row) for row in rows]
+        # A run keeps its first, third and fifth 1.
+        assert [got[3 * (run - 1), :run].tolist() for run in range(1, 6)] == [
+            [1], [1, 0], [1, 0, 1], [1, 0, 1, 0], [1, 0, 1, 0, 1]]
+
+    def test_random_rows(self):
+        det = np.random.default_rng(3).integers(0, 2, size=(200, 40), dtype=np.int8)
+        assert mc_sim._correct_rows(det).tolist() == [correct_row(row) for row in det.tolist()]
+
+    def test_one_column_is_unchanged(self):
+        det = np.array([[0], [1], [1]], dtype=np.int8)
+        np.testing.assert_array_equal(mc_sim._correct_rows(det), det)
+
+    def test_zero_rows(self):
+        got = mc_sim._correct_rows(np.zeros((0, 7), dtype=np.int8))
+        assert got.shape == (0, 7) and got.dtype == np.int8
 
 
 class TestLinkConfig:
@@ -519,6 +562,17 @@ class TestSweep:
         assert runs[1][0][2]["error"].startswith("uncalibratable")
         # One pool of three rows at a time; each row then runs on one thread.
         assert pool_sizes == [3]
+
+    def test_rows_agree_on_one_and_two_threads_past_a_chunk(self, dist, params):
+        # Every row runs two chunks; on two threads two rows run at once,
+        # and the inversion tables they build land in the one shared cache.
+        kwargs = dict(budgets=[60.0, 85.0], trials=CHUNK_TRIALS + 500, master_seed=6,
+                      kinds=("huffman", "proposed"))
+        _inversion.link_tables.cache_clear()
+        two = sweep(dist, params, threads=2, **kwargs)
+        one = sweep(dist, params, threads=1, **kwargs)
+        assert one == two
+        assert all(row["error"] is None and row["tau"] > 0 for row in one)
 
     def test_failing_row_cancels_queued_rows(self, dist, params, monkeypatch):
         started = []
