@@ -261,9 +261,9 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     each lag k is one fancy-index add at the release columns shifted by k:
     within one lag every (row, column) pair occurs at most once, so the add
     is exact; each lag reads one contiguous column of the slot-major
-    arrivals. The release columns are found after sampling, so they are
-    not held alongside the sampler's scratch. Returns a (trials, max_t)
-    view without the spare columns.
+    arrivals. The release columns are read from bitmat padded the same
+    way, after sampling, so no index array is held alongside the sampler's
+    scratch. Returns a (trials, max_t) view without the spare columns.
     """
     trials, max_t = bitmat.shape
     spare = cfg.profile.memory - 1
@@ -273,8 +273,7 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
         arrivals = sample_arrivals(
             cfg.molecules_per_one, cfg.profile.coefficients, rng, size=releases
         )
-        where = np.flatnonzero(bitmat)
-        where += where // max_t * spare
+        where = np.flatnonzero(np.pad(bitmat, ((0, 0), (0, spare))))
         flat = counts.reshape(-1)
         for column in arrivals.T:
             flat[where] += column
