@@ -42,11 +42,9 @@ from .codec import (
 )
 from .isi_analysis import (
     IsiCoefficients,
-    IsiReductionReport,
     WindowDistribution,
     expected_isi_bit0,
     isi_oracle,
-    isi_reduction_report,
     window_distribution,
 )
 from .mc_sim import (
@@ -89,11 +87,9 @@ __all__ = [
     "error_correct",
     "pilot_threshold",
     "IsiCoefficients",
-    "IsiReductionReport",
     "WindowDistribution",
     "expected_isi_bit0",
     "isi_oracle",
-    "isi_reduction_report",
     "window_distribution",
     "CerReport",
     "LinkConfig",

@@ -50,15 +50,15 @@ class Table(NamedTuple):
     safe: float
 
     def lookup(self, n: np.ndarray, u: np.ndarray,
-               scratch: Scratch | None = None) -> tuple[np.ndarray, bool]:
+               scratch: Scratch) -> tuple[np.ndarray, bool]:
         """X for remaining counts n >= 1 and their uniforms u, and whether
         numpy would have redrawn any of them.
 
-        Each pass over the whole block writes into scratch (fresh buffers
-        if None), and X is a view of scratch.pos; only the few uniforms
-        above their guide entry's cut are walked on, by index lists.
+        Each pass over the whole block writes into scratch, which holds at
+        least n.size entries, and X is a view of scratch.pos; only the few
+        uniforms above their guide entry's cut are walked on, by index lists.
         """
-        s = Scratch.empty(n.size) if scratch is None else scratch.head(n.size)
+        s = scratch.head(n.size)
         idx, pos = s.idx, s.pos
         np.multiply(u, _GUIDE_BUCKETS, out=idx, casting="unsafe")
         np.add(idx, np.multiply(n, _GUIDE_BUCKETS, out=pos, dtype=np.int64), out=idx)

@@ -167,6 +167,8 @@ def _fmt(value) -> str:
 
 
 def _parse_kinds(kinds: list[str]) -> list[str]:
+    if not kinds:
+        raise ValueError("no codebook kinds given")
     if kinds == ["all"]:
         return sorted(codebooks.KINDS)
     for i, kind in enumerate(kinds):
@@ -227,7 +229,7 @@ def _cmd_isi(args, cfg: dict) -> int:
     rows = []
     for kind in _parse_kinds(args.kinds):
         cb = codebooks.build(kind, dist)
-        corrected = kind == "proposed"
+        corrected = cb.corrected
         exact = isi_analysis.expected_isi_bit0(
             cb, dist, memory=args.memory, corrected=corrected
         )

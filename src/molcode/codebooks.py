@@ -157,8 +157,7 @@ class Codebook:
     """A prefix code: symbol to codeword over the alphabet {0, 1}.
 
     kind is one of huffman | proposed | ita2 | custom and selects
-    receiver-side behavior (the proposed kind is the only one that gets
-    error correction).
+    receiver-side behavior: see corrected.
     """
 
     kind: str
@@ -179,6 +178,12 @@ class Codebook:
 
     def __getitem__(self, symbol: str) -> str:
         return self.codewords[symbol]
+
+    @property
+    def corrected(self) -> bool:
+        """Whether the receiver error corrects this code's bits: only for
+        the proposed kind, whose codewords never put two ones in a row."""
+        return self.kind == "proposed"
 
     @cached_property
     def tables(self) -> "CodeTables":

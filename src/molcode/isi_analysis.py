@@ -23,16 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CharacterDistribution, build_huffman, build_proposed
+from .codebooks import Codebook, CharacterDistribution
 
 __all__ = [
     "WindowDistribution",
     "IsiCoefficients",
-    "IsiReductionReport",
     "window_distribution",
     "expected_isi_bit0",
     "isi_oracle",
-    "isi_reduction_report",
 ]
 
 
@@ -176,6 +174,14 @@ def _interior_lag_profile(cb, dist, memory):
     return p0, {lag + 1: p0 * (num[lag] / den) for lag in range(1, memory)}
 
 
+def _check_lag_args(cb: Codebook, memory: int, corrected: bool) -> None:
+    """Reject a window without lags, or correction the code's receiver lacks."""
+    if memory < 2:
+        raise ValueError("memory must be at least 2 to have any interference lag")
+    if corrected and not cb.corrected:
+        raise ValueError("only the run-length-limited kind supports correction")
+
+
 def expected_isi_bit0(
     cb: Codebook,
     dist: CharacterDistribution,
@@ -188,10 +194,7 @@ def expected_isi_bit0(
     the stream rule otherwise (see module docstring); the result's
     window_rule names the rule used.
     """
-    if memory < 2:
-        raise ValueError("memory must be at least 2 to have any interference lag")
-    if corrected and cb.kind != "proposed":
-        raise ValueError("only the run-length-limited kind supports correction")
+    _check_lag_args(cb, memory, corrected)
 
     result, rule = _interior_lag_profile(cb, dist, memory), "word-interior"
     if result is None:
@@ -222,10 +225,7 @@ def isi_oracle(
     them the batch's p0 times its hit ratio. Meant as an independent check
     of the closed form.
     """
-    if memory < 2:
-        raise ValueError("memory must be at least 2 to have any interference lag")
-    if corrected and cb.kind != "proposed":
-        raise ValueError("only the run-length-limited kind supports correction")
+    _check_lag_args(cb, memory, corrected)
     if samples < 100_000:
         raise ValueError("the oracle needs at least 1e5 stream bits")
     rule = "word-interior" if _interior_lag_profile(cb, dist, memory) else "stream"
@@ -267,72 +267,3 @@ def isi_oracle(
     return IsiCoefficients(
         p0=p0, coefficients=coeffs, corrected=corrected, window_rule=rule, stderr=errs
     )
-
-
-@dataclass(frozen=True)
-class IsiReductionRow:
-    name: str
-    p0: float
-    coefficients: dict[int, float]
-    total: float
-
-
-@dataclass(frozen=True)
-class IsiReductionReport:
-    memory: int
-    channel_coefficients: tuple[float, ...]
-    rows: tuple[IsiReductionRow, ...]
-
-    def row(self, name: str) -> IsiReductionRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
-
-def isi_reduction_report(
-    dist: CharacterDistribution,
-    channel,
-    memory: int = 3,
-) -> IsiReductionReport:
-    """Expected bit-0 interference for uncoded, Huffman and corrected links.
-
-    channel may be a ChannelProfile or a plain a_1..a_M coefficient
-    sequence; only a_2..a_memory enter the totals. The uncoded row is a fair
-    single-bit code (its lag profile uses the stream rule by construction).
-    Raises RuntimeError unless the corrected run-length-limited code beats
-    both other rows, which is the designed behavior of the scheme.
-    """
-    coeffs = tuple(getattr(channel, "coefficients", channel))
-    if len(coeffs) < memory:
-        raise ValueError("channel coefficients shorter than the analysis memory")
-
-    uncoded_dist = CharacterDistribution(("0", "1"), (0.5, 0.5))
-    uncoded_cb = Codebook(kind="custom", codewords={"0": "0", "1": "1"})
-
-    rows = []
-    for name, cb, d, corrected in (
-        ("uncoded", uncoded_cb, uncoded_dist, False),
-        ("huffman", build_huffman(dist), dist, False),
-        ("proposed", build_proposed(dist), dist, True),
-    ):
-        prof = expected_isi_bit0(cb, d, memory=memory, corrected=corrected)
-        rows.append(
-            IsiReductionRow(
-                name=name,
-                p0=prof.p0,
-                coefficients=dict(prof.coefficients),
-                total=prof.total(coeffs),
-            )
-        )
-    report = IsiReductionReport(
-        memory=memory, channel_coefficients=coeffs, rows=tuple(rows)
-    )
-    # Non-strict so that a channel with no interference mass (all totals 0)
-    # is a valid, if degenerate, outcome.
-    prop = report.row("proposed").total
-    if prop > report.row("huffman").total or prop > report.row("uncoded").total:
-        raise RuntimeError(
-            "run-length-limited coding failed to reduce expected interference"
-        )
-    return report

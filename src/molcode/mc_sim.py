@@ -362,13 +362,23 @@ def _read_bits(counts: np.ndarray, cut: int, correct: bool) -> np.ndarray:
     return _correct_rows(det) if correct else det
 
 
+def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
+    """The messages and slot counts of one chunk, drawn from its own stream.
+
+    The generator is seeded by seed_tuple, and it draws the messages
+    first and the arrivals of their releases second; that order is part
+    of the determinism contract. Returns (syms, tlen, bitmat, counts).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
+    syms, tlen, bitmat = _sample_bits(cfg.codebook.tables, probs, trials, cfg.msg_len, rng)
+    return syms, tlen, bitmat, _accumulate_counts(bitmat, tlen, cfg, rng)
+
+
 def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed_tuple):
     """Simulate, detect, correct, decode and score one chunk of trials."""
     tables = cfg.codebook.tables
-    rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
-    syms, tlen, bitmat = _sample_bits(tables, probs, trials, cfg.msg_len, rng)
-    counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-    final = _read_bits(counts, _count_cut(tau), cfg.codebook.kind == "proposed")
+    syms, tlen, bitmat, counts = _draw_chunk(cfg, probs, trials, seed_tuple)
+    final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
     sum_err = int(err_per_trial.sum())
     sum_err_sq = int((err_per_trial ** 2).sum())
@@ -593,19 +603,14 @@ def _calibrate_threshold(
     candidates = strategy.candidates or _default_candidates(cfg)
     tables = cfg.codebook.tables
     probs = _symbol_probs(cfg)
-    correct = cfg.codebook.kind == "proposed"
     cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
     remaining = strategy.messages
     index = 0
     while remaining > 0:
         size = min(CHUNK_TRIALS, remaining)
-        rng = np.random.default_rng(
-            np.random.SeedSequence((master_seed, _CAL_TAG, index))
-        )
-        syms, tlen, bitmat = _sample_bits(tables, probs, size, cfg.msg_len, rng)
-        counts = _accumulate_counts(bitmat, tlen, cfg, rng)
+        syms, tlen, _, counts = _draw_chunk(cfg, probs, size, (master_seed, _CAL_TAG, index))
         for cut in cut_errors:
-            final = _read_bits(counts, cut, correct)
+            final = _read_bits(counts, cut, cfg.codebook.corrected)
             cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())
         remaining -= size
         index += 1
@@ -639,9 +644,9 @@ def sweep(
     a row whose threshold cannot be resolved (a CalibrationError, for
     example pilots that cannot separate signal from interference at a tiny
     budget) carries an error tag instead of a CER. Configuration mistakes,
-    such as an unknown or repeated kind, a repeated or negative budget, a
-    budget whose counts could overflow, or a bad thread count, raise
-    ValueError before any row is simulated.
+    such as no kinds or no budgets, an unknown or repeated kind, a
+    repeated or negative budget, a budget whose counts could overflow, or
+    a bad thread count, raise ValueError before any row is simulated.
 
     Rows run concurrently: min(threads, rows) of them at a time, each on
     threads // rows (at least 1) threads of its own, so one row's threshold
@@ -651,6 +656,8 @@ def sweep(
     """
     budgets = list(budgets)
     for name, values in (("kind", kinds), ("budget", [float(b) for b in budgets])):
+        if not values:
+            raise ValueError(f"no {name}s given")
         repeated = sorted({v for v in values if values.count(v) > 1})
         if repeated:
             raise ValueError(f"repeated {name}s: {', '.join(map(str, repeated))}")

@@ -181,15 +181,17 @@ class TestSimulateCommand:
         assert captured.out == ""
         assert f"got {budget}" in captured.err and "done " not in captured.err
 
-    @pytest.mark.parametrize("kinds, budgets, message", [
-        ("proposed,proposed", "60", "'proposed' is given twice"),
-        ("proposed", "60,60", "repeated budgets: 60.0"),
-    ], ids=["kind", "budget"])
-    def test_repeats_are_usage_errors_without_rows(self, tmp_path, capsys,
-                                                   kinds, budgets, message):
+    @pytest.mark.parametrize("argv, message", [
+        ("simulate --trials 100 --kinds proposed,proposed --budgets 60",
+         "'proposed' is given twice"),
+        ("simulate --trials 100 --kinds proposed --budgets 60,60", "repeated budgets: 60.0"),
+        ("simulate --trials 100 --kinds , --budgets 60", "no codebook kinds given"),
+        ("simulate --trials 100 --kinds proposed --budgets ,", "no budgets given"),
+        ("codebook --kinds ,", "no codebook kinds given"),
+    ], ids=["kind", "budget", "no-kinds", "no-budgets", "codebook-no-kinds"])
+    def test_repeats_are_usage_errors_without_rows(self, tmp_path, capsys, argv, message):
         out = tmp_path / "sim.csv"
-        code = run(["simulate", "--trials", "100", "--kinds", kinds,
-                    "--budgets", budgets, "--out", str(out)])
+        code = run([*argv.split(), "--out", str(out)])
         assert code == 2
         assert not out.exists()
         err = capsys.readouterr().err
@@ -268,9 +270,12 @@ class TestConfigHandling:
         "simulate:\n  trials: null\n",
         "simulate:\n  budgets: 5\n",
         "simulate:\n  kinds: 5\n",
+        "simulate:\n  budgets: []\n",
+        "simulate:\n  kinds: []\n",
         "channel:\n  memory: [3]\n",
         "distribution: {dist}\n",
-    ], ids=["trials-null", "budgets-number", "kinds-number", "memory-list", "prob-missing"])
+    ], ids=["trials-null", "budgets-number", "kinds-number", "budgets-empty", "kinds-empty",
+            "memory-list", "prob-missing"])
     def test_value_mistakes_are_usage_errors(self, tmp_path, capsys, text):
         dist = tmp_path / "d.csv"
         dist.write_text("symbol,prob\na,0.6\nb\n")  # b has no probability cell

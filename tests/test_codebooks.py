@@ -171,6 +171,11 @@ class TestProposed:
     def test_kraft_strictly_below_one(self, pcb):
         assert pcb.kraft_sum() < 1
 
+    def test_only_the_proposed_kind_is_corrected(self, hcb, pcb, icb):
+        # A custom code without adjacent ones is still read uncorrected.
+        custom = Codebook(kind="custom", codewords=dict(pcb.codewords))
+        assert [cb.corrected for cb in (hcb, pcb, icb, custom)] == [False, True, False, False]
+
     @settings(max_examples=100, deadline=None)
     @given(small_distributions())
     def test_no_adjacent_ones_and_zero_tail(self, d):

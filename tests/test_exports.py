@@ -5,17 +5,23 @@ up by name (a tracer wrapping each public function, for one) skip a
 missing name, so a stale export would otherwise go unnoticed. The
 layering test reads the import statements of every package module,
 including those inside functions, and holds each layer to the modules
-below it.
+below it. The README's library quick start, written against the
+exported API, must run as printed.
 """
 import ast
 import importlib
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 LAYERS = ("cli", "codebooks", "channel", "codec", "mc_sim", "isi_analysis")
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "molcode"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "molcode"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 #: Package modules a module may import; any module not named here may
@@ -60,3 +66,13 @@ def test_imports_are_read_inside_functions(tmp_path):
 def test_layering(module):
     allowed = MAY_IMPORT.get(module, set(MODULES) - {"cli"})
     assert _imported_modules(SRC / f"{module}.py") - {module} <= allowed
+
+
+def test_readme_quick_start_runs():
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""

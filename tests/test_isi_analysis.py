@@ -10,7 +10,6 @@ from molcode import (
     build_proposed,
     expected_isi_bit0,
     isi_oracle,
-    isi_reduction_report,
     window_distribution,
 )
 from molcode import isi_analysis
@@ -232,22 +231,3 @@ class TestOracle:
         with pytest.raises(ValueError):
             isi_oracle(hcb, dist, samples=10_000)
 
-
-class TestReductionReport:
-    def test_ranks_codebooks_on_reference_channel(self, dist, profile):
-        # The guarantee is one-sided: the run-length-limited stream beats
-        # both baselines. Huffman and the uncoded coin may order either way.
-        report = isi_reduction_report(dist, profile)
-        totals = {row.name: row.total for row in report.rows}
-        assert set(totals) == {"uncoded", "huffman", "proposed"}
-        assert totals["proposed"] < totals["huffman"]
-        assert totals["proposed"] < totals["uncoded"]
-
-    def test_accepts_raw_coefficient_sequences(self, dist):
-        report = isi_reduction_report(dist, (0.05, 0.02, 0.01))
-        assert report.channel_coefficients == (0.05, 0.02, 0.01)
-        assert all(row.total > 0 for row in report.rows)
-
-    def test_dead_channel_gives_zero_totals(self, dist):
-        report = isi_reduction_report(dist, (0.0, 0.0, 0.0))
-        assert all(row.total == 0.0 for row in report.rows)

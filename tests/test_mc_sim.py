@@ -183,7 +183,8 @@ class TestArrivalStreamIdentity:
                 cuts = table.cuts[n * table.width:][:table.bound[n] + 1]
                 u = np.concatenate([cuts, np.minimum(cuts + 2.0**-53, 1 - 2.0**-53)])
                 want = [numpy_walk(n, p, v) for v in u]
-                got, redraw = table.lookup(np.full(len(u), n, dtype=np.uint8), u)
+                got, redraw = table.lookup(np.full(len(u), n, dtype=np.uint8), u,
+                                           _inversion.Scratch.empty(len(u)))
                 assert redraw == (None in want)
                 assert [x if x <= table.bound[n] else None for x in got] == want
 
