@@ -9,7 +9,6 @@ and gives the receiver a correctable structure.
 """
 from .channel import (
     ChannelParams,
-    ChannelProfile,
     channel_coefficients,
     hit_probability,
     min_symbol_slot,
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelParams",
-    "ChannelProfile",
     "channel_coefficients",
     "hit_probability",
     "min_symbol_slot",

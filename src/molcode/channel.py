@@ -9,6 +9,8 @@ absorbed by time t has the closed form
 where r0 is the transmitter distance from the sphere center and rr the
 sphere radius (both um). Slotting time into symbol intervals of length t_s
 turns F into per-slot arrival coefficients a_k = F(k t_s) - F((k-1) t_s).
+A link never stores them: mc_sim.LinkConfig derives its slot from the
+character rate and its coefficients from (params, slot, memory).
 """
 from __future__ import annotations
 
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "ChannelParams",
-    "ChannelProfile",
     "hit_probability",
     "peak_time",
     "channel_coefficients",
@@ -101,62 +102,24 @@ def channel_coefficients(
     return coeffs
 
 
-@dataclass(frozen=True)
-class ChannelProfile:
-    """A slotted channel: parameters plus the derived arrival coefficients."""
-
-    params: ChannelParams
-    slot: float
-    memory: int
-    coefficients: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.coefficients) != self.memory:
-            raise ValueError("coefficient count must equal memory")
-        total = sum(self.coefficients)
-        window = hit_probability(self.params, self.memory * self.slot)
-        if abs(total - window) > 1e-12:
-            raise ValueError("coefficients do not telescope to the window hit probability")
-
-    @classmethod
-    def build(
-        cls, params: ChannelParams, slot: float, memory: int = DEFAULT_MEMORY
-    ) -> "ChannelProfile":
-        return cls(
-            params=params,
-            slot=slot,
-            memory=memory,
-            coefficients=channel_coefficients(params, slot, memory),
-        )
-
-
 def _memory_predicates(
-    params: ChannelParams,
-    slot: float,
-    memory: int,
-    tail_floor: float,
-    eps_tail: float,
+    params: ChannelParams, slot: float, memory: int
 ) -> tuple[bool, bool, bool]:
-    """(window mass > tail_floor, next-slot mass < eps_tail, strictly decreasing)."""
+    """(window mass > TAIL_FLOOR, next-slot mass < EPS_TAIL, strictly decreasing)."""
     hits = [hit_probability(params, k * slot) for k in range(memory + 2)]
     coeffs = [hits[k] - hits[k - 1] for k in range(1, memory + 2)]
-    window_ok = hits[memory] > tail_floor
-    residual_ok = coeffs[memory] < eps_tail
+    window_ok = hits[memory] > TAIL_FLOOR
+    residual_ok = coeffs[memory] < EPS_TAIL
     decreasing = all(coeffs[k] < coeffs[k - 1] for k in range(1, memory))
     return window_ok, residual_ok, decreasing
 
 
-def min_symbol_slot(
-    params: ChannelParams,
-    memory: int = DEFAULT_MEMORY,
-    tail_floor: float = TAIL_FLOOR,
-    eps_tail: float = EPS_TAIL,
-) -> float:
+def min_symbol_slot(params: ChannelParams, memory: int = DEFAULT_MEMORY) -> float:
     """Smallest slot length for which the memory window is adequate.
 
     Adequate means all three predicates hold: the memory window captures
-    more than tail_floor of the molecules, the slot after the window
-    receives less than eps_tail, and the coefficients strictly decrease.
+    more than TAIL_FLOOR of the molecules, the slot after the window
+    receives less than EPS_TAIL, and the coefficients strictly decrease.
     Each predicate's own threshold slot is located on a log grid of 512
     slots from 1e-8 s to a ceiling of 1e4 s and refined by bisection to a
     relative tolerance of 1e-6; the answer is the largest of the three. A
@@ -168,7 +131,7 @@ def min_symbol_slot(
     log_lo, log_hi = math.log10(1e-8), math.log10(ceiling)
     grid = [10 ** (log_lo + (log_hi - log_lo) * i / (grid_points - 1)) for i in range(grid_points)]
 
-    flags = [_memory_predicates(params, t, memory, tail_floor, eps_tail) for t in grid]
+    flags = [_memory_predicates(params, t, memory) for t in grid]
     floors: list[float] = []
     for p in range(3):
         column = [f[p] for f in flags]
@@ -183,7 +146,7 @@ def min_symbol_slot(
         lo, hi = grid[last_false], grid[last_false + 1]
         while (hi - lo) > 1e-6 * hi:
             mid = math.sqrt(lo * hi)
-            if _memory_predicates(params, mid, memory, tail_floor, eps_tail)[p]:
+            if _memory_predicates(params, mid, memory)[p]:
                 hi = mid
             else:
                 lo = mid

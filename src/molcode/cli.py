@@ -42,7 +42,6 @@ DEFAULTS: dict = {
     },
     "link": {
         "chars_per_second": 2.0,
-        "char_duration": None,    # seconds; alternative to chars_per_second
         "msg_len": 10,
     },
     "simulate": {
@@ -69,8 +68,7 @@ _VALUE_RULES = {
     "distance": (_number, "a number"),
     "receiver_radius": (_number, "a number"),
     "memory": (_integer, "an integer"),
-    "chars_per_second": (lambda v: v is None or _number(v), "a number or null"),
-    "char_duration": (lambda v: v is None or _number(v), "a number or null"),
+    "chars_per_second": (_number, "a number"),
     "msg_len": (_integer, "an integer"),
     "trials": (_integer, "an integer"),
     "seed": (_integer, "an integer"),
@@ -109,9 +107,6 @@ def load_config(path: str | None) -> dict:
                 if not check(value):
                     raise ValueError(f"{path}: {section}.{key} must be {want}, got {value!r}")
             cfg[section].update(raw[section])
-    link = raw.get("link", {})
-    if link.get("chars_per_second") is not None and link.get("char_duration") is not None:
-        raise ValueError(f"{path}: give chars_per_second or char_duration, not both")
     if "distribution" in raw:
         if raw["distribution"] is not None and not isinstance(raw["distribution"], str):
             raise ValueError(f"{path}: distribution must be a file path")
@@ -120,15 +115,10 @@ def load_config(path: str | None) -> dict:
 
 
 def _char_duration(cfg: dict) -> float:
-    link = cfg["link"]
-    if link["char_duration"] is not None:
-        duration = float(link["char_duration"])
-    elif link["chars_per_second"]:
-        duration = 1.0 / float(link["chars_per_second"])
-    else:
-        raise ValueError("give a positive chars_per_second or a char_duration")
+    rate = float(cfg["link"]["chars_per_second"])
+    duration = 1.0 / rate if rate else math.inf
     if not (duration > 0 and math.isfinite(duration)):
-        raise ValueError("character duration must be positive and finite")
+        raise ValueError(f"chars_per_second must be positive and finite, got {rate!r}")
     return duration
 
 
@@ -280,7 +270,7 @@ def _cmd_simulate(args, cfg: dict) -> int:
         trials=trials,
         master_seed=seed,
         kinds=kinds,
-        chars_per_second=1.0 / _char_duration(cfg),
+        char_duration=_char_duration(cfg),
         msg_len=int(cfg["link"]["msg_len"]),
         memory=int(cfg["channel"]["memory"]),
         threads=args.threads,

@@ -4,7 +4,8 @@ Each trial transmits one message of independently drawn characters. Every
 bit-1 slot releases a fixed molecule budget whose arrivals spread over the
 channel memory window; slot counts are thresholded into bits, optionally
 error corrected, parsed back into characters and scored positionally
-against the sent message.
+against the sent message. A LinkConfig describes one link, and derives
+its slot and arrival coefficients from what it is given.
 
 Determinism contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, and chunk c draws all of its randomness from a dedicated
@@ -17,13 +18,13 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import codec
-from .channel import ChannelParams, ChannelProfile
+from .channel import ChannelParams, channel_coefficients
 from .codebooks import (
     CharacterDistribution,
     Codebook,
@@ -65,21 +66,26 @@ _PILOT_TAG = 0x9110_07
 class LinkConfig:
     """Everything needed to simulate one codebook on one channel.
 
-    The slot length of the profile must match char_duration divided by the
-    expected codeword length, so every codebook transmits characters at the
-    same average rate regardless of its bit count. A zero molecule budget
-    is allowed and gives the all-silent baseline link.
+    slot and coefficients are derived when the config is built. The slot
+    is char_duration divided by the expected codeword length, so every
+    codebook transmits characters at the same average rate regardless of
+    its bit count; the coefficients are the per-slot arrival probabilities
+    a_1..a_memory of params at that slot. A zero molecule budget is allowed
+    and gives the all-silent baseline link.
     """
 
     codebook: Codebook
     distribution: CharacterDistribution
-    profile: ChannelProfile
+    params: ChannelParams
     molecules_per_one: int
     char_duration: float
     threshold: ThresholdStrategy
     msg_len: int = 10
+    memory: int = 10
     trials: int = 100_000
     master_seed: int = 0
+    slot: float = field(init=False, repr=False, compare=False)
+    coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.molecules_per_one < 0:
@@ -92,44 +98,23 @@ class LinkConfig:
             raise ValueError("master seed must be non-negative")
         if self.char_duration <= 0:
             raise ValueError("character duration must be positive")
-        if self.molecules_per_one * self.profile.memory >= _COUNT_LIMIT:
+        if self.molecules_per_one * self.memory >= _COUNT_LIMIT:
             raise ValueError(
                 "molecule budget too large: slot counts must stay below 2**31 - 1"
             )
-        want = self.char_duration / expected_length(self.codebook, self.distribution)
-        if abs(self.profile.slot - want) > 1e-9 * want:
-            raise ValueError(
-                f"profile slot {self.profile.slot!r} does not match "
-                f"char_duration / expected codeword length = {want!r}"
-            )
+        slot = self.char_duration / expected_length(self.codebook, self.distribution)
+        object.__setattr__(self, "slot", slot)
+        object.__setattr__(self, "coefficients",
+                           channel_coefficients(self.params, slot, self.memory))
 
     @classmethod
-    def build(
-        cls,
-        codebook: Codebook,
-        distribution: CharacterDistribution,
-        params: ChannelParams,
-        molecules_per_one: int,
-        char_duration: float,
-        threshold: ThresholdStrategy,
-        msg_len: int = 10,
-        memory: int = 10,
-        trials: int = 100_000,
-        master_seed: int = 0,
-    ) -> "LinkConfig":
-        slot = char_duration / expected_length(codebook, distribution)
-        profile = ChannelProfile.build(params, slot, memory)
-        return cls(
-            codebook=codebook,
-            distribution=distribution,
-            profile=profile,
-            molecules_per_one=molecules_per_one,
-            char_duration=char_duration,
-            threshold=threshold,
-            msg_len=msg_len,
-            trials=trials,
-            master_seed=master_seed,
-        )
+    def build(cls, **fields) -> "LinkConfig":
+        """LinkConfig(**fields), under the name existing callers use.
+
+        build once derived the slot and coefficients that the constructor
+        now derives itself; it stays so keyword callers keep working.
+        """
+        return cls(**fields)
 
 
 @dataclass(frozen=True)
@@ -266,12 +251,12 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     scratch. Returns a (trials, max_t) view without the spare columns.
     """
     trials, max_t = bitmat.shape
-    spare = cfg.profile.memory - 1
+    spare = cfg.memory - 1
     counts = np.zeros((trials, max_t + spare), dtype=np.int32)
     releases = np.count_nonzero(bitmat)
     if releases:
         arrivals = sample_arrivals(
-            cfg.molecules_per_one, cfg.profile.coefficients, rng, size=releases
+            cfg.molecules_per_one, cfg.coefficients, rng, size=releases
         )
         where = np.flatnonzero(np.pad(bitmat, ((0, 0), (0, spare))))
         flat = counts.reshape(-1)
@@ -449,7 +434,7 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
     if isinstance(strat, ConstantThreshold):
         return strat.tau, "constant"
     if isinstance(strat, PilotThreshold):
-        counts = _pilot_counts(cfg.codebook, cfg.profile.coefficients, cfg.molecules_per_one,
+        counts = _pilot_counts(cfg.codebook, cfg.coefficients, cfg.molecules_per_one,
                                master_seed, strat.repetitions)
         stats = codec.collect_pilot_stats(cfg.codebook, counts, cfg.molecules_per_one)
         return stats.tau, "pilot"
@@ -518,7 +503,7 @@ def _build_link_tables(cfg: LinkConfig) -> None:
     if 0 < cfg.molecules_per_one <= _TABLE_MOLECULES:
         from . import _inversion
 
-        coeffs = np.asarray(cfg.profile.coefficients, dtype=float)
+        coeffs = np.asarray(cfg.coefficients, dtype=float)
         _inversion.link_tables(cfg.molecules_per_one, tuple(_slot_probabilities(coeffs)))
 
 
@@ -585,7 +570,7 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
 def _default_candidates(cfg: LinkConfig) -> tuple[float, ...]:
     # The natural threshold scale is the expected first-slot signal; the
     # floor keeps the grid valid for the zero-budget baseline link.
-    scale = max(cfg.molecules_per_one * cfg.profile.coefficients[0], 1.0)
+    scale = max(cfg.molecules_per_one * cfg.coefficients[0], 1.0)
     return tuple(scale * f for f in np.linspace(0.05, 1.2, 24))
 
 
@@ -624,7 +609,7 @@ def sweep(
     trials: int,
     master_seed: int,
     kinds: Sequence[str] = ("huffman", "proposed", "ita2"),
-    chars_per_second: float = 2.0,
+    char_duration: float = 0.5,
     msg_len: int = 10,
     memory: int = 10,
     threads: int | None = None,
@@ -635,10 +620,10 @@ def sweep(
     budgets are expected molecule counts per transmitted character; each
     codebook's bit-1 budget is budget / E[ones](kind) rounded, so every kind
     spends the same expected molecule count per character. All kinds also
-    share the character rate, so rows with equal budget are directly
-    comparable. The run-length-limited kind resolves its threshold from
-    pilots and the conventional kinds calibrate a fixed threshold on a
-    training batch.
+    share the character duration char_duration (seconds), so rows with
+    equal budget are directly comparable. The run-length-limited kind
+    resolves its threshold from pilots and the conventional kinds calibrate
+    a fixed threshold on a training batch.
 
     Returns one row dict per (kind, budget), kinds outer and budgets inner;
     a row whose threshold cannot be resolved (a CalibrationError, for
@@ -664,12 +649,12 @@ def sweep(
     books = [build(kind, dist) for kind in kinds]
     n_threads = _thread_count(threads)
     grid = [
-        (kind, budget, LinkConfig.build(
+        (kind, budget, LinkConfig(
             codebook=cb,
             distribution=dist,
             params=params,
             molecules_per_one=_budget_share(dist, cb, budget),
-            char_duration=1.0 / chars_per_second,
+            char_duration=char_duration,
             threshold=PilotThreshold() if kind == "proposed" else CalibratedThreshold(),
             msg_len=msg_len,
             memory=memory,
@@ -687,7 +672,7 @@ def sweep(
             "codebook": kind,
             "molecules_per_char": float(budget),
             "N_bit1": cfg.molecules_per_one,
-            "t_s": cfg.profile.slot,
+            "t_s": cfg.slot,
             "trials": trials,
             "seed": master_seed,
         }

@@ -2,9 +2,9 @@ import pytest
 
 from molcode import (
     ChannelParams,
-    ChannelProfile,
     build_huffman,
     build_proposed,
+    channel_coefficients,
     english_letter_distribution,
     ita2,
 )
@@ -43,6 +43,6 @@ def params():
 
 
 @pytest.fixture(scope="session")
-def profile(params):
+def coefficients(params):
     # Slot tuned so ten slots cover most of the arrival mass.
-    return ChannelProfile.build(params, slot=0.1, memory=10)
+    return channel_coefficients(params, 0.1, 10)

@@ -131,9 +131,8 @@ def test_criterion_5_channel_adequacy():
         assert hit_probability(PARAMS, 1e12) == pytest.approx(0.5, abs=1e-6)
 
         s = min_symbol_slot(PARAMS, memory=10)
-        args = (PARAMS, 10, 0.33, 0.008)
-        assert all(channel_mod._memory_predicates(args[0], 1.001 * s, *args[1:]))
-        assert not all(channel_mod._memory_predicates(args[0], 0.999 * s, *args[1:]))
+        assert all(channel_mod._memory_predicates(PARAMS, 1.001 * s, 10))
+        assert not all(channel_mod._memory_predicates(PARAMS, 0.999 * s, 10))
         assert time.perf_counter() - t0 < 1.0
 
 
@@ -169,7 +168,7 @@ def test_criterion_7_error_rate_separation():
         budgets = [50.0, 70.0, 85.0, 100.0, 120.0]
         rows = sweep(
             DIST, PARAMS, budgets=budgets, trials=100_000, master_seed=1,
-            kinds=("huffman", "proposed", "ita2"), chars_per_second=2.0,
+            kinds=("huffman", "proposed", "ita2"), char_duration=0.5,
             msg_len=10, memory=10,
         )
         table = {(r["codebook"], r["molecules_per_char"]): r for r in rows}

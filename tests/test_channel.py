@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from molcode import channel
 from molcode.channel import (
     ChannelParams,
-    ChannelProfile,
     channel_coefficients,
     hit_probability,
     min_symbol_slot,
@@ -81,12 +80,6 @@ class TestCoefficients:
         with pytest.raises(ValueError):
             channel_coefficients(params, 0.001, memory=3)
 
-    def test_profile_build_consistency(self, params):
-        prof = ChannelProfile.build(params, slot=0.1, memory=10)
-        assert prof.coefficients == channel_coefficients(params, 0.1, memory=10)
-        assert prof.slot == 0.1
-        assert prof.memory == 10
-
 
 class TestMinSymbolSlot:
     def test_reference_value(self, params):
@@ -98,20 +91,15 @@ class TestMinSymbolSlot:
         # All sizing predicates hold just above the returned slot and at
         # least one fails just below it.
         s = min_symbol_slot(params, memory=10)
-        assert all(channel._memory_predicates(params, 1.001 * s, 10, 0.33, 0.008))
-        assert not all(channel._memory_predicates(params, 0.999 * s, 10, 0.33, 0.008))
+        assert all(channel._memory_predicates(params, 1.001 * s, 10))
+        assert not all(channel._memory_predicates(params, 0.999 * s, 10))
 
-    def test_relaxed_predicates_cost_nothing(self, params):
-        # With no tail or coverage requirement the only constraint left is
-        # the decreasing shape, so the bound drops below the default one.
-        s = min_symbol_slot(params, memory=10, tail_floor=0.0, eps_tail=1.0)
-        assert 0 < s < MIN_SLOT_M10
-
-    def test_unreachable_floor_raises(self, params):
-        # The hit curve tops out at r_r / r_0 = 0.5; demanding more window
-        # coverage than that can never be satisfied.
-        with pytest.raises(ValueError):
-            min_symbol_slot(params, memory=10, tail_floor=0.6)
+    def test_unreachable_floor_raises(self):
+        # The hit curve tops out at r_r / r_0 = 2 / 7, below TAIL_FLOOR, so
+        # no slot gives the window enough coverage.
+        far = ChannelParams(diffusion=79.4, distance=7.0, receiver_radius=2.0)
+        with pytest.raises(ValueError, match="memory predicate 0 still fails at the ceiling"):
+            min_symbol_slot(far, memory=10)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -123,7 +111,7 @@ class TestMinSymbolSlot:
     def test_predicates_hold_at_returned_slot(self, diffusion, spacing):
         p = ChannelParams(diffusion=diffusion, distance=2.0 * spacing, receiver_radius=2.0)
         s = min_symbol_slot(p, memory=6)
-        assert all(channel._memory_predicates(p, 1.000001 * s, 6, 0.33, 0.008))
+        assert all(channel._memory_predicates(p, 1.000001 * s, 6))
 
 
 class TestParamsValidation:

@@ -238,25 +238,17 @@ class TestConfigHandling:
         # Longer slots capture more of the arrival mass in slot one.
         assert a_slow > a_fast
 
-    def test_duration_alternative(self, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("link:\n  chars_per_second: null\n  char_duration: 1.0\n")
-        assert run(["--config", str(cfg), "channel"]) == 0
-
-    def test_both_rate_and_duration_rejected(self, tmp_path):
-        cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("link:\n  chars_per_second: 2.0\n  char_duration: 0.5\n")
-        assert run(["--config", str(cfg), "channel"]) == 2
-
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.yaml"
         cfg.write_text("wormholes:\n  enabled: true\n")
         assert run(["--config", str(cfg), "codebook"]) == 2
 
     def test_unknown_key_rejected(self, tmp_path):
+        # The character rate has one spelling, link.chars_per_second.
         cfg = tmp_path / "cfg.yaml"
-        cfg.write_text("channel:\n  speed_of_light: 3.0e8\n")
-        assert run(["--config", str(cfg), "channel"]) == 2
+        for text in ("channel:\n  speed_of_light: 3.0e8\n", "link:\n  char_duration: 0.5\n"):
+            cfg.write_text(text)
+            assert run(["--config", str(cfg), "channel"]) == 2, text
 
     def test_missing_config_file(self):
         assert run(["--config", "/nonexistent/cfg.yaml", "codebook"]) == 2
@@ -273,9 +265,11 @@ class TestConfigHandling:
         "simulate:\n  budgets: []\n",
         "simulate:\n  kinds: []\n",
         "channel:\n  memory: [3]\n",
+        "link:\n  chars_per_second: null\n",
+        "link:\n  chars_per_second: 0\n",
         "distribution: {dist}\n",
     ], ids=["trials-null", "budgets-number", "kinds-number", "budgets-empty", "kinds-empty",
-            "memory-list", "prob-missing"])
+            "memory-list", "rate-null", "rate-zero", "prob-missing"])
     def test_value_mistakes_are_usage_errors(self, tmp_path, capsys, text):
         dist = tmp_path / "d.csv"
         dist.write_text("symbol,prob\na,0.6\nb\n")  # b has no probability cell

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from molcode import (
     CalibratedThreshold,
     CalibrationError,
-    ChannelProfile,
     ConstantThreshold,
     PilotThreshold,
     collect_pilot_stats,
@@ -15,6 +14,7 @@ from molcode import (
     detect,
     encode,
     error_correct,
+    channel_coefficients,
     pilot_threshold,
 )
 from molcode import mc_sim
@@ -243,8 +243,8 @@ class TestPilotThresholdFormula:
 
 def _pilot_stats(cb, params, molecules, master_seed):
     """Send 100 pilots of every codeword of cb, then read them."""
-    profile = ChannelProfile.build(params, slot=0.08, memory=10)
-    counts = mc_sim._pilot_counts(cb, profile.coefficients, molecules, master_seed, 100)
+    coeffs = channel_coefficients(params, 0.08, 10)
+    counts = mc_sim._pilot_counts(cb, coeffs, molecules, master_seed, 100)
     return collect_pilot_stats(cb, counts, molecules)
 
 

@@ -60,7 +60,7 @@ def _release_loop_counts(bitmat, cfg, rng):
 
 
 def _sample_arrivals(cfg, rng, size):
-    return sample_arrivals(cfg.molecules_per_one, cfg.profile.coefficients, rng, size=size)
+    return sample_arrivals(cfg.molecules_per_one, cfg.coefficients, rng, size=size)
 
 
 class TestAccumulateCounts:
@@ -80,7 +80,7 @@ class TestAccumulateCounts:
         np.testing.assert_array_equal(fast, slow)
         # The case the spare columns exist for: windows that run past max_t.
         _, cols = np.nonzero(bitmat)
-        assert (cols + cfg.profile.memory > bitmat.shape[1]).any()
+        assert (cols + cfg.memory > bitmat.shape[1]).any()
         # And counts past a message's own end stay in the matrix.
         past_end = np.arange(bitmat.shape[1]) >= tlen[:, None]
         assert fast[past_end].any()
@@ -217,7 +217,7 @@ def _reference_counts(bitmat, cfg, rng):
     er, ec = np.nonzero(bitmat)
     counts = np.zeros(trials * max_t, dtype=np.float64)
     arrivals = _sample_arrivals(cfg, rng, er.size)
-    for k in range(cfg.profile.memory):
+    for k in range(cfg.memory):
         dest = ec + k
         keep = dest < max_t
         lin = er[keep] * max_t + dest[keep]

@@ -84,7 +84,7 @@ def _report_fields(report) -> dict:
         "config": {
             "codebook": cfg.codebook.kind,
             "molecules_per_one": cfg.molecules_per_one,
-            "slot": cfg.profile.slot,
+            "slot": cfg.slot,
             "char_duration": cfg.char_duration,
             "threshold": repr(cfg.threshold),
             "msg_len": cfg.msg_len,

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from molcode import (
     CalibratedThreshold,
     CalibrationError,
-    ChannelProfile,
     ConstantThreshold,
     LinkConfig,
     PilotThreshold,
+    channel_coefficients,
     decode,
     detect,
     error_correct,
@@ -158,7 +158,7 @@ class TestArrivalStreamIdentity:
         assert_same_stream(molecules, coeffs, seed, size)
 
     @pytest.mark.parametrize("molecules, counts", [(43, range(1, 44)), (255, (1, 2, 100, 255))])
-    def test_lookup_is_exact_at_every_cut(self, profile, molecules, counts):
+    def test_lookup_is_exact_at_every_cut(self, coefficients, molecules, counts):
         # A sampled stream almost never lands within a few 2**-53 of a cut,
         # so the uniforms at and just above each cut are checked directly
         # against numpy's inversion walk, transcribed from its C source.
@@ -174,7 +174,7 @@ class TestArrivalStreamIdentity:
                 px = ((n - x + 1) * p * px) / (x * q)
             return x
 
-        probs = mc_sim._slot_probabilities(np.asarray(profile.coefficients))
+        probs = mc_sim._slot_probabilities(np.asarray(coefficients))
         tables = _inversion.link_tables(molecules, tuple(probs))
         for p, table in zip(probs, tables):
             if table is None:
@@ -190,17 +190,17 @@ class TestArrivalStreamIdentity:
 
     @pytest.mark.parametrize("slot", [0.08, 0.2, 0.5, 1.0, 2.0])
     def test_reference_link_grid(self, params, slot):
-        coeffs = ChannelProfile.build(params, slot, 10).coefficients
+        coeffs = channel_coefficients(params, slot, 10)
         for molecules in (1, 2, 5, 17, 30, 43, 60, 90, 150, 255):
             for seed in range(4):
                 assert_same_stream(molecules, coeffs, seed, 20_000)
 
     @pytest.mark.parametrize("molecules", [1, 2, 43])
-    def test_matches_binomial_loop_past_the_first_block(self, profile, molecules):
+    def test_matches_binomial_loop_past_the_first_block(self, coefficients, molecules):
         # Two full lookup blocks and 17 releases more. With 1 or 2 molecules
         # the later slots see zero remaining counts in every block; with 43
         # every block after the first is full.
-        assert_same_stream(molecules, profile.coefficients, 5, 2 * _inversion.BLOCK + 17)
+        assert_same_stream(molecules, coefficients, 5, 2 * _inversion.BLOCK + 17)
 
     def test_slot_past_the_inversion_regime_calls_numpy(self):
         # 100 * 0.4 > 30: numpy samples slot 0 by BTPE, so it has no table.
@@ -210,11 +210,11 @@ class TestArrivalStreamIdentity:
         assert [table is not None for table in tables] == [False, True, True]
         assert_same_stream(100, coeffs, 7, 5000)
 
-    def test_redraw_falls_back_to_numpy(self, monkeypatch, profile):
+    def test_redraw_falls_back_to_numpy(self, monkeypatch, coefficients):
         # A real redraw has probability near 1e-16, so cap the cuts of slot
         # 3 at 0.999: a uniform above that lands past the bound, several
         # blocks into the slot, and the whole slot is redone by numpy.
-        molecules, coeffs = 43, profile.coefficients
+        molecules, coeffs = 43, coefficients
         probs = mc_sim._slot_probabilities(np.asarray(coeffs))
         tables = list(_inversion.link_tables(molecules, tuple(probs)))
         table = tables[3]
@@ -278,24 +278,34 @@ class TestCorrectRows:
 
 
 class TestLinkConfig:
-    def test_slot_must_match_character_budget(self, dist, pcb, params, profile):
-        # profile.slot=0.1 but 0.5 s per character over E[len]=6.25 slots
-        # needs a 0.080 s slot, so the pairing is rejected.
-        with pytest.raises(ValueError):
-            LinkConfig(
-                codebook=pcb,
-                distribution=dist,
-                profile=profile,
-                molecules_per_one=40,
-                char_duration=0.5,
-                threshold=ConstantThreshold(8.0),
-            )
-
-    def test_build_assembles_consistent_profile(self, link, pcb, dist):
+    def test_build_assembles_consistent_profile(self, link, pcb, dist, params):
         from molcode.codebooks import expected_length
 
         want = 0.5 / expected_length(pcb, dist)
-        assert link.profile.slot == pytest.approx(want, rel=1e-12)
+        assert link.slot == pytest.approx(want, rel=1e-12)
+        assert link.coefficients == channel_coefficients(params, link.slot, 10)
+
+    def test_replace_rederives_slot_and_coefficients(self, link, params):
+        slower = dataclasses.replace(link, char_duration=1.0)
+        assert slower.slot == pytest.approx(2 * link.slot, rel=1e-12)
+        assert slower.coefficients == channel_coefficients(params, slower.slot, 10)
+
+    def test_build_is_the_constructor(self, dist, pcb, params):
+        kw = dict(codebook=pcb, distribution=dist, params=params, molecules_per_one=40,
+                  char_duration=0.5, threshold=ConstantThreshold(8.0), memory=6)
+        built, made = LinkConfig.build(**kw), LinkConfig(**kw)
+        assert built == made
+        assert (built.slot, built.coefficients) == (made.slot, made.coefficients)
+        assert len(made.coefficients) == 6
+
+    def test_derived_fields_are_not_settable(self, link):
+        with pytest.raises(ValueError):
+            dataclasses.replace(link, coefficients=(0.5,))
+
+    def test_channel_errors_surface_at_construction(self, link):
+        # 0.5 ms per character puts the arrival peak past the first slot.
+        with pytest.raises(ValueError, match="not strictly decreasing"):
+            dataclasses.replace(link, char_duration=5e-4)
 
     def test_rejects_negative_molecules(self, dist, pcb, params):
         with pytest.raises(ValueError):
@@ -471,7 +481,7 @@ class TestThresholdResolution:
         )
         tau, origin = resolve_threshold(cfg, master_seed=2)
         assert origin == "calibrated"
-        first = 40 * cfg.profile.coefficients[0]
+        first = 40 * cfg.coefficients[0]
         grid = np.maximum(first, 1.0) * np.linspace(0.05, 1.2, 24)
         assert min(abs(grid - tau)) < 1e-9
 

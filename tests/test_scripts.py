@@ -1,5 +1,10 @@
-"""scripts/bench.py runs perfbench on one or two checkouts and writes its summary."""
+"""scripts/bench.py runs perfbench on one or two checkouts and writes its summary.
+
+Each test benchmarks a copy of the repository in tmp_path, because
+perfbench writes its records into the checkout it runs in.
+"""
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +14,21 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def checkout_copy(tmp_path: Path) -> Path:
+    """The files a benchmark run reads, copied to tmp_path / "checkout"."""
+    copy = tmp_path / "checkout"
+    skip = shutil.ignore_patterns("__pycache__", ".perfbench_out", "*.egg-info")
+    for name in ("src", "perfbench", "scripts"):
+        shutil.copytree(ROOT / name, copy / name, ignore=skip)
+    shutil.copy(ROOT / "BENCHMARK.json", copy)
+    return copy
+
+
 def test_bench_writes_a_trajectory(tmp_path):
+    copy = checkout_copy(tmp_path)
     out = tmp_path / "bench.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--workloads", "cer_hotpath",
+        [sys.executable, str(copy / "scripts" / "bench.py"), "--workloads", "cer_hotpath",
          "--seeds", "1", "--seconds", "0", "--size", "tiny", "--out", str(out)],
         capture_output=True, text=True, timeout=300,
     )
@@ -32,10 +48,11 @@ def test_bench_writes_a_trajectory(tmp_path):
 def test_bench_compares_two_checkouts(tmp_path):
     # The same checkout under two labels: every pair is measured, and
     # the digests agree because the code is the same.
+    copy = checkout_copy(tmp_path)
     out = tmp_path / "bench.json"
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "--workloads", "cer_hotpath",
-         "--checkout", str(ROOT), "--label", "first", "--checkout", str(ROOT),
+        [sys.executable, str(copy / "scripts" / "bench.py"), "--workloads", "cer_hotpath",
+         "--checkout", str(copy), "--label", "first", "--checkout", str(copy),
          "--label", "second", "--seeds", "1", "--seconds", "0", "--size", "tiny",
          "--out", str(out)],
         capture_output=True, text=True, timeout=300,
