@@ -24,7 +24,6 @@ from .codebooks import (
     expected_ones,
     ita2,
     load_distribution,
-    validate,
 )
 from .codec import (
     CalibratedThreshold,
@@ -72,7 +71,6 @@ __all__ = [
     "expected_ones",
     "ita2",
     "load_distribution",
-    "validate",
     "CalibratedThreshold",
     "CalibrationError",
     "ConstantThreshold",

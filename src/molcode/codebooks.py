@@ -28,8 +28,6 @@ __all__ = [
     "Codebook",
     "PAST_END",
     "CodeTables",
-    "ValidationIssue",
-    "ValidationReport",
     "english_letter_distribution",
     "build_huffman",
     "build_proposed",
@@ -38,7 +36,6 @@ __all__ = [
     "build",
     "expected_length",
     "expected_ones",
-    "validate",
     "load_distribution",
 ]
 
@@ -157,7 +154,11 @@ class Codebook:
     """A prefix code: symbol to codeword over the alphabet {0, 1}.
 
     kind is one of huffman | proposed | ita2 | custom and selects
-    receiver-side behavior: see corrected.
+    receiver-side behavior: see corrected. Construction raises ValueError
+    for a code that is not prefix free (a repeated codeword included) and,
+    for the proposed kind, for a codeword that contains "11" or ends in 1:
+    every 1 of a proposed code is followed by a 0 of its own codeword, so
+    no stream of its codewords holds two adjacent ones.
     """
 
     kind: str
@@ -171,18 +172,28 @@ class Codebook:
         for sym, word in self.codewords.items():
             if not word or set(word) - {"0", "1"}:
                 raise ValueError(f"bad codeword {word!r} for symbol {sym!r}")
+        # In sorted order a word that is a prefix of any other word is a
+        # prefix of the next one, so neighbours show every prefix and repeat.
+        ordered = sorted(self.codewords.values())
+        for word, after in zip(ordered, ordered[1:]):
+            if after.startswith(word):
+                raise ValueError(f"codeword table is not prefix free at {word!r}")
+        if self.kind == "proposed":
+            for sym, word in self.codewords.items():
+                if "11" in word or word.endswith("1"):
+                    raise ValueError(
+                        f"proposed codeword {word!r} for symbol {sym!r} contains "
+                        "'11' or ends in 1"
+                    )
 
     @property
     def symbols(self) -> tuple[str, ...]:
         return tuple(self.codewords)
 
-    def __getitem__(self, symbol: str) -> str:
-        return self.codewords[symbol]
-
     @property
     def corrected(self) -> bool:
         """Whether the receiver error corrects this code's bits: only for
-        the proposed kind, whose codewords never put two ones in a row."""
+        the proposed kind, whose streams never put two ones in a row."""
         return self.kind == "proposed"
 
     @cached_property
@@ -232,8 +243,8 @@ class CodeTables:
     decoder stops. steps is the same automaton read several slots per
     lookup, built from next_at and emit on first use, so there is one trie.
 
-    Raises ValueError for a code that is not prefix free and, before any
-    table is built, for an alphabet beyond the int16 symbol indices.
+    The codebook is prefix free by construction. Raises ValueError, before
+    any table is built, for an alphabet beyond the int16 symbol indices.
     """
 
     def __init__(self, cb: Codebook):
@@ -253,16 +264,12 @@ class CodeTables:
         for index, word in enumerate(words):
             node = 0
             for bit in map(int, word[:-1]):
-                if emit[node][bit] >= 0:
-                    raise ValueError(f"codeword table is not prefix free at {word!r}")
                 if nxt[node][bit] < 0:
                     nxt[node][bit] = len(nxt)
                     nxt.append([-1, -1])
                     emit.append([-1, -1])
                 node = nxt[node][bit]
             last = int(word[-1])
-            if nxt[node][last] >= 0:
-                raise ValueError(f"codeword table is not prefix free at {word!r}")
             nxt[node][last] = 0
             emit[node][last] = index
         self.dead = len(nxt)
@@ -449,64 +456,6 @@ def expected_ones(cb: Codebook, dist: CharacterDistribution) -> float:
     """Mean number of bit-1s per character under dist."""
     _check_symbols(cb, dist)
     return sum(dist.prob(s) * w.count("1") for s, w in cb.codewords.items())
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    check: str
-    symbols: tuple[str, ...]
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    issues: tuple[ValidationIssue, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate(cb: Codebook) -> ValidationReport:
-    """Structural checks for a codebook. Violations are data, not exceptions."""
-    issues: list[ValidationIssue] = []
-    words = cb.codewords
-
-    seen: dict[str, str] = {}
-    for sym, w in words.items():
-        if w in seen:
-            issues.append(
-                ValidationIssue("duplicate", (seen[w], sym), f"codeword {w!r} assigned twice")
-            )
-        seen[w] = sym
-
-    by_len = sorted(words.items(), key=lambda kv: len(kv[1]))
-    for i, (sym_a, a) in enumerate(by_len):
-        for sym_b, b in by_len[i + 1:]:
-            if len(b) > len(a) and b.startswith(a):
-                issues.append(
-                    ValidationIssue("prefix", (sym_a, sym_b), f"{a!r} is a prefix of {b!r}")
-                )
-
-    kraft = cb.kraft_sum()
-    if kraft > 1:
-        issues.append(ValidationIssue("kraft", (), f"Kraft sum {kraft} exceeds 1"))
-    if cb.kind == "huffman" and kraft != 1:
-        issues.append(ValidationIssue("kraft", (), f"Kraft sum {kraft} of a huffman code is not 1"))
-
-    if cb.kind == "proposed":
-        for sym, w in words.items():
-            if "11" in w:
-                issues.append(ValidationIssue("adjacent-ones", (sym,), f"{w!r} contains '11'"))
-            if w.endswith("1"):
-                issues.append(ValidationIssue("trailing-one", (sym,), f"{w!r} ends in 1"))
-
-    if cb.kind == "ita2":
-        for sym, w in words.items():
-            if len(w) != 5:
-                issues.append(ValidationIssue("length", (sym,), f"{w!r} is not 5 bits"))
-
-    return ValidationReport(tuple(issues))
 
 
 def load_distribution(path: str | Path) -> CharacterDistribution:

@@ -214,20 +214,16 @@ def pilot_threshold(signal_level: float, interference_level: float, molecules: i
 
 @dataclass(frozen=True)
 class PilotStats:
-    """Raw pilot readings and the levels and threshold derived from them.
+    """The levels and threshold read from pilots.
 
-    counts holds one (repetitions, codeword length) array of per-slot
-    molecule counts for each symbol; peak_means the per-codeword mean of
-    the positive per-pilot peak counts.
+    peak_means holds the per-codeword mean of the positive per-pilot peak
+    counts.
     """
 
-    counts: dict[str, "object"]
     peak_means: dict[str, float]
     signal_level: float
     interference_level: float
     tau: float
-    molecules: int
-    repetitions: int
 
 
 def collect_pilot_stats(cb: Codebook, counts: dict, molecules: int) -> PilotStats:
@@ -278,11 +274,8 @@ def collect_pilot_stats(cb: Codebook, counts: dict, molecules: int) -> PilotStat
         )
     tau = pilot_threshold(signal_level, interference_level, molecules)
     return PilotStats(
-        counts={sym: counts[sym] for sym in cb.codewords},
         peak_means=peak_means,
         signal_level=signal_level,
         interference_level=interference_level,
         tau=tau,
-        molecules=molecules,
-        repetitions=repetitions,
     )

@@ -74,21 +74,6 @@ class IsiCoefficients:
     window_rule: str
     stderr: dict[int, float] | None = None
 
-    def total(self, channel_coeffs) -> float:
-        """Expected interference at a bit-0 slot for per-slot arrival mass.
-
-        channel_coeffs is the a_1..a_M sequence of a channel profile (or any
-        per-lag weights); the j-th term of the profile weighs a_j.
-        """
-        seq = list(channel_coeffs)
-        out = 0.0
-        for j, c in self.coefficients.items():
-            if j - 1 <= len(seq) - 1:
-                out += c * seq[j - 1]
-            else:
-                raise ValueError(f"channel coefficients too short for lag j={j}")
-        return out
-
 
 def _word_chain(cb: Codebook, dist: CharacterDistribution):
     """Markov chain over (symbol, in-word position) states of the stream.

@@ -444,29 +444,26 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
 
 
 def _thread_count(threads: int | None) -> int:
-    """Worker threads: threads if given, else MOLCODE_THREADS, else the cores.
+    """Worker threads: threads if given, else the available cores.
 
     The cores are those this process may run on (os.sched_getaffinity),
     or os.cpu_count() where that is unavailable, or 1 where neither is
-    known. A count below 1 or a MOLCODE_THREADS that is not an integer is
-    a configuration mistake and raises ValueError.
+    known. A count below 1 is a configuration mistake and raises ValueError.
     """
     if threads is None:
-        env = os.environ.get("MOLCODE_THREADS", "").strip()
-        if not env:
-            try:
-                return len(os.sched_getaffinity(0))
-            except AttributeError:
-                return os.cpu_count() or 1
         try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"MOLCODE_THREADS must be a positive integer, got {env!r}"
-            ) from None
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     if threads < 1:
         raise ValueError(f"thread count must be at least 1, got {threads!r}")
     return int(threads)
+
+
+def _chunk_sizes(trials: int) -> list[int]:
+    """trials split into chunks of CHUNK_TRIALS, the remainder last."""
+    whole, rest = divmod(trials, CHUNK_TRIALS)
+    return [CHUNK_TRIALS] * whole + ([rest] if rest else [])
 
 
 def _map_in_order(fn, items: list, workers: int, each=None) -> list:
@@ -511,9 +508,8 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     """Estimate the character error rate of a link over random messages.
 
     Runs cfg.trials messages seeded from cfg.master_seed on up to threads
-    worker threads, one chunk each; threads defaults to the MOLCODE_THREADS
-    environment variable, else to the available cores. The result is
-    bit-identical for any thread count.
+    worker threads, one chunk each; threads defaults to the available
+    cores. The result is bit-identical for any thread count.
     """
     n_threads = _thread_count(threads)
     trials = cfg.trials
@@ -521,15 +517,12 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     _build_link_tables(cfg)
     tau, origin = resolve_threshold(cfg, master_seed)
     probs = _symbol_probs(cfg)
-    sizes = [CHUNK_TRIALS] * (trials // CHUNK_TRIALS)
-    if trials % CHUNK_TRIALS:
-        sizes.append(trials % CHUNK_TRIALS)
 
     def work(item):
         index, size = item
         return _run_chunk(cfg, probs, size, tau, (master_seed, _MAIN_TAG, index))
 
-    parts = _map_in_order(work, list(enumerate(sizes)), n_threads)
+    parts = _map_in_order(work, list(enumerate(_chunk_sizes(trials))), n_threads)
 
     sum_err = sum(p["sum_err"] for p in parts)
     sum_err_sq = sum(p["sum_err_sq"] for p in parts)
@@ -589,16 +582,11 @@ def _calibrate_threshold(
     tables = cfg.codebook.tables
     probs = _symbol_probs(cfg)
     cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
-    remaining = strategy.messages
-    index = 0
-    while remaining > 0:
-        size = min(CHUNK_TRIALS, remaining)
+    for index, size in enumerate(_chunk_sizes(strategy.messages)):
         syms, tlen, _, counts = _draw_chunk(cfg, probs, size, (master_seed, _CAL_TAG, index))
         for cut in cut_errors:
             final = _read_bits(counts, cut, cfg.codebook.corrected)
             cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())
-        remaining -= size
-        index += 1
     return float(min(candidates, key=lambda tau: (cut_errors[_count_cut(tau)], tau)))
 
 

@@ -197,15 +197,6 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert message in err and "done " not in err
 
-    def test_bad_thread_env_is_usage_error_without_rows(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("MOLCODE_THREADS", "abc")
-        out = tmp_path / "sim.csv"
-        code = run(["simulate", "--trials", "100", "--budgets", "60",
-                    "--kinds", "huffman", "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        assert "MOLCODE_THREADS" in capsys.readouterr().err
-
     def test_zero_threads_is_usage_error(self, tmp_path):
         out = tmp_path / "sim.csv"
         code = run(["simulate", "--trials", "100", "--budgets", "60",
@@ -213,13 +204,11 @@ class TestSimulateCommand:
         assert code == 2
         assert not out.exists()
 
-    def test_calibration_failure_stays_a_tagged_row(self, tmp_path, monkeypatch):
-        # The same zero-budget pilot failure as above, with threads taken
-        # from a valid environment setting.
-        monkeypatch.setenv("MOLCODE_THREADS", "2")
+    def test_calibration_failure_stays_a_tagged_row(self, tmp_path):
+        # The same zero-budget pilot failure as above, on two threads.
         out = tmp_path / "sim.csv"
         code = run(["simulate", "--trials", "100", "--budgets", "0",
-                    "--kinds", "proposed", "--out", str(out)])
+                    "--kinds", "proposed", "--threads", "2", "--out", str(out)])
         assert code == 0
         (row,) = out.read_text().splitlines()[1:]
         assert row.split(",")[8].startswith("uncalibratable: no usable pilot readings")

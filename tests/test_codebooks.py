@@ -1,4 +1,4 @@
-"""Codebook construction, statistics and validation."""
+"""Codebook construction, its checks, and codebook statistics."""
 import math
 from fractions import Fraction
 
@@ -16,7 +16,6 @@ from molcode.codebooks import (
     expected_ones,
     ita2,
     load_distribution,
-    validate,
 )
 
 # Reference codeword table for the English letter distribution. Frozen from
@@ -142,7 +141,6 @@ class TestHuffman:
     @given(small_distributions())
     def test_prefix_free_and_kraft_tight(self, d):
         cb = build_huffman(d)
-        assert validate(cb).ok
         assert cb.kraft_sum() == Fraction(1)
 
 
@@ -180,7 +178,6 @@ class TestProposed:
     @given(small_distributions())
     def test_no_adjacent_ones_and_zero_tail(self, d):
         cb = build_proposed(d)
-        assert validate(cb).ok
         for w in cb.codewords.values():
             assert "11" not in w
             assert len(w) == 1 or not w.endswith("1")
@@ -208,35 +205,32 @@ class TestIta2:
 
 
 class TestValidate:
+    """Building a codebook rejects a code its decoders cannot read."""
+
     def test_duplicate_codeword(self):
-        cb = Codebook(kind="custom", codewords={"a": "0", "b": "0"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "duplicate" in checks
+        with pytest.raises(ValueError, match="not prefix free"):
+            Codebook(kind="custom", codewords={"a": "0", "b": "0"})
 
     def test_prefix_violation(self):
-        cb = Codebook(kind="custom", codewords={"a": "0", "b": "01"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "prefix" in checks
+        with pytest.raises(ValueError, match="not prefix free"):
+            Codebook(kind="custom", codewords={"a": "0", "b": "01"})
 
     def test_kraft_overflow(self):
-        cb = Codebook(kind="custom", codewords={"a": "0", "b": "1", "c": "10"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "kraft" in checks
+        # Kraft sum 5/4: a code past the Kraft bound cannot be prefix free.
+        with pytest.raises(ValueError, match="not prefix free"):
+            Codebook(kind="custom", codewords={"a": "0", "b": "1", "c": "10"})
 
     def test_adjacent_ones_flagged_for_proposed_kind(self):
-        cb = Codebook(kind="proposed", codewords={"a": "110", "b": "0"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "adjacent-ones" in checks
+        with pytest.raises(ValueError, match="'110' for symbol 'a'"):
+            Codebook(kind="proposed", codewords={"a": "110", "b": "0"})
+        # The same words are a valid code of another kind.
+        Codebook(kind="custom", codewords={"a": "110", "b": "0"})
 
     def test_trailing_one_flagged_for_proposed_kind(self):
-        cb = Codebook(kind="proposed", codewords={"a": "01", "b": "00"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "trailing-one" in checks
-
-    def test_wrong_length_flagged_for_ita2_kind(self):
-        cb = Codebook(kind="ita2", codewords={"a": "0000", "b": "00011"})
-        checks = {i.check for i in validate(cb).issues}
-        assert "length" in checks
+        # Every 1 of a proposed code is followed by a 0 of its own codeword,
+        # as the expansion of 1 to 10 gives.
+        with pytest.raises(ValueError, match="'01' for symbol 'a'"):
+            Codebook(kind="proposed", codewords={"a": "01", "b": "00"})
 
 
 class TestDistributionIO:

