@@ -12,9 +12,11 @@ minimum and maximum of every end-to-end metric BENCHMARK.json names, the
 round0_digest of every seed, the attempted and failed call counts, and
 the git revision, thread count and numpy version from the run records.
 With exactly two checkouts it also gives, per workload and metric, the
-size of the change (the second median over the first, minus 1) and the
-seeds on which the second did better than the first, and says whether
-their digests agree on every seed.
+size of the change (the second median over the first, minus 1), whether
+that change is resolved (the medians differ by more than the first
+checkout's interquartile range), and the seeds on which the second did
+better than the first, and says whether their digests agree on every
+seed.
 
 Usage:
     python scripts/bench.py --out BENCH.json
@@ -95,7 +97,9 @@ def summarize(records: dict[int, dict], metrics: list[dict]) -> dict:
 
 def compare(first: dict, second: dict, metrics: list[dict]) -> dict:
     """Per metric, second's median over first's minus 1 (None if first's is
-    0), and the seeds on which second beat first; ties count for neither."""
+    0), whether the medians differ by more than first's interquartile range
+    q3 - q1, and the seeds on which second beat first; ties count for
+    neither."""
     out = {"digests_equal": first["round0_digest"] == second["round0_digest"]}
     for m in metrics:
         sign = 1 if m["better"] == "higher" else -1
@@ -104,6 +108,7 @@ def compare(first: dict, second: dict, metrics: list[dict]) -> dict:
         out[m["name"]] = {
             "median_change": (b_side["median"] / a_side["median"] - 1
                               if a_side["median"] else None),
+            "resolved": abs(b_side["median"] - a_side["median"]) > a_side["q3"] - a_side["q1"],
             "pairs": len(pairs),
             "second_better": sum(sign * (b - a) > 0 for a, b in pairs),
             "second_worse": sum(sign * (b - a) < 0 for a, b in pairs),

@@ -40,7 +40,6 @@ from .codec import (
 )
 from .isi_analysis import (
     IsiCoefficients,
-    WindowDistribution,
     expected_isi_bit0,
     isi_oracle,
     window_distribution,
@@ -83,7 +82,6 @@ __all__ = [
     "error_correct",
     "pilot_threshold",
     "IsiCoefficients",
-    "WindowDistribution",
     "expected_isi_bit0",
     "isi_oracle",
     "window_distribution",

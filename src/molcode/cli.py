@@ -196,7 +196,7 @@ def _cmd_channel(args, cfg: dict) -> int:
     else:
         dist = _distribution(cfg)
         cb = codebooks.build(args.kind, dist)
-        slot = _char_duration(cfg) / codebooks.expected_length(cb, dist)
+        slot = mc_sim.slot_length(cb, dist, _char_duration(cfg))
     coeffs = channel_mod.channel_coefficients(params, slot, memory)
     rows = [[k + 1, repr(a)] for k, a in enumerate(coeffs)]
     _note(

@@ -23,35 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CharacterDistribution
+from .codebooks import Codebook, CharacterDistribution, expected_length
 
 __all__ = [
-    "WindowDistribution",
     "IsiCoefficients",
     "window_distribution",
     "expected_isi_bit0",
     "isi_oracle",
 ]
-
-
-@dataclass(frozen=True)
-class WindowDistribution:
-    """Stationary probability of every bit pattern of a fixed length."""
-
-    memory: int
-    probs: dict[str, float]
-
-    def __post_init__(self) -> None:
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
-        if len(self.probs) != 2 ** self.memory:
-            raise ValueError("need a probability for every pattern")
-        total = sum(self.probs.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"pattern probabilities sum to {total!r}")
-
-    def prob(self, pattern: str) -> float:
-        return self.probs[pattern]
 
 
 @dataclass(frozen=True)
@@ -78,9 +57,10 @@ class IsiCoefficients:
 def _word_chain(cb: Codebook, dist: CharacterDistribution):
     """Markov chain over (symbol, in-word position) states of the stream.
 
-    State i is bit i of the codeword layout cb.tables.word_flat. Returns
-    (bits, step, pi): per-state bit values, the one-step map of a mass
-    vector over the states, and the stationary distribution
+    State i is bit i of every codeword laid once in codebook order.
+    Returns (bits, pos, weight, step, pi): per-state bit values, in-word
+    positions and symbol probabilities, the one-step map of a mass vector
+    over the states, and the stationary distribution
     pi(sym, t) = p(sym) / mean codeword length. step moves the mass of each
     state to the next bit of its codeword, and the mass of all codeword
     ends to the codeword starts in proportion to the symbol probabilities.
@@ -89,6 +69,8 @@ def _word_chain(cb: Codebook, dist: CharacterDistribution):
         raise ValueError("codebook and distribution symbols differ")
     tables = cb.tables
     probs = np.array([dist.prob(s) for s in cb.symbols])
+    bits, pos = tables.lay(np.arange(len(probs)))
+    weight = np.repeat(probs, tables.word_len)
     ends = tables.word_off + tables.word_len - 1
 
     def step(vec: np.ndarray) -> np.ndarray:
@@ -97,66 +79,38 @@ def _word_chain(cb: Codebook, dist: CharacterDistribution):
         out[tables.word_off] = vec[ends].sum() * probs
         return out
 
-    pi = np.repeat(probs, tables.word_len) / float(np.dot(probs, tables.word_len))
-    return tables.word_flat, step, pi
+    return bits, pos, weight, step, weight / float(np.dot(probs, tables.word_len))
+
+
+def _interior_zeros(bits: np.ndarray, pos: np.ndarray, memory: int) -> np.ndarray:
+    """Which bits are zeros whose memory window lies inside their own codeword."""
+    return (bits == 0) & (pos >= memory - 1)
 
 
 def window_distribution(
     cb: Codebook, dist: CharacterDistribution, memory: int
-) -> WindowDistribution:
-    """Exact stationary law of a memory-length window of the coded stream."""
+) -> dict[str, float]:
+    """Exact stationary probability of every bit pattern of length memory."""
     if memory < 1:
         raise ValueError("memory must be at least 1")
-    bits, step, pi = _word_chain(cb, dist)
+    bits, _, _, step, pi = _word_chain(cb, dist)
     layers: dict[str, np.ndarray] = {"": pi}
     for _ in range(memory):
-        nxt: dict[str, np.ndarray] = {}
-        for prefix, vec in layers.items():
-            for b in (0, 1):
-                masked = vec * (bits == b)
-                nxt[prefix + str(b)] = step(masked)
-        layers = nxt
+        layers = {prefix + str(b): step(vec * (bits == b))
+                  for prefix, vec in layers.items() for b in (0, 1)}
     # Each vector now carries the joint mass of (pattern seen, state after
     # the window); its sum is the pattern probability.
-    probs = {pattern: float(vec.sum()) for pattern, vec in layers.items()}
-    return WindowDistribution(memory=memory, probs=probs)
+    return {pattern: float(vec.sum()) for pattern, vec in layers.items()}
 
 
-def _stream_lag_profile(cb, dist, memory):
+def _stream_lag_profile(bits, step, pi, memory):
     """c_j via the unrestricted stationary law, for j = 2..memory."""
-    bits, step, pi = _word_chain(cb, dist)
-    p0 = float(pi[bits == 0].sum())
     out: dict[int, float] = {}
     vec = pi * (bits == 1)  # joint mass of (bit 1 now, state)
     for lag in range(1, memory):
         vec = step(vec)
         out[lag + 1] = float(vec[bits == 0].sum())
-    return p0, out
-
-
-def _interior_lag_profile(cb, dist, memory):
-    """c_j over zeros whose memory window stays inside their own codeword.
-
-    Qualifying zeros sit at in-word position >= memory - 1 and are weighted
-    by their codeword probability. Returns None when no zero qualifies.
-    """
-    words = {s: cb.codewords[s] for s in dist.symbols}
-    den = 0.0
-    num = {lag: 0.0 for lag in range(1, memory)}
-    for sym, word in words.items():
-        p = dist.prob(sym)
-        for t, bit in enumerate(word):
-            if bit != "0" or t < memory - 1:
-                continue
-            den += p
-            for lag in range(1, memory):
-                if word[t - lag] == "1":
-                    num[lag] += p
-    if den == 0.0:
-        return None
-    bits, _, pi = _word_chain(cb, dist)
-    p0 = float(pi[bits == 0].sum())
-    return p0, {lag + 1: p0 * (num[lag] / den) for lag in range(1, memory)}
+    return out
 
 
 def _check_lag_args(cb: Codebook, memory: int, corrected: bool) -> None:
@@ -180,11 +134,18 @@ def expected_isi_bit0(
     window_rule names the rule used.
     """
     _check_lag_args(cb, memory, corrected)
-
-    result, rule = _interior_lag_profile(cb, dist, memory), "word-interior"
-    if result is None:
-        result, rule = _stream_lag_profile(cb, dist, memory), "stream"
-    p0, coeffs = result
+    bits, pos, weight, step, pi = _word_chain(cb, dist)
+    p0 = float(pi[bits == 0].sum())
+    zeros = np.flatnonzero(_interior_zeros(bits, pos, memory))
+    if zeros.size:
+        # Each qualifying zero weighs as much as its codeword, and its
+        # lagged slots all lie in that codeword.
+        rule, mass = "word-interior", weight[zeros]
+        den = float(mass.sum())
+        coeffs = {lag + 1: p0 * (float(mass[bits[zeros - lag] == 1].sum()) / den)
+                  for lag in range(1, memory)}
+    else:
+        rule, coeffs = "stream", _stream_lag_profile(bits, step, pi, memory)
     if corrected:
         coeffs = {j: c for j, c in coeffs.items() if j != 2}
     return IsiCoefficients(
@@ -213,11 +174,11 @@ def isi_oracle(
     _check_lag_args(cb, memory, corrected)
     if samples < 100_000:
         raise ValueError("the oracle needs at least 1e5 stream bits")
-    rule = "word-interior" if _interior_lag_profile(cb, dist, memory) else "stream"
+    bits, pos, *_ = _word_chain(cb, dist)
+    rule = "word-interior" if _interior_zeros(bits, pos, memory).any() else "stream"
     batches = 100
 
-    mean_len = sum(p * len(cb.codewords[s]) for s, p in zip(dist.symbols, dist.probs))
-    symbols = max(int(samples / mean_len), memory * batches * 4)
+    symbols = max(int(samples / expected_length(cb, dist)), memory * batches * 4)
     if rng is None:
         rng = np.random.default_rng(0)
     probs = np.array([dist.prob(s) for s in cb.symbols])
@@ -226,7 +187,7 @@ def isi_oracle(
     n = len(stream)
     p0 = float((stream == 0).mean())
     if rule == "word-interior":
-        zero_mask = (stream == 0) & (pos >= memory - 1)
+        zero_mask = _interior_zeros(stream, pos, memory)
     else:
         zero_mask = stream == 0
         zero_mask[: memory - 1] = False

@@ -19,6 +19,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ __all__ = [
     "CHUNK_TRIALS",
     "LinkConfig",
     "CerReport",
+    "slot_length",
     "sample_arrivals",
     "resolve_threshold",
     "run_cer",
@@ -62,12 +64,19 @@ _CAL_TAG = 0xCA1
 _PILOT_TAG = 0x9110_07
 
 
+def slot_length(codebook: Codebook, distribution: CharacterDistribution,
+                char_duration: float) -> float:
+    """The slot that sends one character per char_duration on average:
+    char_duration over the expected codeword length."""
+    return char_duration / expected_length(codebook, distribution)
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Everything needed to simulate one codebook on one channel.
 
     slot and coefficients are derived when the config is built. The slot
-    is char_duration divided by the expected codeword length, so every
+    is slot_length(codebook, distribution, char_duration), so every
     codebook transmits characters at the same average rate regardless of
     its bit count; the coefficients are the per-slot arrival probabilities
     a_1..a_memory of params at that slot. A zero molecule budget is allowed
@@ -102,7 +111,7 @@ class LinkConfig:
             raise ValueError(
                 "molecule budget too large: slot counts must stay below 2**31 - 1"
             )
-        slot = self.char_duration / expected_length(self.codebook, self.distribution)
+        slot = slot_length(self.codebook, self.distribution, self.char_duration)
         object.__setattr__(self, "slot", slot)
         object.__setattr__(self, "coefficients",
                            channel_coefficients(self.params, slot, self.memory))
@@ -360,46 +369,40 @@ def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
 
 
 def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed_tuple):
-    """Simulate, detect, correct, decode and score one chunk of trials."""
+    """Simulate, detect, correct, decode and score one chunk of trials.
+
+    Returns the chunk's integer totals under their CerReport names, and
+    the sum and sum of squares of its per-trial character errors.
+    """
     tables = cfg.codebook.tables
     syms, tlen, bitmat, counts = _draw_chunk(cfg, probs, trials, seed_tuple)
     final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
-    sum_err = int(err_per_trial.sum())
-    sum_err_sq = int((err_per_trial ** 2).sum())
 
-    max_t = bitmat.shape[1]
-    valid = np.arange(max_t)[None, :] < tlen[:, None]
+    valid = np.arange(bitmat.shape[1])[None, :] < tlen[:, None]
     # Padding after a message is 0 in bitmat but may read 1 in final.
     slots = int(tlen.sum())
     sent_ones = int(np.count_nonzero(bitmat))
     read_ones = int(np.count_nonzero(final & valid))
     kept_ones = int(np.count_nonzero(bitmat & final))
-    bit_counts = [
-        slots - sent_ones - read_ones + kept_ones,
-        read_ones - kept_ones,
-        sent_ones - kept_ones,
-        kept_ones,
-    ]
 
     sent, got = bitmat, final
     ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & valid[:, 2:]
-    ctx100_err = ctx100 & (got[:, 2:] == 1)
     ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1) & valid[:, 1:]
-    ctx_x01_err = ctx_x01 & (got[:, 1:] == 0)
-
     return {
-        "trials": trials,
-        "sum_err": sum_err,
-        "sum_err_sq": sum_err_sq,
-        "bits": bit_counts,
+        "00": slots - sent_ones - read_ones + kept_ones,
+        "01": read_ones - kept_ones,
+        "10": sent_ones - kept_ones,
+        "11": kept_ones,
         "ctx_100": int(ctx100.sum()),
-        "ctx_100_err": int(ctx100_err.sum()),
+        "ctx_100_err": int((ctx100 & (got[:, 2:] == 1)).sum()),
         "ctx_x01": int(ctx_x01.sum()),
-        "ctx_x01_err": int(ctx_x01_err.sum()),
+        "ctx_x01_err": int((ctx_x01 & (got[:, 1:] == 0)).sum()),
         "dead_end": int(dead.sum()),
         "incomplete_tail": int(incomplete.sum()),
         "decoded_overflow": int((dec_len > cfg.msg_len).sum()),
+        "sum_err": int(err_per_trial.sum()),
+        "sum_err_sq": int((err_per_trial ** 2).sum()),
     }
 
 
@@ -448,15 +451,16 @@ def _thread_count(threads: int | None) -> int:
 
     The cores are those this process may run on (os.sched_getaffinity),
     or os.cpu_count() where that is unavailable, or 1 where neither is
-    known. A count below 1 is a configuration mistake and raises ValueError.
+    known. A count that is not an integer, or is a bool or below 1, is a
+    configuration mistake and raises ValueError.
     """
     if threads is None:
         try:
             return len(os.sched_getaffinity(0))
         except AttributeError:
             return os.cpu_count() or 1
-    if threads < 1:
-        raise ValueError(f"thread count must be at least 1, got {threads!r}")
+    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
+        raise ValueError(f"thread count must be an integer of at least 1, got {threads!r}")
     return int(threads)
 
 
@@ -524,22 +528,14 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
 
     parts = _map_in_order(work, list(enumerate(_chunk_sizes(trials))), n_threads)
 
-    sum_err = sum(p["sum_err"] for p in parts)
-    sum_err_sq = sum(p["sum_err_sq"] for p in parts)
+    total = {key: sum(p[key] for p in parts) for key in parts[0]}
+    sum_err = total["sum_err"]
     chars = trials * cfg.msg_len
     cer = sum_err / chars
     mean_e = sum_err / trials
-    var_e = max(sum_err_sq / trials - mean_e ** 2, 0.0)
+    var_e = max(total["sum_err_sq"] / trials - mean_e ** 2, 0.0)
     stderr = (var_e / trials) ** 0.5 / cfg.msg_len
-    bits = [sum(p["bits"][i] for p in parts) for i in range(4)]
-    ctx = {
-        key: sum(p[key] for p in parts)
-        for key in ("ctx_100", "ctx_100_err", "ctx_x01", "ctx_x01_err")
-    }
-    anomalies = {
-        key: sum(p[key] for p in parts)
-        for key in ("dead_end", "incomplete_tail", "decoded_overflow")
-    }
+    ctx = {key: total[key] for key in ("ctx_100", "ctx_100_err", "ctx_x01", "ctx_x01_err")}
     return CerReport(
         cer=cer,
         cer_stderr=stderr,
@@ -549,13 +545,14 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
         tau=tau,
         threshold_origin=origin,
         master_seed=master_seed,
-        bit_counts={"00": bits[0], "01": bits[1], "10": bits[2], "11": bits[3]},
+        bit_counts={key: total[key] for key in ("00", "01", "10", "11")},
         context_counts=ctx,
         context_rates={
             "one_given_100": ctx["ctx_100_err"] / ctx["ctx_100"] if ctx["ctx_100"] else 0.0,
             "zero_given_x01": ctx["ctx_x01_err"] / ctx["ctx_x01"] if ctx["ctx_x01"] else 0.0,
         },
-        anomalies=anomalies,
+        anomalies={key: total[key]
+                   for key in ("dead_end", "incomplete_tail", "decoded_overflow")},
         config=cfg,
     )
 

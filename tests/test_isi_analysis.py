@@ -29,6 +29,33 @@ P_P0 = 0.6839026934992448
 P_C3 = 0.19036675958274155
 P_C2_UNCORRECTED = 0.35908352022881024
 
+# Frozen lag profiles at memory 5 and 10: (kind, memory) -> (window rule,
+# p0, c_2..c_memory of the uncorrected profile). At memory 10 the huffman
+# and ita2 codes have no word-interior zero and fall back to the stream rule.
+DEEP_PROFILES = {
+    ("huffman", 5): ("word-interior", 0.5378036824457918, (
+        0.44776311579618816, 0.3883294179165808, 0.32153840450346627,
+        0.29717666722189723)),
+    ("proposed", 5): ("word-interior", 0.6839026934992448, (
+        0.39930046225939014, 0.19194304034897328, 0.2870317084825626,
+        0.27310891883354044)),
+    ("ita2", 5): ("word-interior", 0.5060822939177061, (
+        0.2873657126044967, 0.24207950748480328, 0.2893568012516742,
+        0.3594529541688527)),
+    ("huffman", 10): ("stream", 0.5378036824457918, (
+        0.2488595882072775, 0.24793321659358514, 0.25120640238514047,
+        0.2479706414160138, 0.24824650619435362, 0.24815824093865302,
+        0.24949000703535373, 0.2486046226769269, 0.24825014941422993)),
+    ("proposed", 10): ("word-interior", 0.6839026934992448, (
+        0.4551467238926765, 0.20891823879739244, 0.45637718272990996,
+        0.22752551076933472, 0.45637718272990996, 0.1393494633166954,
+        0.46924914934385836, 0.2146535441553864, 0.3477139956373327)),
+    ("ita2", 10): ("stream", 0.5060822939177061, (
+        0.2628183847827676, 0.2785830511676191, 0.25697950767312766,
+        0.27323897992296686, 0.24483204315366885, 0.2539266468364524,
+        0.2485648458384597, 0.2485648458384597, 0.2539266468364523)),
+}
+
 
 @pytest.fixture(scope="module")
 def coin():
@@ -79,6 +106,22 @@ class TestExactProfiles:
             eo = expected_ones(cb, dist)
             assert prof.p0 == pytest.approx((el - eo) / el, abs=1e-9)
 
+    @pytest.mark.parametrize("kind, memory, corrected", [
+        (kind, memory, False) for kind, memory in DEEP_PROFILES
+    ] + [("proposed", 5, True), ("proposed", 10, True)])
+    def test_deep_reference_values(self, request, dist, kind, memory, corrected):
+        cb = request.getfixturevalue({"huffman": "hcb", "proposed": "pcb", "ita2": "icb"}[kind])
+        rule, p0, coeffs = DEEP_PROFILES[kind, memory]
+        prof = expected_isi_bit0(cb, dist, memory=memory, corrected=corrected)
+        want = dict(enumerate(coeffs, start=2))
+        if corrected:
+            del want[2]
+        assert prof.window_rule == rule
+        assert prof.p0 == pytest.approx(p0, abs=1e-12)
+        assert set(prof.coefficients) == set(want)
+        for j, c in want.items():
+            assert prof.coefficients[j] == pytest.approx(c, abs=1e-12)
+
     def test_memory_must_cover_one_lag(self, hcb, dist):
         with pytest.raises(ValueError):
             expected_isi_bit0(hcb, dist, memory=1)
@@ -107,22 +150,22 @@ class TestWindowRules:
             assert prof.coefficients[j] == pytest.approx(0.8 * 0.2, abs=1e-12)
 
 
-class TestWindowDistribution:
+class TestWindowLaw:
     def test_fair_coin_is_uniform(self, coin):
         d, cb = coin
         wd = window_distribution(cb, d, memory=3)
-        assert len(wd.probs) == 8
-        for pattern, mass in wd.probs.items():
+        assert len(wd) == 8
+        for pattern, mass in wd.items():
             assert mass == pytest.approx(1 / 8, abs=1e-12)
 
     def test_masses_form_a_distribution(self, hcb, dist):
         wd = window_distribution(hcb, dist, memory=4)
-        assert math.fsum(wd.probs.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(m >= 0 for m in wd.probs.values())
+        assert math.fsum(wd.values()) == pytest.approx(1.0, abs=1e-9)
+        assert all(m >= 0 for m in wd.values())
 
     def test_clean_codebook_never_shows_adjacent_ones(self, pcb, dist):
         wd = window_distribution(pcb, dist, memory=5)
-        for pattern, mass in wd.probs.items():
+        for pattern, mass in wd.items():
             if "11" in pattern:
                 assert mass == pytest.approx(0.0, abs=1e-15)
 
@@ -130,8 +173,8 @@ class TestWindowDistribution:
         # Summing out the last slot of the 4-window must give the 3-window.
         wd4 = window_distribution(hcb, dist, memory=4)
         wd3 = window_distribution(hcb, dist, memory=3)
-        for pattern, mass in wd3.probs.items():
-            folded = wd4.probs[pattern + "0"] + wd4.probs[pattern + "1"]
+        for pattern, mass in wd3.items():
+            folded = wd4[pattern + "0"] + wd4[pattern + "1"]
             assert folded == pytest.approx(mass, abs=1e-12)
 
 
@@ -172,10 +215,11 @@ class TestOneStepMap:
         else:
             d, cb = dist, request.getfixturevalue(name)
         window, lags = _dense_chain(cb, d, memory)
-        got = window_distribution(cb, d, memory).probs
+        got = window_distribution(cb, d, memory)
         assert list(got) == list(window)
         assert list(got.values()) == pytest.approx(list(window.values()), rel=1e-12, abs=1e-17)
-        _, got_lags = isi_analysis._stream_lag_profile(cb, d, memory)
+        bits, _, _, step, pi = isi_analysis._word_chain(cb, d)
+        got_lags = isi_analysis._stream_lag_profile(bits, step, pi, memory)
         assert got_lags == pytest.approx(lags, rel=1e-12, abs=1e-17)
 
     def test_memory_is_linear_in_the_code_size(self):
@@ -226,6 +270,17 @@ class TestOracle:
             assert gap == pytest.approx(1.4e-4, abs=1e-5)
             assert 1e-4 < mc.stderr[j] < 1e-2
             assert gap < 3.0 * mc.stderr[j]
+
+    @pytest.mark.parametrize("memory", [2, 3, 5])
+    @pytest.mark.parametrize("name", ["hcb", "pcb", "icb", "coin"])
+    def test_uses_the_exact_window_rule(self, request, dist, name, memory):
+        if name == "coin":
+            d, cb = request.getfixturevalue("coin")
+        else:
+            d, cb = dist, request.getfixturevalue(name)
+        exact = expected_isi_bit0(cb, d, memory=memory, corrected=cb.corrected)
+        mc = isi_oracle(cb, d, memory=memory, corrected=cb.corrected, samples=100_000)
+        assert mc.window_rule == exact.window_rule
 
     def test_rejects_tiny_sample_budgets(self, hcb, dist):
         with pytest.raises(ValueError):

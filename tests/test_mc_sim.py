@@ -598,7 +598,7 @@ class TestSweep:
 
 
 class TestThreadEnvCap:
-    @pytest.mark.parametrize("value", [0, -2])
+    @pytest.mark.parametrize("value", [0, -2, 1.5, True, "2"])
     def test_bad_env_value_is_a_configuration_error(self, link, value):
         with pytest.raises(ValueError, match="at least 1") as info:
             run_cer(link, threads=value)

@@ -62,10 +62,10 @@ def test_bench_compares_two_checkouts(tmp_path):
     assert [c["label"] for c in doc["checkouts"]] == ["first", "second"]
     pair = doc["pairs"]["cer_hotpath"]
     assert pair["digests_equal"] is True
-    medians = [{name: entry["median"] for name, entry in c["workloads"]["cer_hotpath"]
-                ["metrics"].items()} for c in doc["checkouts"]]
+    first, second = (c["workloads"]["cer_hotpath"]["metrics"] for c in doc["checkouts"])
     for name in ("setup_s", "chars_per_s", "peak_rss_mb"):
-        entry = pair[name]
+        entry, a, b = pair[name], first[name], second[name]
         assert entry["pairs"] == 1
         assert entry["second_better"] + entry["second_worse"] <= 1
-        assert entry["median_change"] == pytest.approx(medians[1][name] / medians[0][name] - 1)
+        assert entry["median_change"] == pytest.approx(b["median"] / a["median"] - 1)
+        assert entry["resolved"] is (abs(b["median"] - a["median"]) > a["q3"] - a["q1"])
