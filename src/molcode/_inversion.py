@@ -17,12 +17,17 @@ import numpy as np
 
 #: numpy samples Binomial(n, p) by inversion when p <= 0.5 and n * p <= this.
 _INVERSION_MEAN = 30.0
-#: Buckets of the guide that starts each table lookup.
-_GUIDE_BUCKETS = 256
-#: Releases looked up at a time. numpy lets go of the GIL only inside a
-#: call, so each call must run over many releases for two sampling
-#: threads not to wait on each other (at 8192, two threads sampled no
-#: faster than one). It also sizes the reused Scratch, 26 bytes a release.
+#: Buckets of the guide that starts each table lookup. A power of two,
+#: so floor(u * _GUIDE_BUCKETS) is exact for every uniform u.
+_GUIDE_BUCKETS = 1024
+#: A guide entry of _WALK + x sends its draws walking the cuts from x.
+#: Every x fits below it: n * p <= 30 keeps bound[n] below 86.
+_WALK = 128
+#: Releases looked up at a time. It sizes the reused Scratch, 18 bytes a
+#: release, and keeps each numpy call long: only some of the calls a lookup
+#: makes let go of the GIL (see Table.lookup), so two sampling threads
+#: overlap only within them, and at 8192 two threads sampled no faster
+#: than one.
 BLOCK = 1 << 16
 #: Generator.random returns m * 2**-53 for an integer 0 <= m < 2**53.
 _LATTICE = 2 ** 53
@@ -37,10 +42,13 @@ class Table(NamedTuple):
     largest uniform for which that walk stops at X <= x, for x <= bound[n],
     and 1.0, above any uniform, after that. So X is the first x with
     U <= cuts[n, x], and an X past bound[n] means numpy would have
-    redrawn; no uniform up to safe does. A lookup of a uniform in bucket b
-    starts at guide[n, b]: the first x whose cut reaches b / _GUIDE_BUCKETS,
-    or 255 if that is larger, so that it fits a byte (starting early only
-    costs steps).
+    redrawn; no uniform up to safe does.
+
+    A lookup of a uniform in bucket b = floor(U * _GUIDE_BUCKETS) reads
+    the byte guide[n, b]. Where no cut of row n falls inside bucket b,
+    every uniform in it stops at the same x, and the entry is that x. Where
+    one does, the entry is _WALK + the first x whose cut reaches
+    b / _GUIDE_BUCKETS, and only those draws walk the cuts from there.
     """
 
     cuts: np.ndarray
@@ -55,44 +63,46 @@ class Table(NamedTuple):
         numpy would have redrawn any of them.
 
         Each pass over the whole block writes into scratch, which holds at
-        least n.size entries, and X is a view of scratch.pos; only the few
-        uniforms above their guide entry's cut are walked on, by index lists.
+        least n.size entries, and X is a uint8 view of scratch.x: one
+        int32 guide index, one byte take and one flag test per draw. Only
+        the draws of flagged entries walk on, by index lists. Of these
+        calls the take holds the GIL for its whole run, while the
+        elementwise ufuncs and the flag's flatnonzero let go of it.
         """
         s = scratch.head(n.size)
-        idx, pos = s.idx, s.pos
+        idx, x = s.idx, s.x
         np.multiply(u, _GUIDE_BUCKETS, out=idx, casting="unsafe")
-        np.add(idx, np.multiply(n, _GUIDE_BUCKETS, out=pos, dtype=np.int64), out=idx)
-        self.guide.take(idx, out=s.start, mode="clip")
-        np.add(np.multiply(n, self.width, out=pos, dtype=np.int64), s.start, out=pos)
-        np.greater(u, self.cuts.take(pos, out=s.cut, mode="clip"), out=s.more)
-        todo = np.flatnonzero(s.more)
-        while todo.size:
-            pos[todo] += 1
-            todo = todo[u[todo] > self.cuts[pos[todo]]]
-        x = np.subtract(pos, np.multiply(n, self.width, out=idx, dtype=np.int64), out=pos)
+        np.add(idx, np.multiply(n, _GUIDE_BUCKETS, out=s.row, dtype=np.int32), out=idx)
+        self.guide.take(idx, out=x, mode="clip")
+        walk = np.flatnonzero(np.greater_equal(x, _WALK, out=s.walk))
+        if walk.size:
+            row = n[walk] * np.intp(self.width)
+            pos = row + (x[walk] - _WALK)
+            uw = u[walk]
+            todo = np.flatnonzero(uw > self.cuts[pos])
+            while todo.size:
+                pos[todo] += 1
+                todo = todo[uw[todo] > self.cuts[pos[todo]]]
+            x[walk] = pos - row
         redraw = bool(u.size) and u.max() > self.safe and bool((x > self.bound[n]).any())
         return x, redraw
 
 
 class Scratch(NamedTuple):
     """Buffers that Table.lookup reuses from block to block: the uniforms,
-    the guide and cut indices, the guide entries and the walk's step mask.
-    The cuts read share the guide index's memory, which is spent by then."""
+    the guide index and each count's guide row offset, the guide entries,
+    which become the counts, and the walk flags."""
 
     u: np.ndarray
     idx: np.ndarray
-    pos: np.ndarray
-    start: np.ndarray
-    more: np.ndarray
+    row: np.ndarray
+    x: np.ndarray
+    walk: np.ndarray
 
     @classmethod
     def empty(cls, size: int) -> Scratch:
-        return cls(np.empty(size), np.empty(size, np.int64), np.empty(size, np.int64),
+        return cls(np.empty(size), np.empty(size, np.int32), np.empty(size, np.int32),
                    np.empty(size, np.uint8), np.empty(size, bool))
-
-    @property
-    def cut(self) -> np.ndarray:
-        return self.idx.view(np.float64)
 
     def head(self, size: int) -> Scratch:
         """The first size entries of every buffer."""
@@ -164,17 +174,21 @@ def _build_table(molecules: int, p: float) -> Table:
 
     cuts = np.ones((molecules + 1, width))
     cuts[rows, xs] = lo * (1.0 / _LATTICE)
-    # guide[n, b] counts the x whose cut lies below b / _GUIDE_BUCKETS,
+    # first[n, b] counts the x whose cut lies below b / _GUIDE_BUCKETS,
     # that is, whose bucket floor(cut * _GUIDE_BUCKETS) lies below b. Row
     # n's buckets are offset into a band of their own, so one search over
     # the flattened rows answers every (n, b).
+    bucket = (cuts * _GUIDE_BUCKETS).astype(np.intp)
     band = n[:, None] * (_GUIDE_BUCKETS + 1)
-    below = (cuts * _GUIDE_BUCKETS).astype(np.intp) + band
-    guide = np.searchsorted(below.ravel(), band + np.arange(_GUIDE_BUCKETS))
-    guide -= n[:, None] * width
+    first = np.searchsorted((bucket + band).ravel(), band + np.arange(_GUIDE_BUCKETS))
+    first -= n[:, None] * width
+    # A bucket that holds a cut walks; the 1.0s past each bound fill a
+    # bucket past the last, which is dropped.
+    holds = np.zeros((molecules + 1, _GUIDE_BUCKETS + 1), dtype=bool)
+    holds[n[:, None], bucket] = True
     return Table(
         cuts=cuts.ravel(),
-        guide=np.minimum(guide, 255).astype(np.uint8).ravel(),
+        guide=(first + _WALK * holds[:, :-1]).astype(np.uint8).ravel(),
         bound=bound,
         width=width,
         safe=float(cuts[n[1:], bound[1:]].min()),
@@ -221,5 +235,5 @@ def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
             remaining[:start] += column[:start].astype(np.uint8)
             return False
         col[nz] = x
-        np.subtract(rem, col, out=rem, casting="unsafe")
+        rem[nz] = n - x
     return True

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CharacterDistribution, expected_length
+from .codebooks import Codebook, CharacterDistribution, _check_symbols, expected_length
 
 __all__ = [
     "IsiCoefficients",
@@ -65,8 +65,7 @@ def _word_chain(cb: Codebook, dist: CharacterDistribution):
     state to the next bit of its codeword, and the mass of all codeword
     ends to the codeword starts in proportion to the symbol probabilities.
     """
-    if set(cb.codewords) != set(dist.symbols):
-        raise ValueError("codebook and distribution symbols differ")
+    _check_symbols(cb, dist)
     tables = cb.tables
     probs = np.array([dist.prob(s) for s in cb.symbols])
     bits, pos = tables.lay(np.arange(len(probs)))

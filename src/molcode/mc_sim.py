@@ -177,6 +177,47 @@ def _slot_probabilities(coeffs: np.ndarray) -> list[float]:
     return probs
 
 
+def _count_dtype(molecules: int) -> type:
+    """int32 for arrival counts of releases within its range, else int64."""
+    return np.int32 if molecules <= _COUNT_LIMIT else np.int64
+
+
+def _arrival_columns(molecules: int, coefficients: Sequence[float],
+                     rng: np.random.Generator, size: int):
+    """Yield the arrival counts of size releases of molecules, slot by slot.
+
+    This is the sampler behind sample_arrivals, which documents the draws.
+    Every slot's column is written into one array, which is yielded, so a
+    column is valid until the next one is drawn and no more than one is
+    ever held.
+    """
+    coeffs = np.asarray(coefficients, dtype=float)
+    if molecules < 0:
+        raise ValueError("molecule count must be non-negative")
+    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
+        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
+    probs = _slot_probabilities(coeffs)
+    small = molecules <= _TABLE_MOLECULES
+    tables = (None,) * len(probs)
+    if small and molecules and size:
+        from . import _inversion  # compiled on first use, not by every import
+
+        tables = _inversion.link_tables(molecules, tuple(probs))
+        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
+    remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
+    column = np.empty(size, dtype=_count_dtype(molecules))
+    for p, table in zip(probs, tables):
+        if table is not None:
+            state = rng.bit_generator.state
+            if _inversion.draw_slot(table, remaining, column, rng, scratch):
+                yield column
+                continue
+            rng.bit_generator.state = state
+        column[:] = rng.binomial(remaining, p)
+        remaining -= column.astype(remaining.dtype)
+        yield column
+
+
 def sample_arrivals(
     molecules: int,
     coefficients: Sequence[float],
@@ -199,33 +240,14 @@ def sample_arrivals(
     per link; any other slot, and a slot where numpy would redraw, calls
     rng.binomial itself.
 
-    The counts are stored slot-major, as (memory, size), and the result is
-    the transpose of that storage: each slot's draws are written, and each
-    slot's column is read, as one contiguous run.
+    The result stacks the columns the simulator streams one at a time: it
+    is the transpose of a slot-major (memory, size) array, each of whose
+    rows is one slot's draws.
     """
-    coeffs = np.asarray(coefficients, dtype=float)
-    if molecules < 0:
-        raise ValueError("molecule count must be non-negative")
-    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
-        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    probs = _slot_probabilities(coeffs)
-    small = molecules <= _TABLE_MOLECULES
-    tables = (None,) * len(probs)
-    if small and molecules and size:
-        from . import _inversion  # compiled on first use, not by every import
-
-        tables = _inversion.link_tables(molecules, tuple(probs))
-        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
-    remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
-    out = np.empty((len(coeffs), size), dtype=np.int32 if molecules <= _COUNT_LIMIT else np.int64)
-    for column, p, table in zip(out, probs, tables):
-        if table is not None:
-            state = rng.bit_generator.state
-            if _inversion.draw_slot(table, remaining, column, rng, scratch):
-                continue
-            rng.bit_generator.state = state
-        column[:] = rng.binomial(remaining, p)
-        remaining -= column.astype(remaining.dtype)
+    columns = _arrival_columns(molecules, coefficients, rng, size)
+    out = np.empty((len(coefficients), size), dtype=_count_dtype(molecules))
+    for row, column in zip(out, columns):
+        row[:] = column
     return out.T
 
 
@@ -248,29 +270,26 @@ def _sample_bits(tables: CodeTables, probs: np.ndarray, trials: int, msg_len: in
 def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     """Superpose the arrival spreads of every bit-1 release into slot counts.
 
-    Releases are taken in row-major order, one arrival row each. Counts
-    are exact int32 sums of integer arrivals (LinkConfig bounds them below
-    the int32 limit). The count matrix carries memory - 1 spare columns, so
-    a window that runs past max_t spills there instead of being masked, and
-    each lag k is one fancy-index add at the release columns shifted by k:
-    within one lag every (row, column) pair occurs at most once, so the add
-    is exact; each lag reads one contiguous column of the slot-major
-    arrivals. The release columns are read from bitmat padded the same
-    way, after sampling, so no index array is held alongside the sampler's
-    scratch. Returns a (trials, max_t) view without the spare columns.
+    Releases are taken in row-major order. Counts are exact int32 sums of
+    integer arrivals (LinkConfig bounds them below the int32 limit). The
+    count matrix carries memory - 1 spare columns, so a window that runs
+    past max_t spills there instead of being masked. Each slot's arrival
+    column is added as soon as it is drawn, at the release positions
+    shifted by its lag, so no (memory, releases) array is ever held:
+    within one lag every position occurs at most once, so one np.add.at
+    per lag is exact. Returns a (trials, max_t) view without the spare
+    columns.
     """
     trials, max_t = bitmat.shape
     spare = cfg.memory - 1
     counts = np.zeros((trials, max_t + spare), dtype=np.int32)
-    releases = np.count_nonzero(bitmat)
-    if releases:
-        arrivals = sample_arrivals(
-            cfg.molecules_per_one, cfg.coefficients, rng, size=releases
-        )
-        where = np.flatnonzero(np.pad(bitmat, ((0, 0), (0, spare))))
+    where = np.flatnonzero(bitmat.view(bool))
+    if where.size:
+        where += where // max_t * spare  # each row's offset in counts
         flat = counts.reshape(-1)
-        for column in arrivals.T:
-            flat[where] += column
+        for column in _arrival_columns(cfg.molecules_per_one, cfg.coefficients, rng,
+                                       where.size):
+            np.add.at(flat, where, column)
             where += 1
     return counts[:, :max_t]
 

@@ -222,6 +222,12 @@ class TestOneStepMap:
         got_lags = isi_analysis._stream_lag_profile(bits, step, pi, memory)
         assert got_lags == pytest.approx(lags, rel=1e-12, abs=1e-17)
 
+    def test_mismatched_symbols_are_named(self):
+        d = CharacterDistribution.from_weights({"a": 0.5, "b": 0.3, "z": 0.2})
+        cb = Codebook(kind="custom", codewords={"a": "0", "b": "110", "c": "10"})
+        with pytest.raises(ValueError, match=r"symbols differ: \['c', 'z'\]"):
+            isi_analysis._word_chain(cb, d)
+
     def test_memory_is_linear_in_the_code_size(self):
         # 500 equiprobable symbols lay out about 6700 proposed code bits; a
         # dense transition matrix over them alone takes about 360 MB.

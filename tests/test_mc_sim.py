@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -239,6 +240,93 @@ class TestArrivalStreamIdentity:
         assert slots[3] is False and slots.count(False) == 1
         np.testing.assert_array_equal(got, want)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def numpy_walks(molecules, p, u):
+    """numpy's inversion walk, as transcribed in test_lookup_is_exact_at_every_cut,
+    for every row n = 1..molecules and every uniform of u at once.
+
+    Row n of the result holds X for each uniform, or bound[n] + 1 where
+    numpy would redraw. The walk's probability after x steps does not
+    depend on the uniform, so each step updates one px per row, with the
+    scalar's operations in the scalar's order.
+    """
+    q = 1.0 - p
+    n = np.arange(1, molecules + 1)
+    bound = np.array([int(min(k, k * p + 10.0 * math.sqrt(k * p * q + 1))) for k in n])
+    px = np.array([math.exp(k * math.log(q)) for k in n])
+    u = np.tile(u, (molecules, 1))
+    x = np.zeros(u.shape, dtype=np.int64)
+    for step in range(1, int(bound.max()) + 2):
+        walk = (u > px[:, None]) & (x == step - 1)
+        if not walk.any():
+            break
+        x += walk
+        u = np.where(walk, u - px[:, None], u)
+        px = ((n - step + 1) * p * px) / (step * q)
+    return np.minimum(x, bound[:, None] + 1), bound
+
+
+class TestInversionGuide:
+    """Every guide byte against numpy's walk at both ends of its bucket."""
+
+    def assert_guide_exact(self, molecules, coefficients):
+        buckets = _inversion._GUIDE_BUCKETS
+        b = np.arange(buckets)
+        ends = np.concatenate([b / buckets, (b + 1) / buckets - 2.0**-53])
+        probs = mc_sim._slot_probabilities(np.asarray(coefficients))
+        tables = _inversion.link_tables(molecules, tuple(probs))
+        checked = 0
+        for p, table in zip(probs, tables):
+            if table is None:
+                continue
+            want, bound = numpy_walks(molecules, p, ends)
+            guide = table.guide.reshape(-1, buckets)[1:].astype(np.int64)
+            walks = guide >= _inversion._WALK
+            guide = np.where(walks, guide - _inversion._WALK, guide)
+            lo, hi = want[:, :buckets], want[:, buckets:]
+            np.testing.assert_array_equal(guide[~walks], lo[~walks])
+            np.testing.assert_array_equal(guide[~walks], hi[~walks])
+            assert (guide[walks] <= lo[walks]).all()
+            assert (bound < _inversion._WALK).all()
+            checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("kind", ["huffman", "proposed", "ita2"])
+    def test_reference_grid(self, dist, params, kind):
+        cb = build(kind, dist)
+        for budget in (50, 70, 85, 100, 120):
+            link = LinkConfig(
+                codebook=cb, distribution=dist, params=params,
+                molecules_per_one=_budget_share(dist, cb, budget), char_duration=0.5,
+                threshold=ConstantThreshold(1.0), memory=10,
+            )
+            self.assert_guide_exact(link.molecules_per_one, link.coefficients)
+
+    def test_largest_table_release(self, coefficients):
+        self.assert_guide_exact(255, coefficients)
+
+
+class TestStreamedCounts:
+    def test_peak_stays_below_the_arrival_matrix(self, dist, hcb, params):
+        # Each slot's column is scattered as soon as it is drawn, so no
+        # (memory, releases) int32 array of arrivals is ever held.
+        cfg = LinkConfig(
+            codebook=hcb, distribution=dist, params=params, molecules_per_one=43,
+            char_duration=0.5, threshold=ConstantThreshold(8.0), msg_len=200, memory=10,
+        )
+        mc_sim._build_link_tables(cfg)
+        rng = np.random.default_rng(8)
+        _, tlen, bitmat = mc_sim._sample_bits(hcb.tables, mc_sim._symbol_probs(cfg), 1024,
+                                              cfg.msg_len, rng)
+        arrivals_bytes = cfg.memory * np.count_nonzero(bitmat) * 4
+        tracemalloc.start()
+        try:
+            mc_sim._accumulate_counts(bitmat, tlen, cfg, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < arrivals_bytes
 
 
 def correct_row(bits):
