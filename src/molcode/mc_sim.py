@@ -274,10 +274,9 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     integer arrivals (LinkConfig bounds them below the int32 limit). The
     count matrix carries memory - 1 spare columns, so a window that runs
     past max_t spills there instead of being masked. Each slot's arrival
-    column is added as soon as it is drawn, at the release positions
-    shifted by its lag, so no (memory, releases) array is ever held:
-    within one lag every position occurs at most once, so one np.add.at
-    per lag is exact. Returns a (trials, max_t) view without the spare
+    column is added with one np.add.at as soon as it is drawn, at the
+    release positions shifted by its lag, so no (memory, releases) array
+    is ever held. Returns a (trials, max_t) view without the spare
     columns.
     """
     trials, max_t = bitmat.shape
