@@ -36,13 +36,26 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_seeds(text: str) -> list[int]:
-    """"1-3,7" -> [1, 2, 3, 7]."""
-    seeds = []
+    """"1-3,7" -> [1, 2, 3, 7].
+
+    A part that is not a seed or a range, a range that runs backwards and
+    a seed named twice are errors that name the part.
+    """
+    seeds: list[int] = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds.extend(range(int(first), int(last or first) + 1))
-    if not seeds or min(seeds) < 0:
-        raise argparse.ArgumentTypeError(f"need non-negative seeds, got {text!r}")
+        try:
+            low, high = int(first), int(last or first)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} is not a non-negative seed or range of seeds") from None
+        if high < low:
+            raise argparse.ArgumentTypeError(f"seed range {part!r} runs backwards")
+        repeated = sorted(set(seeds).intersection(range(low, high + 1)))
+        if repeated:
+            raise argparse.ArgumentTypeError(
+                f"{part!r} repeats seed {repeated[0]}; each seed runs once")
+        seeds.extend(range(low, high + 1))
     return seeds
 
 

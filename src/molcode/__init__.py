@@ -33,9 +33,7 @@ from .codec import (
     PilotThreshold,
     collect_pilot_stats,
     decode,
-    detect,
     encode,
-    error_correct,
     pilot_threshold,
 )
 from .isi_analysis import (
@@ -77,9 +75,7 @@ __all__ = [
     "PilotThreshold",
     "collect_pilot_stats",
     "decode",
-    "detect",
     "encode",
-    "error_correct",
     "pilot_threshold",
     "IsiCoefficients",
     "expected_isi_bit0",

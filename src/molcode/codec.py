@@ -1,30 +1,33 @@
-"""Bit-level link operations: encode, correct, detect, decode, threshold.
+"""The receiver: the count read with its correction, the row decoder,
+encode/decode and threshold strategies.
 
 The run-length-limited codebook kind ("proposed") carries a structural
 guarantee: a transmitted stream never contains adjacent ones. The receiver
 exploits it by forcing any 1 that follows a decided 1 back to 0 (error
 correction), then parses the stream with the prefix code like any other
-kind. The codeword tables that every decoder walks live on the codebook:
-Codebook.tables, built once per codebook on first use. Its trie over the
-expanded codewords has no edge for a 1 after a 1, so such a stream stops
-decoding at a dead end. Nothing here draws random numbers: mc_sim sends
-the pilots, and collect_pilot_stats only reads their counts.
+kind. _read_bits is the one place that read rule lives: it turns a matrix
+of slot counts into bits against an integer count cut, correcting them
+for a corrected kind, and _decode_rows parses and scores every row. The
+simulator reads every chunk through these two. The codeword tables that
+every decoder walks live on the codebook: Codebook.tables, built once per
+codebook on first use. Its trie over the expanded codewords has no edge
+for a 1 after a 1, so such a stream stops decoding at a dead end. Nothing
+here draws random numbers: mc_sim sends the pilots, and
+collect_pilot_stats only reads their counts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from .codebooks import Codebook
+from .codebooks import Codebook, CodeTables
 
 __all__ = [
     "DecodeResult",
     "encode",
-    "error_correct",
-    "detect",
     "decode",
     "ConstantThreshold",
     "PilotThreshold",
@@ -46,32 +49,6 @@ def encode(text: Iterable[str], cb: Codebook) -> str:
         except KeyError:
             raise ValueError(f"symbol {sym!r} at position {i} is not in the codebook") from None
     return "".join(parts)
-
-
-def error_correct(bits: str) -> str:
-    """Force every 1 that follows an already accepted 1 to 0.
-
-    The pass is sequential: each output bit is the input bit ANDed with the
-    negation of the previous output bit, so alternating runs like 11111
-    become 10101. Idempotent, and a no-op on any stream without adjacent
-    ones.
-    """
-    out: list[str] = []
-    prev = "0"
-    for b in bits:
-        if b not in "01":
-            raise ValueError(f"bit string contains {b!r}")
-        cur = "1" if (b == "1" and prev == "0") else "0"
-        out.append(cur)
-        prev = cur
-    return "".join(out)
-
-
-def detect(counts: Sequence[float], tau: float) -> str:
-    """Threshold per-slot molecule counts into bits: count >= tau reads as 1."""
-    if not (tau > 0):
-        raise ValueError("threshold must be positive")
-    return "".join("1" if c >= tau else "0" for c in counts)
 
 
 @dataclass(frozen=True)
@@ -117,6 +94,89 @@ def decode(bits: str, cb: Codebook) -> DecodeResult:
             word_start = pos + 1
     return DecodeResult(symbols=tuple(symbols), residue=bits[word_start:],
                         dead_end=bool(at == 3 * tables.dead))
+
+
+#: Slot counts are int32; mc_sim.LinkConfig keeps every count below this.
+_COUNT_LIMIT = int(np.iinfo(np.int32).max)
+
+
+def _count_cut(tau: float) -> int:
+    """Smallest integer slot count that reads as 1 under threshold tau.
+
+    Slot counts are integers, so count >= tau and count >= ceil(tau) read
+    the same bits. Thresholds beyond the int32 range clamp to its top,
+    which no count reaches (mc_sim.LinkConfig keeps every count below it).
+    """
+    return _COUNT_LIMIT if tau >= _COUNT_LIMIT else math.ceil(tau)
+
+
+def _read_bits(counts: np.ndarray, cut: int, corrected: bool) -> np.ndarray:
+    """Read a (trials, slots) count matrix into an int8 0/1 matrix.
+
+    A slot reads 1 when its count is at least cut. For a corrected kind
+    the slots are then corrected in order along every row, each 1 after a
+    decided 1 cleared: x_t = d_t AND NOT x_{t-1}. The correction works in
+    place on the fresh matrix of the compare, so counts is never written.
+    """
+    det = (counts >= cut).view(np.int8)
+    if corrected:
+        for t in range(1, det.shape[1]):
+            det[:, t] &= ~det[:, t - 1]
+    return det
+
+
+def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: CodeTables):
+    """Walk the codeword trie along every row and score it against syms.
+
+    final has a column per slot of the longest message, so at least
+    msg_len. The walk reads tables.steps, the same trie k slots per
+    lookup, in ceil(max_t / k) steps: each row's bits are packed into
+    k-bit codes, time major, and a step looks up every row's entry from
+    its state, its count of those k slots that lie before its tlen, and
+    their code. A step writes the entry's emit column (its symbols, then
+    -1) into the row's stretch of an int16 buffer from the row's decoded
+    count on. A row decodes at most max_t symbols and a step writes at
+    most the table's width past that, so stretches of max_t + width never
+    spill into each other, and past a row's decoded count they hold -1.
+
+    Returns per-row character errors (positions among the first msg_len
+    whose decoded symbol differs from the sent one or is missing), the
+    number of decoded symbols and the dead-end and incomplete-tail flags,
+    all equal to those of a walk of one slot at a time.
+    """
+    steps = tables.steps
+    k, width = steps.slots, len(steps.emit)
+    trials, max_t = final.shape
+    msg_len = syms.shape[1]
+    # Step s reads slots s * k to s * k + k - 1 of every row: the number
+    # of them before the row's tlen, and their bits, from 16-bit windows
+    # of the packed rows.
+    starts = np.arange(0, max_t, k, dtype=np.int32)
+    row_bytes = -(-max_t // 8)
+    padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
+    padded[:, :max_t] = final
+    wide = np.zeros((row_bytes + 1, trials), dtype=np.uint16)
+    wide[:-1] = np.packbits(padded, bitorder="little").reshape(trials, row_bytes).T
+    window = wide[starts >> 3] | wide[(starts >> 3) + 1] << 8
+    keys = np.clip(tlen.astype(np.int32) - starts[:, None], 0, k) << k
+    keys += (window >> (starts & 7)[:, None]) & ((1 << k) - 1)
+
+    stride = max_t + width
+    out = np.full(trials * stride, -1, dtype=np.int16)
+    first = np.arange(trials, dtype=np.int64) * stride
+    put = first.copy()  # where each row's next symbol goes
+    lanes = np.arange(width)[:, None]
+    at = np.zeros(trials, dtype=np.int32)  # span * the state of each row
+    for key in keys:
+        entry = at + key
+        out[put + lanes] = steps.emit.take(entry, axis=1)
+        put += steps.count.take(entry)
+        at = steps.next.take(entry)
+    matches = np.count_nonzero(out.reshape(trials, stride)[:, :msg_len] == syms, axis=1)
+    state = at // steps.span
+    dead = state == tables.dead
+    incomplete = (~dead) & (state != 0)
+    return msg_len - matches, put - first, dead, incomplete
 
 
 @dataclass(frozen=True)

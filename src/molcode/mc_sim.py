@@ -2,10 +2,12 @@
 
 Each trial transmits one message of independently drawn characters. Every
 bit-1 slot releases a fixed molecule budget whose arrivals spread over the
-channel memory window; slot counts are thresholded into bits, optionally
-error corrected, parsed back into characters and scored positionally
-against the sent message. A LinkConfig describes one link, and derives
-its slot and arrival coefficients from what it is given.
+channel memory window. This module draws every random stream (messages,
+arrivals, pilots) and hands the slot counts to the receiver in codec:
+codec._read_bits reads them into bits, error corrected for a corrected
+kind, and codec._decode_rows parses them back into characters and scores
+them positionally against the sent message. A LinkConfig describes one
+link, and derives its slot and arrival coefficients from what it is given.
 
 Determinism contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, and chunk c draws all of its randomness from a dedicated
@@ -35,11 +37,15 @@ from .codebooks import (
     expected_ones,
 )
 from .codec import (
+    _COUNT_LIMIT,
     CalibratedThreshold,
     CalibrationError,
     ConstantThreshold,
     PilotThreshold,
     ThresholdStrategy,
+    _count_cut,
+    _decode_rows,
+    _read_bits,
 )
 
 __all__ = [
@@ -55,9 +61,6 @@ __all__ = [
 
 #: Trials per deterministic chunk; part of the reproducibility contract.
 CHUNK_TRIALS = 8192
-
-#: Slot counts are int32; LinkConfig keeps every count below this.
-_COUNT_LIMIT = int(np.iinfo(np.int32).max)
 
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
@@ -293,87 +296,6 @@ def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
     return counts[:, :max_t]
 
 
-def _correct_rows(det: np.ndarray) -> np.ndarray:
-    """Row-wise sequential error correction of a 0/1 matrix."""
-    out = np.empty_like(det)
-    prev = np.zeros(det.shape[0], dtype=det.dtype)
-    for t in range(det.shape[1]):
-        cur = det[:, t] & (1 - prev)
-        out[:, t] = cur
-        prev = cur
-    return out
-
-
-def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: CodeTables):
-    """Walk the codeword trie along every row and score it against syms.
-
-    final has a column per slot of the longest message, so at least
-    msg_len. The walk reads tables.steps, the same trie k slots per
-    lookup, in ceil(max_t / k) steps: each row's bits are packed into
-    k-bit codes, time major, and a step looks up every row's entry from
-    its state, its count of those k slots that lie before its tlen, and
-    their code. A step writes the entry's emit column (its symbols, then
-    -1) into the row's stretch of an int16 buffer from the row's decoded
-    count on. A row decodes at most max_t symbols and a step writes at
-    most the table's width past that, so stretches of max_t + width never
-    spill into each other, and past a row's decoded count they hold -1.
-
-    Returns per-row character errors (positions among the first msg_len
-    whose decoded symbol differs from the sent one or is missing), the
-    number of decoded symbols and the dead-end and incomplete-tail flags,
-    all equal to those of a walk of one slot at a time.
-    """
-    steps = tables.steps
-    k, width = steps.slots, len(steps.emit)
-    trials, max_t = final.shape
-    msg_len = syms.shape[1]
-    # Step s reads slots s * k to s * k + k - 1 of every row: the number
-    # of them before the row's tlen, and their bits, from 16-bit windows
-    # of the packed rows.
-    starts = np.arange(0, max_t, k, dtype=np.int32)
-    row_bytes = -(-max_t // 8)
-    padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
-    padded[:, :max_t] = final
-    wide = np.zeros((row_bytes + 1, trials), dtype=np.uint16)
-    wide[:-1] = np.packbits(padded, bitorder="little").reshape(trials, row_bytes).T
-    window = wide[starts >> 3] | wide[(starts >> 3) + 1] << 8
-    keys = np.clip(tlen.astype(np.int32) - starts[:, None], 0, k) << k
-    keys += (window >> (starts & 7)[:, None]) & ((1 << k) - 1)
-
-    stride = max_t + width
-    out = np.full(trials * stride, -1, dtype=np.int16)
-    first = np.arange(trials, dtype=np.int64) * stride
-    put = first.copy()  # where each row's next symbol goes
-    lanes = np.arange(width)[:, None]
-    at = np.zeros(trials, dtype=np.int32)  # span * the state of each row
-    for key in keys:
-        entry = at + key
-        out[put + lanes] = steps.emit.take(entry, axis=1)
-        put += steps.count.take(entry)
-        at = steps.next.take(entry)
-    matches = np.count_nonzero(out.reshape(trials, stride)[:, :msg_len] == syms, axis=1)
-    state = at // steps.span
-    dead = state == tables.dead
-    incomplete = (~dead) & (state != 0)
-    return msg_len - matches, put - first, dead, incomplete
-
-
-def _count_cut(tau: float) -> int:
-    """Smallest integer slot count that reads as 1 under threshold tau.
-
-    Slot counts are integers, so count >= tau and count >= ceil(tau) read
-    the same bits. Thresholds beyond the int32 range clamp to its top,
-    which no count reaches (LinkConfig keeps every count below it).
-    """
-    return _COUNT_LIMIT if tau >= _COUNT_LIMIT else math.ceil(tau)
-
-
-def _read_bits(counts: np.ndarray, cut: int, correct: bool) -> np.ndarray:
-    """Read counts >= cut as bits, then error correct them if correct is set."""
-    det = (counts >= cut).view(np.int8)
-    return _correct_rows(det) if correct else det
-
-
 def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
     """The messages and slot counts of one chunk, drawn from its own stream.
 
@@ -387,10 +309,12 @@ def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
 
 
 def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed_tuple):
-    """Simulate, detect, correct, decode and score one chunk of trials.
+    """Simulate, read, decode and score one chunk of trials.
 
-    Returns the chunk's integer totals under their CerReport names, and
-    the sum and sum of squares of its per-trial character errors.
+    The chunk's counts are read by codec._read_bits at tau's count cut,
+    correction included, and decoded by codec._decode_rows. Returns the
+    chunk's integer totals under their CerReport names, and the sum and
+    sum of squares of its per-trial character errors.
     """
     tables = cfg.codebook.tables
     syms, tlen, bitmat, counts = _draw_chunk(cfg, probs, trials, seed_tuple)
@@ -590,7 +514,9 @@ def _calibrate_threshold(
     Candidates that share an integer count cut ceil(tau) read identical
     bits, so each distinct cut is scored once per batch chunk and its error
     count is credited to all of its candidates. Scoring counts character
-    errors only (detect, correct, decode, compare with the sent symbols).
+    errors only: each cut reads the batch through codec._read_bits, with
+    the same correction as run_cer, and codec._decode_rows compares the
+    decoded symbols with the sent ones.
     The fewest errors win; ties go to the smaller tau.
     """
     candidates = strategy.candidates or _default_candidates(cfg)

@@ -46,3 +46,17 @@ def params():
 def coefficients(params):
     # Slot tuned so ten slots cover most of the arrival mass.
     return channel_coefficients(params, 0.1, 10)
+
+
+@pytest.fixture(scope="session")
+def correct_row():
+    """The receiver's rule x_t = d_t * (1 - x_{t-1}), one slot at a time."""
+
+    def correct(bits):
+        out, prev = [], 0
+        for d in bits:
+            prev = d * (1 - prev)
+            out.append(prev)
+        return out
+
+    return correct

@@ -23,7 +23,6 @@ from molcode import (
     decode,
     encode,
     english_letter_distribution,
-    error_correct,
     expected_isi_bit0,
     expected_length,
     expected_ones,
@@ -36,6 +35,7 @@ from molcode import (
     sweep,
 )
 from molcode import channel as channel_mod
+from molcode.codec import _read_bits
 
 DIST = english_letter_distribution()
 PARAMS = ChannelParams(diffusion=79.4, distance=4.0, receiver_radius=2.0)
@@ -65,6 +65,15 @@ def random_texts(rng, count, max_len=20):
     return texts
 
 
+def bit_matrix(streams):
+    """Bit strings as the rows of a zero-padded int8 0/1 matrix."""
+    width = max(map(len, streams), default=0)
+    rows = np.zeros((len(streams), width), dtype=np.int8)
+    for row, bits in zip(rows, streams):
+        row[:len(bits)] = [int(b) for b in bits]
+    return rows
+
+
 def test_criterion_1_codebook_statistics():
     with criterion(1, "codebook statistics and ones ratio"):
         t0 = time.perf_counter()
@@ -90,17 +99,19 @@ def test_criterion_2_substitution_identity():
 
 def test_criterion_3_error_correction():
     with criterion(3, "receiver correction rule on 10^5 bitstrings"):
-        assert error_correct("001101110") == "001001010"
+        example = _read_bits(bit_matrix(["001101110"]), 1, corrected=True)
+        assert "".join(map(str, example[0])) == "001001010"
         rng = np.random.default_rng(33)
         lengths = rng.integers(0, 33, size=100_000)
         flat = rng.integers(0, 2, size=int(lengths.sum()))
-        at = 0
-        for n in lengths:
-            bits = "".join("01"[b] for b in flat[at:at + n])
-            at += int(n)
-            once = error_correct(bits)
-            assert "11" not in once
-            assert error_correct(once) == once
+        rows = np.zeros((lengths.size, 32), dtype=np.int8)
+        valid = np.arange(32) < lengths[:, None]
+        rows[valid] = flat
+        once = _read_bits(rows, 1, corrected=True)
+        # Every row's first n bits: no 11, and a second read changes nothing.
+        assert not (once[:, :-1] & once[:, 1:] & valid[:, 1:]).any()
+        twice = _read_bits(once, 1, corrected=True)
+        assert (twice[valid] == once[valid]).all()
 
 
 def test_criterion_4_isi_profiles():
@@ -191,8 +202,11 @@ def test_criterion_8_round_trip():
     with criterion(8, "decode inverts encode on 10^4 texts per codebook"):
         hcb, pcb, icb = build_huffman(DIST), build_proposed(DIST), ita2()
         rng = np.random.default_rng(88)
-        for text in random_texts(rng, 10_000):
+        texts = random_texts(rng, 10_000)
+        for text in texts:
             for cb in (hcb, pcb, icb):
                 assert decode(encode(text, cb), cb).text == text
-            cleaned = error_correct(encode(text, pcb))
-            assert decode(cleaned, pcb).text == text
+        streams = [encode(text, pcb) for text in texts]
+        cleaned = _read_bits(bit_matrix(streams), 1, corrected=True)
+        for text, bits, row in zip(texts, streams, cleaned):
+            assert decode("".join(map(str, row[:len(bits)])), pcb).text == text

@@ -1,4 +1,4 @@
-"""Encoding, detection, receiver-side correction, decoding, thresholds."""
+"""Encoding, the receiver's count read and correction, decoding, thresholds."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,14 +11,13 @@ from molcode import (
     PilotThreshold,
     collect_pilot_stats,
     decode,
-    detect,
     encode,
-    error_correct,
     channel_coefficients,
     pilot_threshold,
 )
 from molcode import mc_sim
 from molcode.codebooks import Codebook, CharacterDistribution, build_huffman
+from molcode.codec import _read_bits
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
 
@@ -84,41 +83,71 @@ class TestEncode:
         assert encode("", hcb) == ""
 
 
-class TestErrorCorrect:
-    def test_worked_example(self):
-        assert error_correct("001101110") == "001001010"
+def read_row(bits, corrected=True):
+    """A bit string read as one row of 0/1 counts with cut 1, back as a string."""
+    counts = np.array([[int(b) for b in bits]], dtype=np.int8)
+    return "".join(map(str, _read_bits(counts, 1, corrected)[0]))
 
-    def test_all_ones_become_alternating(self):
-        assert error_correct("11111") == "10101"
 
-    def test_length_preserved_and_clean(self):
-        out = error_correct("1101101")
-        assert len(out) == 7
-        assert "11" not in out
+class TestReadBits:
+    """_read_bits reads counts against a cut and corrects a corrected kind."""
+
+    def test_runs_of_ones(self, correct_row):
+        rows = [[0] * lead + [1] * run + [0] + [1] * (6 - run) + [0] * (3 - lead)
+                for run in range(1, 6) for lead in range(3)]
+        det = np.array(rows, dtype=np.int8)
+        got = _read_bits(det, 1, corrected=True)
+        assert got.dtype == np.int8 and got.shape == det.shape
+        assert got.tolist() == [correct_row(row) for row in rows]
+        # A run keeps its first, third and fifth 1.
+        assert [got[3 * (run - 1), :run].tolist() for run in range(1, 6)] == [
+            [1], [1, 0], [1, 0, 1], [1, 0, 1, 0], [1, 0, 1, 0, 1]]
+
+    def test_random_rows(self, correct_row):
+        det = np.random.default_rng(3).integers(0, 2, size=(200, 40), dtype=np.int8)
+        got = _read_bits(det, 1, corrected=True)
+        assert got.tolist() == [correct_row(row) for row in det.tolist()]
+
+    def test_one_column_is_unchanged(self):
+        det = np.array([[0], [1], [1]], dtype=np.int8)
+        np.testing.assert_array_equal(_read_bits(det, 1, corrected=True), det)
+
+    def test_zero_rows(self):
+        got = _read_bits(np.zeros((0, 7), dtype=np.int8), 1, corrected=True)
+        assert got.shape == (0, 7) and got.dtype == np.int8
+
+    def test_integer_counts_at_every_cut(self, correct_row):
+        # Counts as the simulator passes them: a view without spare columns.
+        held = np.random.default_rng(5).integers(0, 12, size=(80, 39), dtype=np.int32)
+        before = held.copy()
+        counts = held[:, :30]
+        for cut in range(1, int(counts.max()) + 1):
+            plain = [[int(c >= cut) for c in row] for row in counts.tolist()]
+            assert _read_bits(counts, cut, corrected=False).tolist() == plain
+            want = [correct_row(row) for row in plain]
+            assert _read_bits(counts, cut, corrected=True).tolist() == want
+        # The correction writes only the matrix the read returns.
+        np.testing.assert_array_equal(held, before)
+
+    def test_threshold_is_inclusive(self):
+        got = _read_bits(np.array([[120, 119]], dtype=np.int32), 120, corrected=False)
+        assert got.tolist() == [[1, 0]]
 
     @given(bitstrings)
     def test_removes_every_adjacent_pair(self, bits):
-        assert "11" not in error_correct(bits)
+        assert "11" not in read_row(bits)
 
     @given(bitstrings)
     def test_idempotent(self, bits):
-        once = error_correct(bits)
-        assert error_correct(once) == once
+        once = read_row(bits)
+        assert read_row(once) == once
 
     @given(bitstrings)
     def test_never_creates_ones(self, bits):
         # Correction may clear a bit but must never set one.
-        out = error_correct(bits)
+        out = read_row(bits)
+        assert len(out) == len(bits)
         assert all(raw == "1" for raw, kept in zip(bits, out) if kept == "1")
-
-
-class TestDetect:
-    def test_threshold_is_inclusive(self):
-        assert detect([120, 119], tau=120) == "10"
-
-    def test_requires_positive_threshold(self):
-        with pytest.raises(ValueError):
-            detect([1, 2], tau=0.0)
 
 
 class TestDecode:

@@ -3,7 +3,7 @@
 Count accumulation is checked against a per-release Python loop, the
 step-table decoder against the one-slot trie walk it replaced, and
 threshold calibration against the brute-force scorer it replaced: float
-counts from full-length bincount passes, then a full detect, correct,
+counts from full-length bincount passes, then a full read, correct,
 decode and score of every candidate tau on its own. Every reference must
 agree exactly, not statistically.
 """
@@ -25,12 +25,12 @@ from molcode import (
     sample_arrivals,
 )
 from molcode.codebooks import _STEP_ENTRIES, PAST_END
+from molcode.codec import _decode_rows
 from molcode.mc_sim import (
     _CAL_TAG,
     CHUNK_TRIALS,
     _accumulate_counts,
     _calibrate_threshold,
-    _decode_rows,
     _default_candidates,
     _sample_bits,
     _symbol_probs,

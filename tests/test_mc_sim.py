@@ -18,8 +18,6 @@ from molcode import (
     PilotThreshold,
     channel_coefficients,
     decode,
-    detect,
-    error_correct,
     expected_ones,
     resolve_threshold,
     run_cer,
@@ -329,42 +327,6 @@ class TestStreamedCounts:
         assert peak < arrivals_bytes
 
 
-def correct_row(bits):
-    """The receiver's rule x_t = d_t * (1 - x_{t-1}), one slot at a time."""
-    out, prev = [], 0
-    for d in bits:
-        prev = d * (1 - prev)
-        out.append(prev)
-    return out
-
-
-class TestCorrectRows:
-    """mc_sim._correct_rows applies the correction rule along every row."""
-
-    def test_runs_of_ones(self):
-        rows = [[0] * lead + [1] * run + [0] + [1] * (6 - run) + [0] * (3 - lead)
-                for run in range(1, 6) for lead in range(3)]
-        det = np.array(rows, dtype=np.int8)
-        got = mc_sim._correct_rows(det)
-        assert got.dtype == det.dtype
-        assert got.tolist() == [correct_row(row) for row in rows]
-        # A run keeps its first, third and fifth 1.
-        assert [got[3 * (run - 1), :run].tolist() for run in range(1, 6)] == [
-            [1], [1, 0], [1, 0, 1], [1, 0, 1, 0], [1, 0, 1, 0, 1]]
-
-    def test_random_rows(self):
-        det = np.random.default_rng(3).integers(0, 2, size=(200, 40), dtype=np.int8)
-        assert mc_sim._correct_rows(det).tolist() == [correct_row(row) for row in det.tolist()]
-
-    def test_one_column_is_unchanged(self):
-        det = np.array([[0], [1], [1]], dtype=np.int8)
-        np.testing.assert_array_equal(mc_sim._correct_rows(det), det)
-
-    def test_zero_rows(self):
-        got = mc_sim._correct_rows(np.zeros((0, 7), dtype=np.int8))
-        assert got.shape == (0, 7) and got.dtype == np.int8
-
-
 class TestLinkConfig:
     def test_build_assembles_consistent_profile(self, link, pcb, dist, params):
         from molcode.codebooks import expected_length
@@ -486,11 +448,15 @@ class TestEngineAgreesWithScalarPath:
         rep = run_cer(cfg)
         assert rep.cer < 0.01
 
-    def test_error_counts_match_a_python_reimplementation(self, dist, pcb, params):
-        # Decode the same detected streams with the public scalar decoder
-        # and compare character error totals on a small run.
+    @pytest.mark.parametrize("kind", ["proposed", "huffman"])
+    def test_error_counts_match_a_python_reimplementation(self, kind, dist, params,
+                                                          correct_row):
+        # Read every slot of the same streams in Python, correct a
+        # corrected kind slot by slot, decode with the public scalar
+        # decoder and compare character error totals on a small run.
+        cb = build(kind, dist)
         cfg = LinkConfig.build(
-            codebook=pcb, distribution=dist, params=params,
+            codebook=cb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=ConstantThreshold(8.0),
             trials=300, master_seed=17,
@@ -500,15 +466,17 @@ class TestEngineAgreesWithScalarPath:
         from molcode.mc_sim import _MAIN_TAG, _sample_bits, _accumulate_counts, _symbol_probs
 
         rng = np.random.default_rng(np.random.SeedSequence((17, _MAIN_TAG, 0)))
-        syms, tlen, bitmat = _sample_bits(pcb.tables, _symbol_probs(cfg), cfg.trials,
+        syms, tlen, bitmat = _sample_bits(cb.tables, _symbol_probs(cfg), cfg.trials,
                                           cfg.msg_len, rng)
         counts = _accumulate_counts(bitmat, tlen, cfg, rng)
-        alphabet = pcb.symbols
+        alphabet = cb.symbols
         errors = 0
         for i in range(cfg.trials):
             sent = [alphabet[s] for s in syms[i]]
-            bits = detect(counts[i, : tlen[i]].tolist(), 8.0)
-            got = decode(error_correct(bits), cfg.codebook).symbols
+            bits = [int(c >= 8.0) for c in counts[i, : tlen[i]].tolist()]
+            if cb.corrected:
+                bits = correct_row(bits)
+            got = decode("".join(map(str, bits)), cb).symbols
             for pos in range(cfg.msg_len):
                 have = got[pos] if pos < len(got) else None
                 errors += sent[pos] != have

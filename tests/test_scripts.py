@@ -3,6 +3,8 @@
 Each test benchmarks a copy of the repository in tmp_path, because
 perfbench writes its records into the checkout it runs in.
 """
+import argparse
+import importlib.util
 import json
 import shutil
 import subprocess
@@ -12,6 +14,15 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "scripts" / "bench.py"
+
+
+def load_bench():
+    """scripts/bench.py as a module, for its helpers."""
+    spec = importlib.util.spec_from_file_location("bench", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def checkout_copy(tmp_path: Path) -> Path:
@@ -69,3 +80,32 @@ def test_bench_compares_two_checkouts(tmp_path):
         assert entry["second_better"] + entry["second_worse"] <= 1
         assert entry["median_change"] == pytest.approx(b["median"] / a["median"] - 1)
         assert entry["resolved"] is (abs(b["median"] - a["median"]) > a["q3"] - a["q1"])
+
+
+@pytest.mark.parametrize("text, seeds", [
+    ("1", [1]), ("1-3,7", [1, 2, 3, 7]), ("0,4-4,2", [0, 4, 2]),
+])
+def test_parse_seeds(text, seeds):
+    assert load_bench().parse_seeds(text) == seeds
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1,5-3", "'5-3' runs backwards"),
+    ("2,2", "'2' repeats seed 2"),
+    ("1-4,3-6", "'3-6' repeats seed 3"),
+    ("1,x", "'x' is not"),
+    ("-3", "'-3' is not"),
+    ("", "'' is not"),
+])
+def test_parse_seeds_names_the_bad_part(text, message):
+    with pytest.raises(argparse.ArgumentTypeError, match=message):
+        load_bench().parse_seeds(text)
+
+
+def test_bad_seeds_stop_the_run_before_it_starts(tmp_path):
+    out = tmp_path / "x.json"
+    proc = subprocess.run([sys.executable, str(BENCH), "--seeds", "1,5-3", "--out", str(out)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "seed range '5-3' runs backwards" in proc.stderr
+    assert not out.exists()
