@@ -8,7 +8,7 @@ ever contains adjacent ones), and a fixed 5-bit teleprinter alphabet.
 Every codebook also carries its CodeTables, built once on first use: the
 codeword layout that lays symbols into a stream, and the codeword trie
 that every decoder walks, one slot at a time or, through its step table,
-several slots at a time.
+several slots at a time. A _SymbolGuide draws the symbols of a stream.
 """
 from __future__ import annotations
 
@@ -77,6 +77,10 @@ _STEP_SLOTS = 8
 _STEP_ENTRIES = 1 << 20
 #: Entries walked at a time while a step table is built.
 _STEP_BLOCK = 1 << 12
+
+#: Buckets of a symbol guide. A power of two, so floor(u * _SYMBOL_BUCKETS)
+#: is exact for every uniform u.
+_SYMBOL_BUCKETS = 1024
 
 
 @dataclass(frozen=True)
@@ -208,6 +212,61 @@ class Codebook:
         )
 
 
+class _SymbolGuide(NamedTuple):
+    """Generator.choice over symbol indices, drawn through a guide table.
+
+    For rng.choice(len(p), size, p=p), numpy forms cdf = p.cumsum(),
+    cdf /= cdf[-1], draws size uniforms and returns
+    cdf.searchsorted(u, side="right") of each. That search is monotone in
+    u, so where it answers alike at both ends of a bucket
+    [b, b + 1) / _SYMBOL_BUCKETS, every uniform in the bucket gets that
+    answer, and guide[b] holds it; a bucket where the answers differ holds
+    -1, and only its draws are searched. This is the guide-table method of
+    Chen and Asau (AIIE Trans., 1974), made exact. The entries are int16,
+    as the symbol indices of a codebook are (CodeTables checks the limit).
+    """
+
+    cdf: np.ndarray
+    guide: np.ndarray
+
+    @classmethod
+    def of(cls, probs: np.ndarray) -> "_SymbolGuide":
+        """The guide of symbol probabilities probs, as numpy's choice takes them."""
+        cdf = np.asarray(probs, dtype=float).cumsum()
+        cdf /= cdf[-1]
+        edges = np.arange(_SYMBOL_BUCKETS + 1) / _SYMBOL_BUCKETS
+        low = cdf.searchsorted(edges[:-1], side="right")
+        high = cdf.searchsorted(edges[1:], side="left")
+        return cls(cdf, np.where(low == high, low, -1).astype(np.int16))
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """rng.choice(len(probs), size, p=probs), bit for bit, as int16.
+
+        Reads the same size uniforms, so rng ends in the same state.
+        """
+        u = rng.random(size)
+        syms = self.guide.take((u * _SYMBOL_BUCKETS).astype(np.intp))
+        search = np.flatnonzero(syms < 0)
+        if search.size:
+            syms[search] = self.cdf.searchsorted(u[search], side="right")
+        return syms
+
+
+def _ragged(off: np.ndarray, size: np.ndarray, syms: np.ndarray):
+    """Where the rows flat[off[s]:off[s] + size[s]] of a ragged table lie,
+    for every s of the 1-D syms, laid back to back.
+
+    Returns, for each laid item, the index into syms of its row and its
+    index into flat.
+    """
+    size = size[syms]
+    ends = np.cumsum(size)
+    owner = np.repeat(np.arange(syms.size), size)
+    index = np.arange(int(ends[-1]) if ends.size else 0)
+    index += (off[syms] - ends + size)[owner]
+    return owner, index
+
+
 class StepTable(NamedTuple):
     """The codeword trie walked slots slots at a time.
 
@@ -234,7 +293,8 @@ class StepTable(NamedTuple):
 class CodeTables:
     """A codebook as flat arrays: its codeword layout and its codeword trie.
 
-    Symbol i is cb.symbols[i]; its codeword is word_flat[word_off[i]:][:word_len[i]].
+    Symbol i is cb.symbols[i]; its codeword is word_flat[word_off[i]:][:word_len[i]],
+    and the in-word positions of its ones are ones_flat[ones_off[i]:][:ones_len[i]].
     The trie is an automaton indexed by 3 * state + input, where input is a
     bit or PAST_END (a slot after the message, which keeps the state and
     emits nothing). next_at holds 3 * the next state; emit holds the index
@@ -256,6 +316,10 @@ class CodeTables:
         self.word_len = np.array([len(w) for w in words], dtype=np.int64)
         self.word_flat = np.array([int(b) for w in words for b in w], dtype=np.int8)
         self.word_off = np.cumsum(self.word_len) - self.word_len
+        self.ones_len = np.array([w.count("1") for w in words], dtype=np.int64)
+        self.ones_flat = np.array([i for w in words for i, b in enumerate(w) if b == "1"],
+                                  dtype=np.int64)
+        self.ones_off = np.cumsum(self.ones_len) - self.ones_len
 
         # Per state and bit: the next state (-1 for no edge) and the emitted
         # symbol; an edge that completes a codeword returns to the root.
@@ -329,10 +393,29 @@ class CodeTables:
     def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codewords of syms back to back, and each bit's in-word position."""
         syms = syms.ravel()
-        reps = self.word_len[syms]
-        starts = np.cumsum(reps) - reps
-        pos = np.arange(int(reps.sum()), dtype=np.int64) - np.repeat(starts, reps)
-        return self.word_flat[np.repeat(self.word_off[syms], reps) + pos], pos
+        owner, index = _ragged(self.word_off, self.word_len, syms)
+        return self.word_flat[index], index - self.word_off[syms][owner]
+
+    def lay_ones(self, syms: np.ndarray, spare: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row of the 2-D syms laid as one message, by its ones only.
+
+        The messages are the rows of a row-major matrix of max_t + spare
+        columns, max_t being the longest message. Returns every message's
+        length in slots, and the flat positions of its ones in that
+        matrix, ascending: each is its word's start plus its in-word
+        position. Every other slot of the matrix holds a 0.
+        """
+        trials = syms.shape[0]
+        lens = self.word_len[syms]
+        starts = lens.cumsum(axis=1)
+        tlen = starts[:, -1].copy()  # starts is shifted in place below
+        stride = int(tlen.max()) + spare
+        starts -= lens
+        starts += np.arange(0, trials * stride, stride)[:, None]
+        owner, index = _ragged(self.ones_off, self.ones_len, syms.ravel())
+        where = starts.ravel()[owner]
+        where += self.ones_flat[index]
+        return tlen, where
 
 
 class _Node:

@@ -23,7 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codebooks import Codebook, CharacterDistribution, _check_symbols, expected_length
+from .codebooks import (
+    CharacterDistribution,
+    Codebook,
+    _check_symbols,
+    _SymbolGuide,
+    expected_length,
+)
 
 __all__ = [
     "IsiCoefficients",
@@ -180,8 +186,8 @@ def isi_oracle(
     symbols = max(int(samples / expected_length(cb, dist)), memory * batches * 4)
     if rng is None:
         rng = np.random.default_rng(0)
-    probs = np.array([dist.prob(s) for s in cb.symbols])
-    stream, pos = cb.tables.lay(rng.choice(len(probs), size=symbols, p=probs))
+    guide = _SymbolGuide.of([dist.prob(s) for s in cb.symbols])
+    stream, pos = cb.tables.lay(guide.draw(rng, symbols))
 
     n = len(stream)
     p0 = float((stream == 0).mean())

@@ -3,10 +3,13 @@
 Each trial transmits one message of independently drawn characters. Every
 bit-1 slot releases a fixed molecule budget whose arrivals spread over the
 channel memory window. This module draws every random stream (messages,
-arrivals, pilots) and hands the slot counts to the receiver in codec:
-codec._read_bits reads them into bits, error corrected for a corrected
-kind, and codec._decode_rows parses them back into characters and scores
-them positionally against the sent message. A LinkConfig describes one
+arrivals, pilots) and hands the slot counts to the receiver in codec.
+Messages are drawn through a codebooks._SymbolGuide, exactly as
+rng.choice draws them, and laid by their ones straight into release
+positions, where each slot's arrivals are added. codec._read_bits reads
+the counts into bits, error corrected for a corrected kind, and
+codec._decode_rows parses them back into characters and scores them
+positionally against the sent message. A LinkConfig describes one
 link, and derives its slot and arrival coefficients from what it is given.
 
 Determinism contract: trials are processed in fixed chunks of
@@ -32,6 +35,7 @@ from .codebooks import (
     CharacterDistribution,
     Codebook,
     CodeTables,
+    _SymbolGuide,
     build,
     expected_length,
     expected_ones,
@@ -254,49 +258,56 @@ def sample_arrivals(
     return out.T
 
 
-def _symbol_probs(cfg: LinkConfig) -> np.ndarray:
-    """Symbol probabilities in the order of cfg.codebook.symbols."""
-    return np.array([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
+def _symbol_guide(cfg: LinkConfig) -> _SymbolGuide:
+    """The guide that draws symbol indices of cfg.codebook.symbols."""
+    return _SymbolGuide.of([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
-def _sample_bits(tables: CodeTables, probs: np.ndarray, trials: int, msg_len: int,
-                 rng: np.random.Generator):
-    """Draw messages and lay their codewords into a padded bit matrix."""
-    syms = rng.choice(len(probs), size=trials * msg_len, p=probs)
-    syms = syms.reshape(trials, msg_len)
-    tlen = tables.word_len[syms].sum(axis=1)
-    bitmat = np.zeros((trials, int(tlen.max())), dtype=np.int8)
-    bitmat[np.arange(bitmat.shape[1]) < tlen[:, None]] = tables.lay(syms)[0]
-    return syms, tlen, bitmat
+def _sample_bits(tables: CodeTables, guide: _SymbolGuide, trials: int, msg_len: int,
+                 spare: int, rng: np.random.Generator):
+    """Draw messages and lay their codewords into a padded bit matrix.
+
+    The symbols are guide.draw's, which are rng.choice's. Each message is
+    laid once, by its ones: tables.lay_ones gives its length and the
+    positions of its releases in a row-major matrix of max_t + spare
+    columns, max_t being the longest message, and the bit matrix is a
+    put of ones at those positions into zeros. Returns (syms, tlen,
+    bitmat, where): bitmat is the (trials, max_t) view of that matrix,
+    and where the release positions, ascending, so in row-major order.
+    """
+    syms = guide.draw(rng, trials * msg_len).reshape(trials, msg_len)
+    tlen, where = tables.lay_ones(syms, spare)
+    bits = np.zeros((trials, int(tlen.max()) + spare), dtype=np.int8)
+    bits.put(where, 1)
+    return syms, tlen, bits[:, :bits.shape[1] - spare], where
 
 
-def _accumulate_counts(bitmat, tlen, cfg: LinkConfig, rng) -> np.ndarray:
+def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfig,
+                       rng) -> np.ndarray:
     """Superpose the arrival spreads of every bit-1 release into slot counts.
 
-    Releases are taken in row-major order. Counts are exact int32 sums of
-    integer arrivals (LinkConfig bounds them below the int32 limit). The
-    count matrix carries memory - 1 spare columns, so a window that runs
-    past max_t spills there instead of being masked. Each slot's arrival
-    column is added with one np.add.at as soon as it is drawn, at the
-    release positions shifted by its lag, so no (memory, releases) array
-    is ever held. Returns a (trials, max_t) view without the spare
-    columns.
+    where holds the release positions of _sample_bits, flat indices into a
+    row-major count matrix of shape (trials, max_t) plus memory - 1 spare
+    columns, so a window that runs past max_t spills there instead of
+    being masked. Releases are taken in the order of where. Counts are
+    exact int32 sums of integer arrivals (LinkConfig bounds them below the
+    int32 limit). Each slot's arrival column is added with one np.add.at
+    as soon as it is drawn, at where in a view of the flat counts that
+    starts lag slots in, so no (memory, releases) array is ever held and
+    where is left as it was. Returns a (trials, max_t) view without the
+    spare columns.
     """
-    trials, max_t = bitmat.shape
-    spare = cfg.memory - 1
-    counts = np.zeros((trials, max_t + spare), dtype=np.int32)
-    where = np.flatnonzero(bitmat.view(bool))
+    trials, max_t = shape
+    counts = np.zeros((trials, max_t + cfg.memory - 1), dtype=np.int32)
     if where.size:
-        where += where // max_t * spare  # each row's offset in counts
         flat = counts.reshape(-1)
-        for column in _arrival_columns(cfg.molecules_per_one, cfg.coefficients, rng,
-                                       where.size):
-            np.add.at(flat, where, column)
-            where += 1
+        for lag, column in enumerate(_arrival_columns(cfg.molecules_per_one,
+                                                      cfg.coefficients, rng, where.size)):
+            np.add.at(flat[lag:], where, column)
     return counts[:, :max_t]
 
 
-def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
+def _draw_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, seed_tuple):
     """The messages and slot counts of one chunk, drawn from its own stream.
 
     The generator is seeded by seed_tuple, and it draws the messages
@@ -304,11 +315,13 @@ def _draw_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, seed_tuple):
     of the determinism contract. Returns (syms, tlen, bitmat, counts).
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
-    syms, tlen, bitmat = _sample_bits(cfg.codebook.tables, probs, trials, cfg.msg_len, rng)
-    return syms, tlen, bitmat, _accumulate_counts(bitmat, tlen, cfg, rng)
+    syms, tlen, bitmat, where = _sample_bits(cfg.codebook.tables, guide, trials,
+                                             cfg.msg_len, cfg.memory - 1, rng)
+    return syms, tlen, bitmat, _accumulate_counts(where, bitmat.shape, cfg, rng)
 
 
-def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed_tuple):
+def _run_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, tau: float,
+               seed_tuple):
     """Simulate, read, decode and score one chunk of trials.
 
     The chunk's counts are read by codec._read_bits at tau's count cut,
@@ -317,7 +330,7 @@ def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed
     sum of squares of its per-trial character errors.
     """
     tables = cfg.codebook.tables
-    syms, tlen, bitmat, counts = _draw_chunk(cfg, probs, trials, seed_tuple)
+    syms, tlen, bitmat, counts = _draw_chunk(cfg, guide, trials, seed_tuple)
     final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
 
@@ -330,7 +343,8 @@ def _run_chunk(cfg: LinkConfig, probs: np.ndarray, trials: int, tau: float, seed
 
     sent, got = bitmat, final
     ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & valid[:, 2:]
-    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1) & valid[:, 1:]
+    # A sent 1 lies inside its message, so ctx_x01 needs no valid term.
+    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1)
     return {
         "00": slots - sent_ones - read_ones + kept_ones,
         "01": read_ones - kept_ones,
@@ -462,11 +476,11 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     master_seed = cfg.master_seed
     _build_link_tables(cfg)
     tau, origin = resolve_threshold(cfg, master_seed)
-    probs = _symbol_probs(cfg)
+    guide = _symbol_guide(cfg)
 
     def work(item):
         index, size = item
-        return _run_chunk(cfg, probs, size, tau, (master_seed, _MAIN_TAG, index))
+        return _run_chunk(cfg, guide, size, tau, (master_seed, _MAIN_TAG, index))
 
     parts = _map_in_order(work, list(enumerate(_chunk_sizes(trials))), n_threads)
 
@@ -521,10 +535,10 @@ def _calibrate_threshold(
     """
     candidates = strategy.candidates or _default_candidates(cfg)
     tables = cfg.codebook.tables
-    probs = _symbol_probs(cfg)
+    guide = _symbol_guide(cfg)
     cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
     for index, size in enumerate(_chunk_sizes(strategy.messages)):
-        syms, tlen, _, counts = _draw_chunk(cfg, probs, size, (master_seed, _CAL_TAG, index))
+        syms, tlen, _, counts = _draw_chunk(cfg, guide, size, (master_seed, _CAL_TAG, index))
         for cut in cut_errors:
             final = _read_bits(counts, cut, cfg.codebook.corrected)
             cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())

@@ -1,11 +1,13 @@
 """The fast simulator paths against slow references kept here.
 
-Count accumulation is checked against a per-release Python loop, the
-step-table decoder against the one-slot trie walk it replaced, and
-threshold calibration against the brute-force scorer it replaced: float
-counts from full-length bincount passes, then a full read, correct,
-decode and score of every candidate tau on its own. Every reference must
-agree exactly, not statistically.
+The symbol guide is checked against Generator.choice, the message lay
+against rng.choice, CodeTables.lay and np.flatnonzero, count
+accumulation against a per-release Python loop, the step-table decoder
+against the one-slot trie walk it replaced, and threshold calibration
+against the brute-force scorer it replaced: float counts from
+full-length bincount passes, then a full read, correct, decode and score
+of every candidate tau on its own. Every reference must agree exactly,
+not statistically.
 """
 import math
 
@@ -24,7 +26,7 @@ from molcode import (
     ita2,
     sample_arrivals,
 )
-from molcode.codebooks import _STEP_ENTRIES, PAST_END
+from molcode.codebooks import _STEP_ENTRIES, _SYMBOL_BUCKETS, PAST_END, _SymbolGuide
 from molcode.codec import _decode_rows
 from molcode.mc_sim import (
     _CAL_TAG,
@@ -33,7 +35,7 @@ from molcode.mc_sim import (
     _calibrate_threshold,
     _default_candidates,
     _sample_bits,
-    _symbol_probs,
+    _symbol_guide,
 )
 
 
@@ -63,15 +65,134 @@ def _sample_arrivals(cfg, rng, size):
     return sample_arrivals(cfg.molecules_per_one, cfg.coefficients, rng, size=size)
 
 
+def _symbol_probs(cb, dist):
+    return np.array([dist.prob(s) for s in cb.symbols])
+
+
+# -- the symbol guide against Generator.choice ---------------------------
+def _assert_draws_like_choice(probs, size, seed):
+    probs = np.asarray(probs, dtype=float)
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = want_rng.choice(len(probs), size=size, p=probs)
+    got = _SymbolGuide.of(probs).draw(got_rng, size)
+    assert got.dtype == np.int16
+    np.testing.assert_array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    return got
+
+
+class TestSymbolGuide:
+    def test_english(self, dist, hcb):
+        _assert_draws_like_choice(_symbol_probs(hcb, dist), 200_000, 1)
+
+    def test_two_symbols(self):
+        _assert_draws_like_choice([0.7, 0.3], 100_000, 2)
+
+    def test_cdf_on_bucket_edges(self):
+        # Every CDF value is a bucket edge, so no bucket holds a change of
+        # symbol and none is searched.
+        probs = [0.25, 0.25, 0.5]
+        assert (_SymbolGuide.of(probs).guide >= 0).all()
+        _assert_draws_like_choice(probs, 100_000, 3)
+
+    def test_symbol_below_one_bucket(self):
+        # The rare symbol lies inside the first bucket, which is searched.
+        probs = np.array([1e-4, 0.3, 0.7 - 1e-4])
+        assert _SymbolGuide.of(probs).guide[0] < 0
+        got = _assert_draws_like_choice(probs, 200_000, 4)
+        assert (got == 0).any()
+
+    def test_most_buckets_searched(self):
+        rng = np.random.default_rng(5)
+        weights = rng.random(1000)
+        guide = _SymbolGuide.of(weights / weights.sum())
+        assert (guide.guide < 0).mean() > 0.5
+        _assert_draws_like_choice(weights / weights.sum(), 50_000, 6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=60).filter(
+            lambda w: sum(w) > 1e-3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_weights(self, weights, seed):
+        probs = np.array(weights) / sum(weights)
+        _assert_draws_like_choice(probs, 5000, seed)
+
+    @pytest.mark.parametrize("probs", [[0.25, 0.25, 0.5], [1e-4, 0.3, 0.7 - 1e-4], None])
+    def test_every_entry_holds_at_both_bucket_ends(self, dist, hcb, probs):
+        # The search is monotone in u, so an entry that is the search's
+        # answer at the least and the greatest uniform of its bucket is
+        # the answer for every uniform in between.
+        guide = _SymbolGuide.of(_symbol_probs(hcb, dist) if probs is None else probs)
+        held = np.flatnonzero(guide.guide >= 0)
+        low = held / _SYMBOL_BUCKETS
+        high = (held + 1) / _SYMBOL_BUCKETS - 2.0 ** -53
+        for u in (low, high):
+            np.testing.assert_array_equal(guide.cdf.searchsorted(u, side="right"),
+                                          guide.guide[held])
+
+
+# -- the one-pass lay against choice, CodeTables.lay and flatnonzero -------
+def _reference_bits(tables, probs, trials, msg_len, rng):
+    """Messages drawn by rng.choice and laid bit by bit by CodeTables.lay."""
+    syms = rng.choice(len(probs), size=trials * msg_len, p=probs).reshape(trials, msg_len)
+    tlen = tables.word_len[syms].sum(axis=1)
+    bitmat = np.zeros((trials, int(tlen.max())), dtype=np.int8)
+    bitmat[np.arange(bitmat.shape[1]) < tlen[:, None]] = tables.lay(syms)[0]
+    return syms, tlen, bitmat
+
+
+LAY_CODES = {
+    **{kind: None for kind in ("huffman", "proposed", "ita2")},
+    "one-bit": (0.6, 0.4),
+    "incomplete": (0.5, 0.3, 0.2),
+    # Most messages of two characters are all "00": rows with no release.
+    "zero-word": (0.8, 0.15, 0.05),
+}
+
+
+class TestSampleBits:
+    @pytest.mark.parametrize("spare", [0, 9])
+    @pytest.mark.parametrize("code", sorted(LAY_CODES))
+    def test_matches_choice_lay_and_flatnonzero(self, code, spare, dist):
+        if code == "zero-word":
+            cb = Codebook(kind="custom", codewords={"a": "00", "b": "01", "c": "1"})
+            msg_len = 2
+        else:
+            cb = DECODE_CODES[code]
+            msg_len = 7
+        probs = (_symbol_probs(cb, dist) if LAY_CODES[code] is None
+                 else np.array(LAY_CODES[code]))
+        want_rng, got_rng = np.random.default_rng(12), np.random.default_rng(12)
+        want_syms, want_tlen, want_bits = _reference_bits(cb.tables, probs, 700, msg_len,
+                                                          want_rng)
+        max_t = want_bits.shape[1]
+        want_where = np.flatnonzero(want_bits)
+        want_where += want_where // max_t * spare
+
+        syms, tlen, bitmat, where = _sample_bits(cb.tables, _SymbolGuide.of(probs), 700,
+                                                 msg_len, spare, got_rng)
+        np.testing.assert_array_equal(syms, want_syms)
+        np.testing.assert_array_equal(tlen, want_tlen)
+        assert bitmat.shape == want_bits.shape
+        np.testing.assert_array_equal(bitmat, want_bits)
+        np.testing.assert_array_equal(where, want_where)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        if code == "zero-word":
+            assert (np.count_nonzero(bitmat, axis=1) == 0).any()
+
+
 class TestAccumulateCounts:
     @pytest.mark.parametrize("kind", ["huffman", "proposed"])
     def test_matches_release_loop(self, kind, dist, hcb, pcb, params):
         cfg = _link(hcb if kind == "huffman" else pcb, dist, params, molecules=40, msg_len=4)
         rng = np.random.default_rng(11)
-        tables, probs = cfg.codebook.tables, _symbol_probs(cfg)
-        syms, tlen, bitmat = _sample_bits(tables, probs, 300, cfg.msg_len, rng)
-        state = rng.bit_generator.state
-        fast = _accumulate_counts(bitmat, tlen, cfg, rng)
+        syms, tlen, bitmat, where = _sample_bits(cfg.codebook.tables, _symbol_guide(cfg), 300,
+                                                 cfg.msg_len, cfg.memory - 1, rng)
+        state, sent = rng.bit_generator.state, where.copy()
+        fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
+        np.testing.assert_array_equal(where, sent)
         rng.bit_generator.state = state
         slow = _release_loop_counts(bitmat, cfg, rng)
 
@@ -164,7 +285,7 @@ class TestStepDecoder:
         cb = DECODE_CODES[code]
         rng = np.random.default_rng(3)
         probs = np.full(len(cb.codewords), 1 / len(cb.codewords))
-        syms, tlen, bitmat = _sample_bits(cb.tables, probs, 500, 10, rng)
+        syms, tlen, bitmat, _ = _sample_bits(cb.tables, _SymbolGuide.of(probs), 500, 10, 0, rng)
         flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
         _assert_same_decode(bitmat, tlen, syms, cb.tables)
         _assert_same_decode(bitmat ^ flips, tlen, syms, cb.tables)
@@ -255,14 +376,14 @@ def _reference_correct(det):
 
 def _brute_force_calibration(cfg, strategy, master_seed):
     candidates = strategy.candidates or _default_candidates(cfg)
-    tables, probs = cfg.codebook.tables, _symbol_probs(cfg)
+    tables, probs = cfg.codebook.tables, _symbol_probs(cfg.codebook, cfg.distribution)
     trie = _ReferenceTrie(cfg.codebook, cfg.codebook.symbols)
     errors = [0] * len(candidates)
     remaining, index = strategy.messages, 0
     while remaining > 0:
         size = min(CHUNK_TRIALS, remaining)
         rng = np.random.default_rng(np.random.SeedSequence((master_seed, _CAL_TAG, index)))
-        syms, tlen, bitmat = _sample_bits(tables, probs, size, cfg.msg_len, rng)
+        syms, tlen, bitmat = _reference_bits(tables, probs, size, cfg.msg_len, rng)
         counts = _reference_counts(bitmat, cfg, rng)
         for ci, tau in enumerate(candidates):
             det = (counts >= tau).astype(np.int8)

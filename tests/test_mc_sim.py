@@ -315,12 +315,12 @@ class TestStreamedCounts:
         )
         mc_sim._build_link_tables(cfg)
         rng = np.random.default_rng(8)
-        _, tlen, bitmat = mc_sim._sample_bits(hcb.tables, mc_sim._symbol_probs(cfg), 1024,
-                                              cfg.msg_len, rng)
+        _, _, bitmat, where = mc_sim._sample_bits(hcb.tables, mc_sim._symbol_guide(cfg), 1024,
+                                                  cfg.msg_len, cfg.memory - 1, rng)
         arrivals_bytes = cfg.memory * np.count_nonzero(bitmat) * 4
         tracemalloc.start()
         try:
-            mc_sim._accumulate_counts(bitmat, tlen, cfg, rng)
+            mc_sim._accumulate_counts(where, bitmat.shape, cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -463,12 +463,12 @@ class TestEngineAgreesWithScalarPath:
         )
         rep = run_cer(cfg)
 
-        from molcode.mc_sim import _MAIN_TAG, _sample_bits, _accumulate_counts, _symbol_probs
+        from molcode.mc_sim import _MAIN_TAG, _accumulate_counts, _sample_bits, _symbol_guide
 
         rng = np.random.default_rng(np.random.SeedSequence((17, _MAIN_TAG, 0)))
-        syms, tlen, bitmat = _sample_bits(cb.tables, _symbol_probs(cfg), cfg.trials,
-                                          cfg.msg_len, rng)
-        counts = _accumulate_counts(bitmat, tlen, cfg, rng)
+        syms, tlen, bitmat, where = _sample_bits(cb.tables, _symbol_guide(cfg), cfg.trials,
+                                                 cfg.msg_len, cfg.memory - 1, rng)
+        counts = _accumulate_counts(where, bitmat.shape, cfg, rng)
         alphabet = cb.symbols
         errors = 0
         for i in range(cfg.trials):
