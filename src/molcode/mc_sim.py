@@ -277,9 +277,10 @@ def _sample_bits(tables: CodeTables, guide: _SymbolGuide, trials: int, msg_len: 
     """
     syms = guide.draw(rng, trials * msg_len).reshape(trials, msg_len)
     tlen, where = tables.lay_ones(syms, spare)
-    bits = np.zeros((trials, int(tlen.max()) + spare), dtype=np.int8)
+    max_t = int(tlen.max())
+    bits = np.zeros((trials, max_t + spare), dtype=np.int8)
     bits.put(where, 1)
-    return syms, tlen, bits[:, :bits.shape[1] - spare], where
+    return syms, tlen, bits[:, :max_t], where
 
 
 def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfig,
