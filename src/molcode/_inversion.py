@@ -5,7 +5,7 @@ n * p <= 30: it draws one uniform and walks the probability mass function
 until the uniform is used up. For a fixed p, which uniforms end the walk
 at each x is fixed too, so the walk can be replaced by a lookup in exact
 precomputed cuts that reads the same uniforms and returns the same counts.
-mc_sim.sample_arrivals imports this module on its first table lookup.
+mc_sim imports this module when it first looks up a link's tables.
 """
 from __future__ import annotations
 
@@ -212,13 +212,13 @@ def link_tables(molecules: int, probs: tuple[float, ...]) -> tuple[Table | None,
 
 def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
               rng: np.random.Generator, scratch: Scratch) -> bool:
-    """Draw one slot from its table, in place; False if numpy would redraw.
+    """Draw one slot from its table into column; False if numpy would redraw.
 
     Reads one uniform per nonzero remaining count, in release order, as
     numpy's binomial loop does, a block at a time into scratch, which
     holds at least min(len(remaining), BLOCK) entries. Writes every entry
-    of column. On False, remaining is as it was and the caller restores
-    the generator.
+    of column and never remaining: the caller takes the column off the
+    remaining counts, and on False restores the generator instead.
     """
     for start in range(0, len(remaining), BLOCK):
         rem = remaining[start:start + BLOCK]
@@ -232,8 +232,6 @@ def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
         u = rng.random(n.size, out=scratch.u[:n.size])
         x, redraw = table.lookup(n, u, scratch)
         if redraw:
-            remaining[:start] += column[:start].astype(np.uint8)
             return False
         col[nz] = x
-        rem[nz] = n - x
     return True

@@ -9,8 +9,9 @@ rng.choice draws them, and laid by their ones straight into release
 positions, where each slot's arrivals are added. codec._read_bits reads
 the counts into bits, error corrected for a corrected kind, and
 codec._decode_rows parses them back into characters and scores them
-positionally against the sent message. A LinkConfig describes one
-link, and derives its slot and arrival coefficients from what it is given.
+positionally against the sent message; only _run_chunk puts the sent
+bits together, from the release positions, to count bit errors. A
+LinkConfig describes one link and derives its slot and coefficients.
 
 Determinism contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, and chunk c draws all of its randomness from a dedicated
@@ -34,7 +35,6 @@ from .channel import ChannelParams, channel_coefficients
 from .codebooks import (
     CharacterDistribution,
     Codebook,
-    CodeTables,
     _SymbolGuide,
     build,
     expected_length,
@@ -189,6 +189,17 @@ def _count_dtype(molecules: int) -> type:
     return np.int32 if molecules <= _COUNT_LIMIT else np.int64
 
 
+def _slot_tables(molecules: int, coefficients: Sequence[float]):
+    """A link's slot probabilities and its cached _inversion.link_tables,
+    which exist for releases of 1 to _TABLE_MOLECULES molecules, else None."""
+    probs = _slot_probabilities(np.asarray(coefficients, dtype=float))
+    if not 0 < molecules <= _TABLE_MOLECULES:
+        return probs, None
+    from . import _inversion  # compiled on first use, not by every import
+
+    return probs, _inversion.link_tables(molecules, tuple(probs))
+
+
 def _arrival_columns(molecules: int, coefficients: Sequence[float],
                      rng: np.random.Generator, size: int):
     """Yield the arrival counts of size releases of molecules, slot by slot.
@@ -203,25 +214,25 @@ def _arrival_columns(molecules: int, coefficients: Sequence[float],
         raise ValueError("molecule count must be non-negative")
     if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
         raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    probs = _slot_probabilities(coeffs)
-    small = molecules <= _TABLE_MOLECULES
-    tables = (None,) * len(probs)
-    if small and molecules and size:
-        from . import _inversion  # compiled on first use, not by every import
-
-        tables = _inversion.link_tables(molecules, tuple(probs))
-        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
-    remaining = np.full(size, molecules, dtype=np.uint8 if small else np.int64)
+    probs, tables = _slot_tables(molecules, coeffs)
+    remaining = np.full(size, molecules, dtype=np.int64 if tables is None else np.uint8)
     column = np.empty(size, dtype=_count_dtype(molecules))
+    if tables is None:
+        tables = (None,) * len(probs)
+    else:
+        from . import _inversion
+
+        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
     for p, table in zip(probs, tables):
         if table is not None:
             state = rng.bit_generator.state
-            if _inversion.draw_slot(table, remaining, column, rng, scratch):
-                yield column
-                continue
-            rng.bit_generator.state = state
-        column[:] = rng.binomial(remaining, p)
-        remaining -= column.astype(remaining.dtype)
+            if not _inversion.draw_slot(table, remaining, column, rng, scratch):
+                rng.bit_generator.state = state
+                table = None
+        if table is None:
+            column[:] = rng.binomial(remaining, p)
+        # In remaining's dtype: numpy's int32 loop for the pair took twice as long.
+        np.subtract(remaining, column, out=remaining, dtype=remaining.dtype, casting="unsafe")
         yield column
 
 
@@ -263,49 +274,34 @@ def _symbol_guide(cfg: LinkConfig) -> _SymbolGuide:
     return _SymbolGuide.of([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
-def _sample_bits(tables: CodeTables, guide: _SymbolGuide, trials: int, msg_len: int,
-                 spare: int, rng: np.random.Generator):
-    """Draw messages and lay their codewords into a padded bit matrix.
-
-    The symbols are guide.draw's, which are rng.choice's. Each message is
-    laid once, by its ones: tables.lay_ones gives its length and the
-    positions of its releases in a row-major matrix of max_t + spare
-    columns, max_t being the longest message, and the bit matrix is a
-    put of ones at those positions into zeros. Returns (syms, tlen,
-    bitmat, where): bitmat is the (trials, max_t) view of that matrix,
-    and where the release positions, ascending, so in row-major order.
+def _release_matrix(shape: tuple[int, int], cfg: LinkConfig, dtype) -> tuple:
+    """A zero matrix in the stride max_t + memory - 1 of the release
+    positions, so a window that runs past max_t spills into spare columns
+    instead of being masked: returns it flat and as a (trials, max_t) view.
     """
-    syms = guide.draw(rng, trials * msg_len).reshape(trials, msg_len)
-    tlen, where = tables.lay_ones(syms, spare)
-    max_t = int(tlen.max())
-    bits = np.zeros((trials, max_t + spare), dtype=np.int8)
-    bits.put(where, 1)
-    return syms, tlen, bits[:, :max_t], where
+    trials, max_t = shape
+    full = np.zeros((trials, max_t + cfg.memory - 1), dtype=dtype)
+    return full.reshape(-1), full[:, :max_t]
 
 
 def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfig,
                        rng) -> np.ndarray:
     """Superpose the arrival spreads of every bit-1 release into slot counts.
 
-    where holds the release positions of _sample_bits, flat indices into a
-    row-major count matrix of shape (trials, max_t) plus memory - 1 spare
-    columns, so a window that runs past max_t spills there instead of
-    being masked. Releases are taken in the order of where. Counts are
-    exact int32 sums of integer arrivals (LinkConfig bounds them below the
-    int32 limit). Each slot's arrival column is added with one np.add.at
-    as soon as it is drawn, at where in a view of the flat counts that
-    starts lag slots in, so no (memory, releases) array is ever held and
-    where is left as it was. Returns a (trials, max_t) view without the
-    spare columns.
+    where holds the release positions, flat indices into a _release_matrix
+    of shape (trials, max_t), whose view is returned. Counts are exact
+    int32 sums of integer arrivals (LinkConfig bounds them below the int32
+    limit). Each slot's arrival column is added with one np.add.at as soon
+    as it is drawn, at where in a view of the flat counts that starts lag
+    slots in, so no (memory, releases) array is ever held and where is
+    left as it was.
     """
-    trials, max_t = shape
-    counts = np.zeros((trials, max_t + cfg.memory - 1), dtype=np.int32)
+    flat, counts = _release_matrix(shape, cfg, np.int32)
     if where.size:
-        flat = counts.reshape(-1)
         for lag, column in enumerate(_arrival_columns(cfg.molecules_per_one,
                                                       cfg.coefficients, rng, where.size)):
             np.add.at(flat[lag:], where, column)
-    return counts[:, :max_t]
+    return counts
 
 
 def _draw_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, seed_tuple):
@@ -313,12 +309,15 @@ def _draw_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, seed_tuple):
 
     The generator is seeded by seed_tuple, and it draws the messages
     first and the arrivals of their releases second; that order is part
-    of the determinism contract. Returns (syms, tlen, bitmat, counts).
+    of the determinism contract. The symbols are guide.draw's, which are
+    rng.choice's, laid by their ones with CodeTables.lay_ones. Returns
+    (syms, tlen, where, counts), where being the release positions.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
-    syms, tlen, bitmat, where = _sample_bits(cfg.codebook.tables, guide, trials,
-                                             cfg.msg_len, cfg.memory - 1, rng)
-    return syms, tlen, bitmat, _accumulate_counts(where, bitmat.shape, cfg, rng)
+    syms = guide.draw(rng, trials * cfg.msg_len).reshape(trials, cfg.msg_len)
+    tlen, where = cfg.codebook.tables.lay_ones(syms, cfg.memory - 1)
+    counts = _accumulate_counts(where, (trials, int(tlen.max())), cfg, rng)
+    return syms, tlen, where, counts
 
 
 def _run_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, tau: float,
@@ -326,35 +325,37 @@ def _run_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, tau: float,
     """Simulate, read, decode and score one chunk of trials.
 
     The chunk's counts are read by codec._read_bits at tau's count cut,
-    correction included, and decoded by codec._decode_rows. Returns the
-    chunk's integer totals under their CerReport names, and the sum and
-    sum of squares of its per-trial character errors.
+    correction included, and decoded by codec._decode_rows; the sent bits
+    are put from the release positions once the counts are freed. Returns
+    the chunk's integer totals under their CerReport names, and the sum
+    and sum of squares of its per-trial character errors.
     """
-    tables = cfg.codebook.tables
-    syms, tlen, bitmat, counts = _draw_chunk(cfg, guide, trials, seed_tuple)
-    final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
-    err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms, tables)
+    syms, tlen, where, counts = _draw_chunk(cfg, guide, trials, seed_tuple)
+    final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected).view(bool)
+    del counts
+    err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
+                                                            cfg.codebook.tables)
 
-    valid = np.arange(bitmat.shape[1])[None, :] < tlen[:, None]
-    # Padding after a message is 0 in bitmat but may read 1 in final.
+    flat, sent = _release_matrix(final.shape, cfg, bool)
+    flat.put(where, True)
+    # Padding after a message is 0 in sent but may read 1 in final.
+    valid = np.arange(final.shape[1]) < tlen[:, None]
     slots = int(tlen.sum())
-    sent_ones = int(np.count_nonzero(bitmat))
+    sent_ones = where.size
     read_ones = int(np.count_nonzero(final & valid))
-    kept_ones = int(np.count_nonzero(bitmat & final))
-
-    sent, got = bitmat, final
-    ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & valid[:, 2:]
+    kept_ones = int(np.count_nonzero(sent & final))
+    ctx100 = sent[:, :-2] & ~sent[:, 1:-1] & ~sent[:, 2:] & valid[:, 2:]
     # A sent 1 lies inside its message, so ctx_x01 needs no valid term.
-    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1)
+    ctx_x01 = ~sent[:, :-1] & sent[:, 1:]
     return {
         "00": slots - sent_ones - read_ones + kept_ones,
         "01": read_ones - kept_ones,
         "10": sent_ones - kept_ones,
         "11": kept_ones,
-        "ctx_100": int(ctx100.sum()),
-        "ctx_100_err": int((ctx100 & (got[:, 2:] == 1)).sum()),
-        "ctx_x01": int(ctx_x01.sum()),
-        "ctx_x01_err": int((ctx_x01 & (got[:, 1:] == 0)).sum()),
+        "ctx_100": int(np.count_nonzero(ctx100)),
+        "ctx_100_err": int(np.count_nonzero(ctx100 & final[:, 2:])),
+        "ctx_x01": int(np.count_nonzero(ctx_x01)),
+        "ctx_x01_err": int(np.count_nonzero(ctx_x01 & ~final[:, 1:])),
         "dead_end": int(dead.sum()),
         "incomplete_tail": int(incomplete.sum()),
         "decoded_overflow": int((dec_len > cfg.msg_len).sum()),
@@ -452,17 +453,12 @@ def _map_in_order(fn, items: list, workers: int, each=None) -> list:
 def _build_link_tables(cfg: LinkConfig) -> None:
     """Build the cached tables a link's chunks read, before any chunk runs.
 
-    These are the codebook's step table and, for releases of 1 to 255
-    molecules, the inversion tables of the link. They live as long as their
-    caches, so building them while no chunk array exists keeps them from
-    pinning the heap above a chunk's peak.
+    These are the codebook's step table and the link's inversion tables.
+    They live as long as their caches, so building them while no chunk
+    array exists keeps them from pinning the heap above a chunk's peak.
     """
     cfg.codebook.tables.steps
-    if 0 < cfg.molecules_per_one <= _TABLE_MOLECULES:
-        from . import _inversion
-
-        coeffs = np.asarray(cfg.coefficients, dtype=float)
-        _inversion.link_tables(cfg.molecules_per_one, tuple(_slot_probabilities(coeffs)))
+    _slot_tables(cfg.molecules_per_one, cfg.coefficients)
 
 
 def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:

@@ -2,7 +2,8 @@
 
 The symbol guide is checked against Generator.choice, the message lay
 against rng.choice, CodeTables.lay and np.flatnonzero, count
-accumulation against a per-release Python loop, the step-table decoder
+accumulation against a per-release Python loop, a chunk's bool scoring
+against the int8 scoring it replaced, the step-table decoder
 against the one-slot trie walk it replaced, and threshold calibration
 against the brute-force scorer it replaced: float counts from
 full-length bincount passes, then a full read, correct, decode and score
@@ -18,7 +19,9 @@ from hypothesis import strategies as st
 
 from molcode import (
     CalibratedThreshold,
+    CharacterDistribution,
     Codebook,
+    ConstantThreshold,
     LinkConfig,
     build_huffman,
     build_proposed,
@@ -27,25 +30,46 @@ from molcode import (
     sample_arrivals,
 )
 from molcode.codebooks import _STEP_ENTRIES, _SYMBOL_BUCKETS, PAST_END, _SymbolGuide
-from molcode.codec import _decode_rows
+from molcode.codec import _count_cut, _decode_rows, _read_bits
 from molcode.mc_sim import (
     _CAL_TAG,
     CHUNK_TRIALS,
     _accumulate_counts,
     _calibrate_threshold,
     _default_candidates,
-    _sample_bits,
+    _draw_chunk,
+    _run_chunk,
     _symbol_guide,
 )
 
 
-def _link(codebook, dist, params, molecules, threshold=None, msg_len=10):
+def _link(codebook, dist, params, molecules, threshold=None, msg_len=10, memory=10):
     return LinkConfig.build(
         codebook=codebook, distribution=dist, params=params,
         molecules_per_one=molecules, char_duration=0.5,
         threshold=threshold or CalibratedThreshold(), msg_len=msg_len,
-        memory=10, trials=100, master_seed=0,
+        memory=memory, trials=100, master_seed=0,
     )
+
+
+def _bit_matrix(where, trials, max_t, spare):
+    """The int8 (trials, max_t) 0/1 matrix with a 1 at each release position
+    of where, in rows of max_t + spare slots."""
+    bits = np.zeros((trials, max_t + spare), dtype=np.int8)
+    bits.put(where, 1)
+    return bits[:, :max_t]
+
+
+def _laid_messages(tables, guide, trials, msg_len, spare, rng):
+    """Messages drawn and laid as a chunk draws them, with their bit matrix.
+
+    The symbols are guide.draw's and the release positions
+    tables.lay_ones', as in mc_sim._draw_chunk. Returns (syms, tlen,
+    bitmat, where).
+    """
+    syms = guide.draw(rng, trials * msg_len).reshape(trials, msg_len)
+    tlen, where = tables.lay_ones(syms, spare)
+    return syms, tlen, _bit_matrix(where, trials, int(tlen.max()), spare), where
 
 
 def _release_loop_counts(bitmat, cfg, rng):
@@ -171,8 +195,8 @@ class TestSampleBits:
         want_where = np.flatnonzero(want_bits)
         want_where += want_where // max_t * spare
 
-        syms, tlen, bitmat, where = _sample_bits(cb.tables, _SymbolGuide.of(probs), 700,
-                                                 msg_len, spare, got_rng)
+        syms, tlen, bitmat, where = _laid_messages(cb.tables, _SymbolGuide.of(probs), 700,
+                                                   msg_len, spare, got_rng)
         np.testing.assert_array_equal(syms, want_syms)
         np.testing.assert_array_equal(tlen, want_tlen)
         assert bitmat.shape == want_bits.shape
@@ -188,8 +212,8 @@ class TestAccumulateCounts:
     def test_matches_release_loop(self, kind, dist, hcb, pcb, params):
         cfg = _link(hcb if kind == "huffman" else pcb, dist, params, molecules=40, msg_len=4)
         rng = np.random.default_rng(11)
-        syms, tlen, bitmat, where = _sample_bits(cfg.codebook.tables, _symbol_guide(cfg), 300,
-                                                 cfg.msg_len, cfg.memory - 1, rng)
+        syms, tlen, bitmat, where = _laid_messages(cfg.codebook.tables, _symbol_guide(cfg),
+                                                   300, cfg.msg_len, cfg.memory - 1, rng)
         state, sent = rng.bit_generator.state, where.copy()
         fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
         np.testing.assert_array_equal(where, sent)
@@ -205,6 +229,80 @@ class TestAccumulateCounts:
         # And counts past a message's own end stay in the matrix.
         past_end = np.arange(bitmat.shape[1]) >= tlen[:, None]
         assert fast[past_end].any()
+
+
+# -- the bool scoring of a chunk against the int8 block it replaced --------
+def _int8_chunk_totals(cfg, trials, tau, seed_tuple):
+    """A chunk's totals as _run_chunk scored them on int8 matrices.
+
+    The sent bits are an int8 matrix put together from the release
+    positions, and both it and the read bits are compared with == 1 and
+    == 0.
+    """
+    syms, tlen, where, counts = _draw_chunk(cfg, _symbol_guide(cfg), trials, seed_tuple)
+    bitmat = _bit_matrix(where, trials, counts.shape[1], cfg.memory - 1)
+    final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
+    err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
+                                                            cfg.codebook.tables)
+
+    valid = np.arange(bitmat.shape[1])[None, :] < tlen[:, None]
+    slots = int(tlen.sum())
+    sent_ones = int(np.count_nonzero(bitmat))
+    read_ones = int(np.count_nonzero(final & valid))
+    kept_ones = int(np.count_nonzero(bitmat & final))
+
+    sent, got = bitmat, final
+    ctx100 = (sent[:, :-2] == 1) & (sent[:, 1:-1] == 0) & (sent[:, 2:] == 0) & valid[:, 2:]
+    ctx_x01 = (sent[:, :-1] == 0) & (sent[:, 1:] == 1)
+    return {
+        "00": slots - sent_ones - read_ones + kept_ones,
+        "01": read_ones - kept_ones,
+        "10": sent_ones - kept_ones,
+        "11": kept_ones,
+        "ctx_100": int(ctx100.sum()),
+        "ctx_100_err": int((ctx100 & (got[:, 2:] == 1)).sum()),
+        "ctx_x01": int(ctx_x01.sum()),
+        "ctx_x01_err": int((ctx_x01 & (got[:, 1:] == 0)).sum()),
+        "dead_end": int(dead.sum()),
+        "incomplete_tail": int(incomplete.sum()),
+        "decoded_overflow": int((dec_len > cfg.msg_len).sum()),
+        "sum_err": int(err_per_trial.sum()),
+        "sum_err_sq": int((err_per_trial ** 2).sum()),
+    }
+
+
+SCORE_CODES = {
+    **{kind: None for kind in ("huffman", "proposed", "ita2")},
+    # Rows of one or two characters with no release at all.
+    "zero-word": ({"a": "00", "b": "01", "c": "1"}, (0.8, 0.15, 0.05)),
+    # Releases in adjacent slots and in the last slot of a row.
+    "one-bit": ({"a": "0", "b": "1"}, (0.6, 0.4)),
+}
+
+
+class TestChunkScoring:
+    @pytest.mark.parametrize("memory", [1, 2, 3, 10])
+    @pytest.mark.parametrize("code", sorted(SCORE_CODES))
+    def test_matches_int8_scoring(self, code, memory, dist, params):
+        if SCORE_CODES[code] is None:
+            cb, link_dist = DECODE_CODES[code], dist
+        else:
+            words, probs = SCORE_CODES[code]
+            cb = Codebook(kind="custom", codewords=words)
+            link_dist = CharacterDistribution(cb.symbols, probs)
+        errors = 0
+        for msg_len in (1, 10):
+            for molecules in (0, 5, 40, 300):
+                cfg = _link(cb, link_dist, params, molecules, ConstantThreshold(1.0),
+                            msg_len=msg_len, memory=memory)
+                tau = max(1.0, 0.4 * molecules * cfg.coefficients[0])
+                seed = (molecules, msg_len, memory)
+                want = _int8_chunk_totals(cfg, 400, tau, seed)
+                got = _run_chunk(cfg, _symbol_guide(cfg), 400, tau, seed)
+                assert got == want, (msg_len, molecules)
+                assert all(type(total) is int for total in got.values())
+                errors += got["01"] + got["10"]
+        assert errors
 
 
 # -- the step-table decoder against the one-slot trie walk ---------------
@@ -285,7 +383,8 @@ class TestStepDecoder:
         cb = DECODE_CODES[code]
         rng = np.random.default_rng(3)
         probs = np.full(len(cb.codewords), 1 / len(cb.codewords))
-        syms, tlen, bitmat, _ = _sample_bits(cb.tables, _SymbolGuide.of(probs), 500, 10, 0, rng)
+        syms, tlen, bitmat, _ = _laid_messages(cb.tables, _SymbolGuide.of(probs), 500, 10, 0,
+                                               rng)
         flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
         _assert_same_decode(bitmat, tlen, syms, cb.tables)
         _assert_same_decode(bitmat ^ flips, tlen, syms, cb.tables)

@@ -5,8 +5,10 @@ up by name (a tracer wrapping each public function, for one) skip a
 missing name, so a stale export would otherwise go unnoticed. The
 layering test reads the import statements of every package module,
 including those inside functions, and holds each layer to the modules
-below it. The README's library quick start, written against the
-exported API, must run as printed.
+below it. Every module-level private function and class must be named
+by package code outside its own definition, so a helper that only tests
+keep alive shows up. The README's library quick start, written against
+the exported API, must run as printed.
 """
 import ast
 import importlib
@@ -66,6 +68,42 @@ def test_imports_are_read_inside_functions(tmp_path):
 def test_layering(module):
     allowed = MAY_IMPORT.get(module, set(MODULES) - {"cli"})
     assert _imported_modules(SRC / f"{module}.py") - {module} <= allowed
+
+
+def _unreferenced_private(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes that no code names.
+
+    sources maps module names to source text. A definition is referenced
+    when a name or an attribute read anywhere in sources, outside its own
+    definition, spells its name; an import of it alone is not a reference.
+    Returns module.name of every other one, in definition order.
+    """
+    statements, private = [], []
+    for module, text in sources.items():
+        for stmt in ast.parse(text).body:
+            statements.append({node.id if isinstance(node, ast.Name) else node.attr
+                               for node in ast.walk(stmt)
+                               if isinstance(node, (ast.Name, ast.Attribute))})
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.startswith("__")):
+                private.append((module, stmt.name, len(statements) - 1))
+    return [f"{module}.{name}" for module, name, at in private
+            if not any(name in names for i, names in enumerate(statements) if i != at)]
+
+
+def test_unreferenced_private_reads_names_and_attributes():
+    sources = {
+        "a": "def _dead():\n    return _dead()\n\ndef _used():\n    pass\n\n"
+             "class _Imported:\n    pass\n\nclass _Helper:\n    pass\n",
+        "b": "from .a import _Imported, _used\nfrom . import a\n"
+             "def f():\n    return _used(), a._Helper\n",
+    }
+    assert _unreferenced_private(sources) == ["a._dead", "a._Imported"]
+
+
+def test_every_private_definition_is_used_by_the_package():
+    sources = {module: (SRC / f"{module}.py").read_text() for module in MODULES}
+    assert _unreferenced_private(sources) == []
 
 
 def test_readme_quick_start_runs():

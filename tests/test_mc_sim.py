@@ -315,12 +315,12 @@ class TestStreamedCounts:
         )
         mc_sim._build_link_tables(cfg)
         rng = np.random.default_rng(8)
-        _, _, bitmat, where = mc_sim._sample_bits(hcb.tables, mc_sim._symbol_guide(cfg), 1024,
-                                                  cfg.msg_len, cfg.memory - 1, rng)
-        arrivals_bytes = cfg.memory * np.count_nonzero(bitmat) * 4
+        syms = mc_sim._symbol_guide(cfg).draw(rng, 1024 * cfg.msg_len).reshape(1024, -1)
+        tlen, where = hcb.tables.lay_ones(syms, cfg.memory - 1)
+        arrivals_bytes = cfg.memory * where.size * 4
         tracemalloc.start()
         try:
-            mc_sim._accumulate_counts(where, bitmat.shape, cfg, rng)
+            mc_sim._accumulate_counts(where, (1024, int(tlen.max())), cfg, rng)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -463,12 +463,10 @@ class TestEngineAgreesWithScalarPath:
         )
         rep = run_cer(cfg)
 
-        from molcode.mc_sim import _MAIN_TAG, _accumulate_counts, _sample_bits, _symbol_guide
+        from molcode.mc_sim import _MAIN_TAG, _draw_chunk, _symbol_guide
 
-        rng = np.random.default_rng(np.random.SeedSequence((17, _MAIN_TAG, 0)))
-        syms, tlen, bitmat, where = _sample_bits(cb.tables, _symbol_guide(cfg), cfg.trials,
-                                                 cfg.msg_len, cfg.memory - 1, rng)
-        counts = _accumulate_counts(where, bitmat.shape, cfg, rng)
+        syms, tlen, _, counts = _draw_chunk(cfg, _symbol_guide(cfg), cfg.trials,
+                                            (17, _MAIN_TAG, 0))
         alphabet = cb.symbols
         errors = 0
         for i in range(cfg.trials):
