@@ -7,6 +7,9 @@ across codebooks and molecule budgets). All output is CSV with stable
 formatting: runs with equal inputs produce byte-identical files. Summary
 statistics and progress go to stderr, never into the CSV.
 
+Each subparser binds its handler with set_defaults(run=...); main loads
+the config and calls args.run, so build_parser alone names the commands.
+
 Exit codes: 0 success (including partial simulate results), 2 usage or
 configuration problems (OSError, ValueError, YAML errors), 3 any other
 exception, which is an internal error.
@@ -14,6 +17,7 @@ exception, which is an internal error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import math
 import sys
@@ -79,12 +83,7 @@ _VALUE_RULES = {
 
 def load_config(path: str | None) -> dict:
     """DEFAULTS with the sections of a YAML file merged on top."""
-    cfg = {
-        "channel": dict(DEFAULTS["channel"]),
-        "link": dict(DEFAULTS["link"]),
-        "simulate": dict(DEFAULTS["simulate"]),
-        "distribution": DEFAULTS["distribution"],
-    }
+    cfg = copy.deepcopy(DEFAULTS)
     if path is None:
         return cfg
     raw = yaml.safe_load(Path(path).read_text())
@@ -92,21 +91,21 @@ def load_config(path: str | None) -> dict:
         return cfg
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: config must be a mapping")
-    unknown = set(raw) - {"channel", "link", "simulate", "distribution"}
+    unknown = set(raw) - set(cfg)
     if unknown:
         raise ValueError(f"{path}: unknown config sections: {sorted(unknown)}")
-    for section in ("channel", "link", "simulate"):
-        if section in raw:
+    for section, values in cfg.items():
+        if isinstance(values, dict) and section in raw:
             if not isinstance(raw[section], dict):
                 raise ValueError(f"{path}: section {section!r} must be a mapping")
-            bad = set(raw[section]) - set(cfg[section])
+            bad = set(raw[section]) - set(values)
             if bad:
                 raise ValueError(f"{path}: unknown keys in {section!r}: {sorted(bad)}")
             for key, value in raw[section].items():
                 check, want = _VALUE_RULES[key]
                 if not check(value):
                     raise ValueError(f"{path}: {section}.{key} must be {want}, got {value!r}")
-            cfg[section].update(raw[section])
+            values.update(raw[section])
     if "distribution" in raw:
         if raw["distribution"] is not None and not isinstance(raw["distribution"], str):
             raise ValueError(f"{path}: distribution must be a file path")
@@ -273,25 +272,9 @@ def _cmd_simulate(args, cfg: dict) -> int:
         threads=args.threads,
         progress=progress,
     )
-    out_rows = []
-    for row in rows:
-        out_rows.append([
-            row["codebook"],
-            _fmt(row["molecules_per_char"]),
-            row["N_bit1"],
-            _fmt(row["t_s"]),
-            _fmt(row["tau"]),
-            _fmt(row["cer"]),
-            row["trials"],
-            row["seed"],
-            row["error"] or "",
-        ])
-    _write_rows(
-        args.out,
-        ["codebook", "molecules_per_char", "N_bit1", "t_s", "tau", "cer",
-         "trials", "seed", "error"],
-        out_rows,
-    )
+    columns = ["codebook", "molecules_per_char", "N_bit1", "t_s", "tau", "cer",
+               "trials", "seed", "error"]
+    _write_rows(args.out, columns, [[_fmt(row[c]) for c in columns] for row in rows])
     cer = {(r["codebook"], r["molecules_per_char"]): r for r in rows if r["cer"] is not None}
     for budget in dict.fromkeys(r["molecules_per_char"] for r in rows):
         huff, prop = cer.get(("huffman", budget)), cer.get(("proposed", budget))
@@ -326,12 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kinds", type=_csv_list, default=["all"],
                    help="comma separated kinds, or 'all'")
     p.add_argument("--out", help="output file (default stdout)")
+    p.set_defaults(run=_cmd_codebook)
 
     p = sub.add_parser("channel", help="emit per-slot arrival coefficients as CSV")
     p.add_argument("--slot", type=float, help="slot length in seconds")
     p.add_argument("--kind", choices=sorted(codebooks.KINDS), default="proposed",
                    help="codebook whose character rate sets the slot when --slot is absent")
     p.add_argument("--out", help="output file (default stdout)")
+    p.set_defaults(run=_cmd_channel)
 
     p = sub.add_parser("isi", help="emit interference lag coefficients as CSV")
     p.add_argument("--memory", type=int, default=3)
@@ -340,6 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle-samples", type=int, default=1_000_000,
                    help="stream bits for the Monte Carlo cross-check")
     p.add_argument("--out", help="output file (default stdout)")
+    p.set_defaults(run=_cmd_isi)
 
     p = sub.add_parser("simulate", help="Monte Carlo character error rates as CSV")
     p.add_argument("--trials", type=int)
@@ -351,23 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker threads (default: the available cores); "
                         "results do not depend on it")
     p.add_argument("--out", help="output file (default stdout)")
+    p.set_defaults(run=_cmd_simulate)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        if args.command == "codebook":
-            return _cmd_codebook(args, cfg)
-        if args.command == "channel":
-            return _cmd_channel(args, cfg)
-        if args.command == "isi":
-            return _cmd_isi(args, cfg)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        raise AssertionError(f"unreachable command {args.command!r}")
+        return args.run(args, load_config(args.config))
     except (OSError, ValueError, yaml.YAMLError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

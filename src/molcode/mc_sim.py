@@ -78,6 +78,12 @@ def slot_length(codebook: Codebook, distribution: CharacterDistribution,
     return char_duration / expected_length(codebook, distribution)
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is a non-bool integer no smaller than least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinkConfig:
     """Everything needed to simulate one codebook on one channel.
@@ -87,7 +93,9 @@ class LinkConfig:
     codebook transmits characters at the same average rate regardless of
     its bit count; the coefficients are the per-slot arrival probabilities
     a_1..a_memory of params at that slot. A zero molecule budget is allowed
-    and gives the all-silent baseline link.
+    and gives the all-silent baseline link. The counts molecules_per_one,
+    msg_len, memory, trials and master_seed must be integers (not bools);
+    anything else, or a value below its floor, raises ValueError.
     """
 
     codebook: Codebook
@@ -104,14 +112,9 @@ class LinkConfig:
     coefficients: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.molecules_per_one < 0:
-            raise ValueError("molecule budget must be non-negative")
-        if self.msg_len < 1:
-            raise ValueError("messages must have at least 1 character")
-        if self.trials < 1:
-            raise ValueError("need at least 1 trial")
-        if self.master_seed < 0:
-            raise ValueError("master seed must be non-negative")
+        for name, least in (("molecules_per_one", 0), ("msg_len", 1), ("memory", 1),
+                            ("trials", 1), ("master_seed", 0)):
+            _check_integer(name, getattr(self, name), least)
         if self.char_duration <= 0:
             raise ValueError("character duration must be positive")
         if self.molecules_per_one * self.memory >= _COUNT_LIMIT:
@@ -417,8 +420,7 @@ def _thread_count(threads: int | None) -> int:
             return len(os.sched_getaffinity(0))
         except AttributeError:
             return os.cpu_count() or 1
-    if isinstance(threads, bool) or not isinstance(threads, Integral) or threads < 1:
-        raise ValueError(f"thread count must be an integer of at least 1, got {threads!r}")
+    _check_integer("thread count", threads, 1)
     return int(threads)
 
 

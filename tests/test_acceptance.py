@@ -158,7 +158,7 @@ def test_criterion_6_sampler_and_thread_determinism():
             se = math.sqrt(n * a * (1 - a) / draws)
             assert abs(got[:, k].mean() - n * a) < 3 * se
 
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=build_proposed(DIST), distribution=DIST, params=PARAMS,
             molecules_per_one=40, char_duration=0.5,
             threshold=ConstantThreshold(8.0),

@@ -1,7 +1,11 @@
 """Command line interface: schemas, exit codes, reproducible output."""
+from pathlib import Path
+
 import pytest
 
 from molcode import cli
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -169,6 +173,22 @@ class TestSimulateCommand:
         run(args + ["--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_pins_every_column_format(self, capsys):
+        # Every column's formatting: float repr, plain ints, empty cells and
+        # the error tag of an uncalibratable row.
+        assert run(["simulate", "--trials", "500", "--seed", "7", "--budgets", "0,85",
+                    "--threads", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "codebook,molecules_per_char,N_bit1,t_s,tau,cer,trials,seed,error\n"
+            "huffman,0.0,0,0.11699229489516336,0.05,0.9192,500,7,\n"
+            "huffman,85.0,43,0.11699229489516336,8.290075579381696,0.0894,500,7,\n"
+            "proposed,0.0,0,0.08001134559746015,,,500,7,"
+            "uncalibratable: no usable pilot readings for the signal level\n"
+            "proposed,85.0,43,0.08001134559746015,5.295856553211951,0.0542,500,7,\n"
+            "ita2,0.0,0,0.10000000000000003,0.05,1.0,500,7,\n"
+            "ita2,85.0,34,0.10000000000000003,6.280629455745135,0.2002,500,7,\n"
+        )
+
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
 
@@ -212,6 +232,38 @@ class TestSimulateCommand:
         assert code == 0
         (row,) = out.read_text().splitlines()[1:]
         assert row.split(",")[8].startswith("uncalibratable: no usable pilot readings")
+
+
+def _documented_headers() -> dict[str, str]:
+    """Subcommand -> the CSV header the README's command line block shows."""
+    block = README.read_text().split("## Command line", 1)[1].split("```sh", 1)[1]
+    headers, command = {}, None
+    for line in block.split("```", 1)[0].splitlines():
+        if line.startswith("molcode "):
+            command = line.split()[1]
+        elif line.startswith("# ") and command is not None:
+            headers[command] = line[2:].split()[0]
+    return headers
+
+
+#: Each subcommand at a size that runs in well under a second.
+_TINY_ARGS = {
+    "codebook": [],
+    "channel": [],
+    "isi": ["--oracle-samples", "100000"],
+    "simulate": ["--trials", "50", "--budgets", "85", "--kinds", "huffman", "--threads", "1"],
+}
+
+
+class TestReadmeHeaders:
+    def test_every_subcommand_is_documented(self):
+        assert _documented_headers().keys() == _TINY_ARGS.keys()
+
+    @pytest.mark.parametrize("command", sorted(_TINY_ARGS))
+    def test_first_output_line_is_the_documented_header(self, command, capsys):
+        assert run([command, *_TINY_ARGS[command]]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == _documented_headers()[command]
 
 
 class TestConfigHandling:

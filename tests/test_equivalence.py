@@ -44,7 +44,7 @@ from molcode.mc_sim import (
 
 
 def _link(codebook, dist, params, molecules, threshold=None, msg_len=10, memory=10):
-    return LinkConfig.build(
+    return LinkConfig(
         codebook=codebook, distribution=dist, params=params,
         molecules_per_one=molecules, char_duration=0.5,
         threshold=threshold or CalibratedThreshold(), msg_len=msg_len,

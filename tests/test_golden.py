@@ -52,7 +52,7 @@ CALIBRATED_KINDS = ("huffman", "ita2")
 def _config(kind, budget, trials, seed):
     dist = english_letter_distribution()
     cb = build(kind, dist)
-    return LinkConfig.build(
+    return LinkConfig(
         codebook=cb,
         distribution=dist,
         params=PARAMS,

@@ -46,7 +46,7 @@ def pool_sizes(monkeypatch):
 @pytest.fixture(scope="module")
 def link(dist, pcb, params):
     # Small but realistic link: ten-character messages at two per second.
-    return LinkConfig.build(
+    return LinkConfig(
         codebook=pcb,
         distribution=dist,
         params=params,
@@ -359,7 +359,7 @@ class TestLinkConfig:
 
     def test_rejects_negative_molecules(self, dist, pcb, params):
         with pytest.raises(ValueError):
-            LinkConfig.build(
+            LinkConfig(
                 codebook=pcb, distribution=dist, params=params,
                 molecules_per_one=-1, char_duration=0.5,
                 threshold=ConstantThreshold(8.0),
@@ -368,6 +368,17 @@ class TestLinkConfig:
     def test_rejects_zero_trials(self, link):
         with pytest.raises(ValueError):
             dataclasses.replace(link, trials=0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("msg_len", 2.5), ("msg_len", True), ("msg_len", 0), ("master_seed", 1.5),
+        ("master_seed", -1), ("memory", 2.5), ("memory", 0), ("trials", 5.5),
+        ("molecules_per_one", 40.0), ("molecules_per_one", False),
+    ])
+    def test_rejects_counts_off_the_integer_rule(self, link, name, value):
+        # A count that is not an integer is a configuration mistake, caught
+        # at construction rather than deep inside run_cer.
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            dataclasses.replace(link, **{name: value})
 
 
 class TestDeterminism:
@@ -381,7 +392,7 @@ class TestDeterminism:
 
     def test_thread_counts_agree_bitwise(self, dist, pcb, params):
         # Trials straddle a chunk boundary so splitting actually happens.
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=pcb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=ConstantThreshold(8.0),
@@ -424,7 +435,7 @@ class TestReportInternals:
     def test_zero_budget_baseline(self, dist, hcb, params):
         # No molecules at all: every slot stays below threshold and the
         # outcome is a deterministic worst case, useful as a floor check.
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=hcb, distribution=dist, params=params,
             molecules_per_one=0, char_duration=0.5,
             threshold=ConstantThreshold(0.5),
@@ -439,7 +450,7 @@ class TestEngineAgreesWithScalarPath:
     def test_quiet_channel_recovers_text(self, dist, pcb, params):
         # A huge budget and a decisive threshold make the link noiseless
         # in slot one, and correction strips the interference.
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=pcb, distribution=dist, params=params,
             molecules_per_one=5000, char_duration=0.5,
             threshold=ConstantThreshold(900.0),
@@ -455,7 +466,7 @@ class TestEngineAgreesWithScalarPath:
         # corrected kind slot by slot, decode with the public scalar
         # decoder and compare character error totals on a small run.
         cb = build(kind, dist)
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=cb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=ConstantThreshold(8.0),
@@ -511,7 +522,7 @@ class TestThresholdResolution:
         assert (tau, origin) == (8.0, "constant")
 
     def test_pilot_origin_and_range(self, dist, pcb, params):
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=pcb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=PilotThreshold(), trials=100, master_seed=2,
@@ -521,7 +532,7 @@ class TestThresholdResolution:
         assert 0 < tau < 40
 
     def test_calibrated_origin_picks_grid_point(self, dist, hcb, params):
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=hcb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=CalibratedThreshold(messages=2000),
@@ -535,7 +546,7 @@ class TestThresholdResolution:
 
     def test_ties_go_to_the_smaller_tau_in_any_grid_order(self, dist, hcb, params):
         # 9.0 and 8.5 share the integer cut 9, so they always tie.
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=hcb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=CalibratedThreshold(candidates=(9.0, 8.5), messages=500),
@@ -544,7 +555,7 @@ class TestThresholdResolution:
         assert resolve_threshold(cfg, 2) == (8.5, "calibrated")
 
     def test_calibration_deterministic(self, dist, hcb, params):
-        cfg = LinkConfig.build(
+        cfg = LinkConfig(
             codebook=hcb, distribution=dist, params=params,
             molecules_per_one=40, char_duration=0.5,
             threshold=CalibratedThreshold(messages=2000),
@@ -688,7 +699,7 @@ class TestThreadEnvCap:
 
     def test_pool_is_clamped_to_the_chunks(self, dist, pcb, params, pool_sizes):
         for trials in (CHUNK_TRIALS + 500, 500):
-            cfg = LinkConfig.build(
+            cfg = LinkConfig(
                 codebook=pcb, distribution=dist, params=params,
                 molecules_per_one=40, char_duration=0.5,
                 threshold=ConstantThreshold(8.0), trials=trials,
@@ -712,7 +723,7 @@ class TestErrorClassification:
 class TestCountLimit:
     def test_budget_that_could_overflow_int32_counts_is_rejected(self, dist, hcb, params):
         with pytest.raises(ValueError, match="2\\*\\*31"):
-            LinkConfig.build(
+            LinkConfig(
                 codebook=hcb, distribution=dist, params=params,
                 molecules_per_one=2**28, char_duration=0.5,
                 threshold=ConstantThreshold(8.0), memory=10,
