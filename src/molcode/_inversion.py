@@ -1,28 +1,28 @@
-"""Exact tables of numpy's binomial inversion, for the arrival sampler.
+"""Draws equal to numpy's, bit for bit: message symbols and arrival counts.
 
-numpy's Generator.binomial(n, p) samples by inversion when p <= 0.5 and
-n * p <= 30: it draws one uniform and walks the probability mass function
-until the uniform is used up. For a fixed p, which uniforms end the walk
-at each x is fixed too, so the walk can be replaced by a lookup in exact
-precomputed cuts that reads the same uniforms and returns the same counts.
-mc_sim imports this module when it first looks up a link's tables.
+Generator.random returns m * 2**-53 for an integer m, and both draws map
+it to an outcome monotone in m. A Table holds that map as rows of exact
+lattice cuts, with a guide that answers most uniforms by one take (Chen
+and Asau, AIIE Trans. 1974, made exact): symbol_table for
+Generator.choice, and arrival_columns' tables for the slots that
+Generator.binomial samples by inversion (Kachitvichyanukul and
+Schmeiser, CACM 1988). mc_sim and isi_analysis import it on first use.
 """
 from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 #: numpy samples Binomial(n, p) by inversion when p <= 0.5 and n * p <= this.
 _INVERSION_MEAN = 30.0
-#: Buckets of the guide that starts each table lookup. A power of two,
-#: so floor(u * _GUIDE_BUCKETS) is exact for every uniform u.
+#: Largest release drawn from tables; remaining counts then fit uint8.
+_TABLE_MOLECULES = 255
+#: Buckets of a guide row. A power of two, so floor(u * _GUIDE_BUCKETS) is
+#: exact for every uniform u and every bucket spans whole lattice points.
 _GUIDE_BUCKETS = 1024
-#: A guide entry of _WALK + x sends its draws walking the cuts from x.
-#: Every x fits below it: n * p <= 30 keeps bound[n] below 86.
-_WALK = 128
 #: Releases looked up at a time. It sizes the reused Scratch, 18 bytes a
 #: release, and keeps each numpy call long: only some of the calls a lookup
 #: makes let go of the GIL (see Table.lookup), so two sampling threads
@@ -34,56 +34,81 @@ _LATTICE = 2 ** 53
 
 
 class Table(NamedTuple):
-    """numpy's binomial inversion for one slot probability, as exact cuts.
+    """Rows of exact cuts on the uniform lattice, with a guide.
 
-    For Binomial(n, p), numpy draws one uniform U and walks
-    `while U > px: X += 1; U -= px; px = next`, redrawing if X passes
-    bound[n]. Row n of cuts (width entries from n * width) holds at x the
-    largest uniform for which that walk stops at X <= x, for x <= bound[n],
-    and 1.0, above any uniform, after that. So X is the first x with
-    U <= cuts[n, x], and an X past bound[n] means numpy would have
-    redrawn; no uniform up to safe does.
+    A uniform m * 2**-53 drawn in row r takes the first x whose cut is at
+    least m; every row ends in a cut no uniform passes. keys holds row r's
+    width cuts plus r * (2**53 + 1), so the rows ascend as one array and
+    one search of keys answers a draw in any row. An outcome past bound[r]
+    is one numpy would redraw, and no uniform up to safe draws one.
 
-    A lookup of a uniform in bucket b = floor(U * _GUIDE_BUCKETS) reads
-    the byte guide[n, b]. Where no cut of row n falls inside bucket b,
-    every uniform in it stops at the same x, and the entry is that x. Where
-    one does, the entry is _WALK + the first x whose cut reaches
-    b / _GUIDE_BUCKETS, and only those draws walk the cuts from there.
+    guide[r * _GUIDE_BUCKETS + b] answers the uniforms of bucket
+    b = floor(u * _GUIDE_BUCKETS) in row r. The draw is monotone in m, so
+    where the least and the greatest lattice point of the bucket draw the
+    same x, every point between does, and the entry is x. Any other entry
+    is flag, the guide dtype's largest value, and only those draws search.
     """
 
-    cuts: np.ndarray
+    keys: np.ndarray
     guide: np.ndarray
     bound: np.ndarray
     width: int
     safe: float
 
+    @classmethod
+    def of(cls, cuts: np.ndarray, dtype, bound: np.ndarray, safe: float) -> Table:
+        """The Table of the int64 lattice cuts, one ascending row per row of cuts,
+        with a guide of dtype, whose largest value no outcome may reach."""
+        rows, width = cuts.shape
+        row = np.arange(rows)[:, None]
+        keys = (cuts + row * (_LATTICE + 1)).ravel()
+        step = _LATTICE // _GUIDE_BUCKETS
+        first = row * (_LATTICE + 1) + np.arange(_GUIDE_BUCKETS) * step
+        low, high = keys.searchsorted(first), keys.searchsorted(first + (step - 1))
+        guide = np.where(low == high, low - row * width, np.iinfo(dtype).max)
+        return cls(keys, guide.astype(dtype).ravel(), bound, width, safe)
+
+    @property
+    def flag(self) -> int:
+        return int(np.iinfo(self.guide.dtype).max)
+
+    def search(self, rows, u: np.ndarray) -> np.ndarray:
+        """The outcome of each uniform of u in its row of rows, from keys alone."""
+        rows = np.asarray(rows, dtype=np.int64)
+        at = self.keys.searchsorted(rows * (_LATTICE + 1) + (u * _LATTICE).astype(np.int64))
+        return at - rows * self.width
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Outcomes of row 0 for size uniforms of rng, in the guide dtype.
+
+        For a symbol_table these are rng.choice's symbols, bit for bit,
+        and rng ends in the same state.
+        """
+        u = rng.random(size)
+        x = self.guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
+        flagged = np.flatnonzero(x == self.flag)
+        x[flagged] = self.search(0, u[flagged])
+        return x
+
     def lookup(self, n: np.ndarray, u: np.ndarray,
                scratch: Scratch) -> tuple[np.ndarray, bool]:
-        """X for remaining counts n >= 1 and their uniforms u, and whether
-        numpy would have redrawn any of them.
+        """Outcomes of rows n >= 1 for their uniforms u, and whether numpy
+        would have redrawn any of them.
 
         Each pass over the whole block writes into scratch, which holds at
-        least n.size entries, and X is a uint8 view of scratch.x: one
-        int32 guide index, one byte take and one flag test per draw. Only
-        the draws of flagged entries walk on, by index lists. Of these
-        calls the take holds the GIL for its whole run, while the
-        elementwise ufuncs and the flag's flatnonzero let go of it.
+        least n.size entries, and the outcomes are a uint8 view of
+        scratch.x: one int32 guide index, one byte take and one flag test
+        per draw; only flagged draws search. Of these calls the take holds
+        the GIL for its whole run, while the elementwise ufuncs and the
+        flag's flatnonzero let go of it.
         """
         s = scratch.head(n.size)
         idx, x = s.idx, s.x
         np.multiply(u, _GUIDE_BUCKETS, out=idx, casting="unsafe")
         np.add(idx, np.multiply(n, _GUIDE_BUCKETS, out=s.row, dtype=np.int32), out=idx)
         self.guide.take(idx, out=x, mode="clip")
-        walk = np.flatnonzero(np.greater_equal(x, _WALK, out=s.walk))
-        if walk.size:
-            row = n[walk] * np.intp(self.width)
-            pos = row + (x[walk] - _WALK)
-            uw = u[walk]
-            todo = np.flatnonzero(uw > self.cuts[pos])
-            while todo.size:
-                pos[todo] += 1
-                todo = todo[uw[todo] > self.cuts[pos[todo]]]
-            x[walk] = pos - row
+        flagged = np.flatnonzero(np.equal(x, self.flag, out=s.flagged))
+        x[flagged] = self.search(n[flagged], u[flagged])
         redraw = bool(u.size) and u.max() > self.safe and bool((x > self.bound[n]).any())
         return x, redraw
 
@@ -91,13 +116,13 @@ class Table(NamedTuple):
 class Scratch(NamedTuple):
     """Buffers that Table.lookup reuses from block to block: the uniforms,
     the guide index and each count's guide row offset, the guide entries,
-    which become the counts, and the walk flags."""
+    which become the counts, and the flags."""
 
     u: np.ndarray
     idx: np.ndarray
     row: np.ndarray
     x: np.ndarray
-    walk: np.ndarray
+    flagged: np.ndarray
 
     @classmethod
     def empty(cls, size: int) -> Scratch:
@@ -107,6 +132,21 @@ class Scratch(NamedTuple):
     def head(self, size: int) -> Scratch:
         """The first size entries of every buffer."""
         return Scratch(*(buf[:size] for buf in self))
+
+
+def symbol_table(probs: Sequence[float]) -> Table:
+    """The one-row int16 Table of rng.choice(len(probs), size, p=probs).
+
+    numpy's choice forms cdf = probs.cumsum(), cdf /= cdf[-1], and returns
+    cdf.searchsorted(u, side="right"): the first symbol whose cdf exceeds
+    u = m * 2**-53, that is, whose cut ceil(cdf * 2**53) - 1 reaches m.
+    The symbols must stay below the flag, 32767, as codebook symbol
+    indices do (CodeTables checks the limit).
+    """
+    cdf = np.asarray(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    cuts = np.ceil(cdf * _LATTICE).astype(np.int64) - 1
+    return Table.of(cuts[None], np.int16, np.array([cdf.size - 1]), 1.0)
 
 
 def _walk_stops(px: np.ndarray, rows: np.ndarray, xs: np.ndarray, m: np.ndarray):
@@ -130,18 +170,21 @@ def _walk_stops(px: np.ndarray, rows: np.ndarray, xs: np.ndarray, m: np.ndarray)
 
 
 def _build_table(molecules: int, p: float) -> Table:
-    """The Table of probability p, for remaining counts <= molecules.
+    """The uint8 Table of Binomial(n, p) for remaining counts n <= molecules.
 
-    The walk constants use the scalar math functions, which call libm as
-    numpy's C code does, and numpy's own operation order. Each cut is then
-    bisected over the uniform lattice, vectorized over every (n, x), from
-    a bracket around the float CDF that widens to the whole lattice
+    numpy draws one uniform U and walks `while U > px: X += 1; U -= px;
+    px = next`, redrawing if X passes bound[n]. Row n holds at x the
+    largest lattice point whose walk stops at X <= x, for x <= bound[n],
+    and 2**53 after that. The walk constants use the scalar math functions,
+    which call libm as numpy's C code does, in numpy's operation order.
+    Each cut is bisected over the lattice, vectorized over every (n, x),
+    from a bracket around the float CDF that widens to the whole lattice
     wherever it does not hold.
     """
     q = 1.0 - p
     ns = range(molecules + 1)
     bound = np.array([int(min(n, n * p + 10.0 * math.sqrt(n * p * q + 1.0))) for n in ns])
-    width = int(bound.max()) + 2  # up to the 1.0 after the last bound
+    width = int(bound.max()) + 2  # up to the 2**53 after the last bound
     px = np.empty((molecules + 1, width - 1))
     px[:, 0] = [math.exp(n * math.log(q)) for n in ns]
     n = np.arange(molecules + 1)
@@ -172,54 +215,51 @@ def _build_table(molecules: int, p: float) -> Table:
         hi[open_[~stops]] = mid[~stops]
         open_ = open_[hi[open_] - lo[open_] > 1]
 
-    cuts = np.ones((molecules + 1, width))
-    cuts[rows, xs] = lo * (1.0 / _LATTICE)
-    # first[n, b] counts the x whose cut lies below b / _GUIDE_BUCKETS,
-    # that is, whose bucket floor(cut * _GUIDE_BUCKETS) lies below b. Row
-    # n's buckets are offset into a band of their own, so one search over
-    # the flattened rows answers every (n, b).
-    bucket = (cuts * _GUIDE_BUCKETS).astype(np.intp)
-    band = n[:, None] * (_GUIDE_BUCKETS + 1)
-    first = np.searchsorted((bucket + band).ravel(), band + np.arange(_GUIDE_BUCKETS))
-    first -= n[:, None] * width
-    # A bucket that holds a cut walks; the 1.0s past each bound fill a
-    # bucket past the last, which is dropped.
-    holds = np.zeros((molecules + 1, _GUIDE_BUCKETS + 1), dtype=bool)
-    holds[n[:, None], bucket] = True
-    return Table(
-        cuts=cuts.ravel(),
-        guide=(first + _WALK * holds[:, :-1]).astype(np.uint8).ravel(),
-        bound=bound,
-        width=width,
-        safe=float(cuts[n[1:], bound[1:]].min()),
-    )
+    cuts = np.full((molecules + 1, width), _LATTICE, dtype=np.int64)
+    cuts[rows, xs] = lo
+    return Table.of(cuts, np.uint8, bound, float(cuts[n[1:], bound[1:]].min() / _LATTICE))
 
 
 @functools.lru_cache(maxsize=32)
-def link_tables(molecules: int, probs: tuple[float, ...]) -> tuple[Table | None, ...]:
-    """Each slot's inversion table, or None where numpy does not invert.
+def link_tables(molecules: int, coefficients: tuple[float, ...]):
+    """A link's slot probabilities, each given the molecules still in
+    flight, and each slot's Table, or None where numpy does not invert or
+    the release is not of 1 to _TABLE_MOLECULES molecules.
 
     Built on first use, one slot at a time to keep the transient memory
     small, and cached per link; two threads that miss at once both build,
     which is harmless.
     """
-    return tuple(
-        _build_table(molecules, p) if 0.0 < p <= 0.5 and p * molecules <= _INVERSION_MEAN
-        else None
+    probs = []
+    consumed = 0.0
+    for a in coefficients:
+        rest = 1.0 - consumed
+        probs.append(float(min(a / rest, 1.0)) if rest > 1e-15 else 0.0)
+        consumed += a
+    return tuple(probs), tuple(
+        _build_table(molecules, p) if 0 < molecules <= _TABLE_MOLECULES
+        and 0.0 < p <= 0.5 and p * molecules <= _INVERSION_MEAN else None
         for p in probs
     )
 
 
+def count_dtype(molecules: int) -> type:
+    """int32 for arrival counts of releases within its range, else int64."""
+    return np.int32 if molecules <= np.iinfo(np.int32).max else np.int64
+
+
 def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
               rng: np.random.Generator, scratch: Scratch) -> bool:
-    """Draw one slot from its table into column; False if numpy would redraw.
+    """Draw one slot from its table into column, or, where numpy would
+    redraw, restore rng and return False.
 
     Reads one uniform per nonzero remaining count, in release order, as
     numpy's binomial loop does, a block at a time into scratch, which
     holds at least min(len(remaining), BLOCK) entries. Writes every entry
     of column and never remaining: the caller takes the column off the
-    remaining counts, and on False restores the generator instead.
+    remaining counts.
     """
+    state = rng.bit_generator.state
     for start in range(0, len(remaining), BLOCK):
         rem = remaining[start:start + BLOCK]
         col = column[start:start + BLOCK]
@@ -232,6 +272,34 @@ def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
         u = rng.random(n.size, out=scratch.u[:n.size])
         x, redraw = table.lookup(n, u, scratch)
         if redraw:
+            rng.bit_generator.state = state
             return False
         col[nz] = x
     return True
+
+
+def arrival_columns(molecules: int, coefficients: Sequence[float],
+                    rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
+    """Yield the arrival counts of size releases of molecules, slot by slot.
+
+    This is the sampler behind mc_sim.sample_arrivals, which documents the
+    draws. Every slot's column is written into one array of
+    count_dtype(molecules), which is yielded, so a column is valid until
+    the next one is drawn and no more than one is ever held.
+    """
+    coeffs = np.asarray(coefficients, dtype=float)
+    if molecules < 0:
+        raise ValueError("molecule count must be non-negative")
+    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
+        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
+    probs, tables = link_tables(molecules, tuple(coeffs.tolist()))
+    remaining = np.full(size, molecules,
+                        dtype=np.uint8 if molecules <= _TABLE_MOLECULES else np.int64)
+    column = np.empty(size, dtype=count_dtype(molecules))
+    scratch = Scratch.empty(min(size, BLOCK)) if any(tables) else None
+    for p, table in zip(probs, tables):
+        if table is None or not draw_slot(table, remaining, column, rng, scratch):
+            column[:] = rng.binomial(remaining, p)
+        # In remaining's dtype: numpy's int32 loop for the pair took twice as long.
+        np.subtract(remaining, column, out=remaining, dtype=remaining.dtype, casting="unsafe")
+        yield column

@@ -8,7 +8,8 @@ ever contains adjacent ones), and a fixed 5-bit teleprinter alphabet.
 Every codebook also carries its CodeTables, built once on first use: the
 codeword layout that lays symbols into a stream, and the codeword trie
 that every decoder walks, one slot at a time or, through its step table,
-several slots at a time. A _SymbolGuide draws the symbols of a stream.
+several slots at a time. Nothing here draws random numbers: the symbols
+of a stream are drawn by _inversion.symbol_table.
 """
 from __future__ import annotations
 
@@ -77,10 +78,6 @@ _STEP_SLOTS = 8
 _STEP_ENTRIES = 1 << 20
 #: Entries walked at a time while a step table is built.
 _STEP_BLOCK = 1 << 12
-
-#: Buckets of a symbol guide. A power of two, so floor(u * _SYMBOL_BUCKETS)
-#: is exact for every uniform u.
-_SYMBOL_BUCKETS = 1024
 
 
 @dataclass(frozen=True)
@@ -210,46 +207,6 @@ class Codebook:
             (Fraction(1, 2 ** len(w)) for w in self.codewords.values()),
             start=Fraction(0),
         )
-
-
-class _SymbolGuide(NamedTuple):
-    """Generator.choice over symbol indices, drawn through a guide table.
-
-    For rng.choice(len(p), size, p=p), numpy forms cdf = p.cumsum(),
-    cdf /= cdf[-1], draws size uniforms and returns
-    cdf.searchsorted(u, side="right") of each. That search is monotone in
-    u, so where it answers alike at both ends of a bucket
-    [b, b + 1) / _SYMBOL_BUCKETS, every uniform in the bucket gets that
-    answer, and guide[b] holds it; a bucket where the answers differ holds
-    -1, and only its draws are searched. This is the guide-table method of
-    Chen and Asau (AIIE Trans., 1974), made exact. The entries are int16,
-    as the symbol indices of a codebook are (CodeTables checks the limit).
-    """
-
-    cdf: np.ndarray
-    guide: np.ndarray
-
-    @classmethod
-    def of(cls, probs: np.ndarray) -> "_SymbolGuide":
-        """The guide of symbol probabilities probs, as numpy's choice takes them."""
-        cdf = np.asarray(probs, dtype=float).cumsum()
-        cdf /= cdf[-1]
-        edges = np.arange(_SYMBOL_BUCKETS + 1) / _SYMBOL_BUCKETS
-        low = cdf.searchsorted(edges[:-1], side="right")
-        high = cdf.searchsorted(edges[1:], side="left")
-        return cls(cdf, np.where(low == high, low, -1).astype(np.int16))
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """rng.choice(len(probs), size, p=probs), bit for bit, as int16.
-
-        Reads the same size uniforms, so rng ends in the same state.
-        """
-        u = rng.random(size)
-        syms = self.guide.take((u * _SYMBOL_BUCKETS).astype(np.intp))
-        search = np.flatnonzero(syms < 0)
-        if search.size:
-            syms[search] = self.cdf.searchsorted(u[search], side="right")
-        return syms
 
 
 def _ragged(off: np.ndarray, size: np.ndarray, syms: np.ndarray):

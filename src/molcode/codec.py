@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Union
 
 import numpy as np
@@ -179,15 +180,21 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     return msg_len - matches, put - first, dead, incomplete
 
 
+def _check_integer(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is a non-bool integer no smaller than least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantThreshold:
-    """Use a fixed detection threshold as given."""
+    """Use a fixed detection threshold as given: positive, finite, not a bool."""
 
     tau: float
 
     def __post_init__(self) -> None:
-        if not (self.tau > 0) or not math.isfinite(self.tau):
-            raise ValueError("threshold must be positive and finite")
+        if isinstance(self.tau, bool) or not (self.tau > 0) or not math.isfinite(self.tau):
+            raise ValueError(f"threshold must be positive and finite, got {self.tau!r}")
 
 
 @dataclass(frozen=True)
@@ -201,8 +208,7 @@ class PilotThreshold:
     repetitions: int = 100
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
+        _check_integer("repetitions", self.repetitions, 1)
 
 
 @dataclass(frozen=True)
@@ -220,8 +226,7 @@ class CalibratedThreshold:
     messages: int = 10_000
 
     def __post_init__(self) -> None:
-        if self.messages < 1:
-            raise ValueError("messages must be at least 1")
+        _check_integer("messages", self.messages, 1)
         if self.candidates is not None:
             if not self.candidates:
                 raise ValueError("candidate grid must not be empty")

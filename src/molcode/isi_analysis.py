@@ -27,7 +27,6 @@ from .codebooks import (
     CharacterDistribution,
     Codebook,
     _check_symbols,
-    _SymbolGuide,
     expected_length,
 )
 
@@ -186,8 +185,10 @@ def isi_oracle(
     symbols = max(int(samples / expected_length(cb, dist)), memory * batches * 4)
     if rng is None:
         rng = np.random.default_rng(0)
-    guide = _SymbolGuide.of([dist.prob(s) for s in cb.symbols])
-    stream, pos = cb.tables.lay(guide.draw(rng, symbols))
+    from . import _inversion  # compiled on first use, not by every import
+
+    table = _inversion.symbol_table([dist.prob(s) for s in cb.symbols])
+    stream, pos = cb.tables.lay(table.draw(rng, symbols))
 
     n = len(stream)
     p0 = float((stream == 0).mean())

@@ -4,14 +4,15 @@ Each trial transmits one message of independently drawn characters. Every
 bit-1 slot releases a fixed molecule budget whose arrivals spread over the
 channel memory window. This module draws every random stream (messages,
 arrivals, pilots) and hands the slot counts to the receiver in codec.
-Messages are drawn through a codebooks._SymbolGuide, exactly as
-rng.choice draws them, and laid by their ones straight into release
-positions, where each slot's arrivals are added. codec._read_bits reads
-the counts into bits, error corrected for a corrected kind, and
-codec._decode_rows parses them back into characters and scores them
-positionally against the sent message; only _run_chunk puts the sent
-bits together, from the release positions, to count bit errors. A
-LinkConfig describes one link and derives its slot and coefficients.
+Messages and arrivals are drawn by _inversion, exactly as rng.choice and
+rng.binomial draw them, and the messages are laid by their ones straight
+into release positions, where each slot's arrivals are added.
+codec._read_bits reads the counts into bits, error corrected for a
+corrected kind, and codec._decode_rows parses them back into characters
+and scores them positionally against the sent message; only _run_chunk
+puts the sent bits together, from the release positions, to count bit
+errors. A LinkConfig describes one link and derives its slot and
+coefficients.
 
 Determinism contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, and chunk c draws all of its randomness from a dedicated
@@ -25,8 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from numbers import Integral
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .channel import ChannelParams, channel_coefficients
 from .codebooks import (
     CharacterDistribution,
     Codebook,
-    _SymbolGuide,
     build,
     expected_length,
     expected_ones,
@@ -47,10 +46,14 @@ from .codec import (
     ConstantThreshold,
     PilotThreshold,
     ThresholdStrategy,
+    _check_integer,
     _count_cut,
     _decode_rows,
     _read_bits,
 )
+
+if TYPE_CHECKING:
+    from ._inversion import Table
 
 __all__ = [
     "CHUNK_TRIALS",
@@ -76,12 +79,6 @@ def slot_length(codebook: Codebook, distribution: CharacterDistribution,
     """The slot that sends one character per char_duration on average:
     char_duration over the expected codeword length."""
     return char_duration / expected_length(codebook, distribution)
-
-
-def _check_integer(name: str, value, least: int) -> None:
-    """Raise ValueError unless value is a non-bool integer no smaller than least."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -172,73 +169,6 @@ def _budget_share(dist: CharacterDistribution, cb: Codebook, molecules_per_char:
     return int(round(molecules_per_char / expected_ones(cb, dist)))
 
 
-#: Largest release sampled from inversion tables; remaining counts fit uint8.
-_TABLE_MOLECULES = 255
-
-
-def _slot_probabilities(coeffs: np.ndarray) -> list[float]:
-    """Slot k's probability given the molecules still in flight."""
-    probs = []
-    consumed = 0.0
-    for a in coeffs:
-        rest = 1.0 - consumed
-        probs.append(float(min(a / rest, 1.0)) if rest > 1e-15 else 0.0)
-        consumed += a
-    return probs
-
-
-def _count_dtype(molecules: int) -> type:
-    """int32 for arrival counts of releases within its range, else int64."""
-    return np.int32 if molecules <= _COUNT_LIMIT else np.int64
-
-
-def _slot_tables(molecules: int, coefficients: Sequence[float]):
-    """A link's slot probabilities and its cached _inversion.link_tables,
-    which exist for releases of 1 to _TABLE_MOLECULES molecules, else None."""
-    probs = _slot_probabilities(np.asarray(coefficients, dtype=float))
-    if not 0 < molecules <= _TABLE_MOLECULES:
-        return probs, None
-    from . import _inversion  # compiled on first use, not by every import
-
-    return probs, _inversion.link_tables(molecules, tuple(probs))
-
-
-def _arrival_columns(molecules: int, coefficients: Sequence[float],
-                     rng: np.random.Generator, size: int):
-    """Yield the arrival counts of size releases of molecules, slot by slot.
-
-    This is the sampler behind sample_arrivals, which documents the draws.
-    Every slot's column is written into one array, which is yielded, so a
-    column is valid until the next one is drawn and no more than one is
-    ever held.
-    """
-    coeffs = np.asarray(coefficients, dtype=float)
-    if molecules < 0:
-        raise ValueError("molecule count must be non-negative")
-    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
-        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    probs, tables = _slot_tables(molecules, coeffs)
-    remaining = np.full(size, molecules, dtype=np.int64 if tables is None else np.uint8)
-    column = np.empty(size, dtype=_count_dtype(molecules))
-    if tables is None:
-        tables = (None,) * len(probs)
-    else:
-        from . import _inversion
-
-        scratch = _inversion.Scratch.empty(min(size, _inversion.BLOCK))
-    for p, table in zip(probs, tables):
-        if table is not None:
-            state = rng.bit_generator.state
-            if not _inversion.draw_slot(table, remaining, column, rng, scratch):
-                rng.bit_generator.state = state
-                table = None
-        if table is None:
-            column[:] = rng.binomial(remaining, p)
-        # In remaining's dtype: numpy's int32 loop for the pair took twice as long.
-        np.subtract(remaining, column, out=remaining, dtype=remaining.dtype, casting="unsafe")
-        yield column
-
-
 def sample_arrivals(
     molecules: int,
     coefficients: Sequence[float],
@@ -265,16 +195,20 @@ def sample_arrivals(
     is the transpose of a slot-major (memory, size) array, each of whose
     rows is one slot's draws.
     """
-    columns = _arrival_columns(molecules, coefficients, rng, size)
-    out = np.empty((len(coefficients), size), dtype=_count_dtype(molecules))
+    from . import _inversion  # compiled on first use, not by every import
+
+    columns = _inversion.arrival_columns(molecules, coefficients, rng, size)
+    out = np.empty((len(coefficients), size), dtype=_inversion.count_dtype(molecules))
     for row, column in zip(out, columns):
         row[:] = column
     return out.T
 
 
-def _symbol_guide(cfg: LinkConfig) -> _SymbolGuide:
-    """The guide that draws symbol indices of cfg.codebook.symbols."""
-    return _SymbolGuide.of([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
+def _symbol_guide(cfg: LinkConfig) -> Table:
+    """The table that draws symbol indices of cfg.codebook.symbols."""
+    from . import _inversion
+
+    return _inversion.symbol_table([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
 def _release_matrix(shape: tuple[int, int], cfg: LinkConfig, dtype) -> tuple:
@@ -299,15 +233,17 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
     slots in, so no (memory, releases) array is ever held and where is
     left as it was.
     """
+    from . import _inversion
+
     flat, counts = _release_matrix(shape, cfg, np.int32)
     if where.size:
-        for lag, column in enumerate(_arrival_columns(cfg.molecules_per_one,
-                                                      cfg.coefficients, rng, where.size)):
+        for lag, column in enumerate(_inversion.arrival_columns(
+                cfg.molecules_per_one, cfg.coefficients, rng, where.size)):
             np.add.at(flat[lag:], where, column)
     return counts
 
 
-def _draw_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, seed_tuple):
+def _draw_chunk(cfg: LinkConfig, guide: Table, trials: int, seed_tuple):
     """The messages and slot counts of one chunk, drawn from its own stream.
 
     The generator is seeded by seed_tuple, and it draws the messages
@@ -323,7 +259,7 @@ def _draw_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, seed_tuple):
     return syms, tlen, where, counts
 
 
-def _run_chunk(cfg: LinkConfig, guide: _SymbolGuide, trials: int, tau: float,
+def _run_chunk(cfg: LinkConfig, guide: Table, trials: int, tau: float,
                seed_tuple):
     """Simulate, read, decode and score one chunk of trials.
 
@@ -460,7 +396,9 @@ def _build_link_tables(cfg: LinkConfig) -> None:
     array exists keeps them from pinning the heap above a chunk's peak.
     """
     cfg.codebook.tables.steps
-    _slot_tables(cfg.molecules_per_one, cfg.coefficients)
+    from . import _inversion
+
+    _inversion.link_tables(cfg.molecules_per_one, cfg.coefficients)
 
 
 def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:

@@ -337,6 +337,23 @@ class TestStrategyObjects:
         with pytest.raises(ValueError, match="positive and finite"):
             make()
 
+    @pytest.mark.parametrize("make, match", [
+        (lambda: PilotThreshold(repetitions=2.5), "repetitions must be an integer"),
+        (lambda: PilotThreshold(repetitions=True), "repetitions must be an integer"),
+        (lambda: PilotThreshold(repetitions=0), "repetitions must be an integer"),
+        (lambda: CalibratedThreshold(messages=2.5), "messages must be an integer"),
+        (lambda: CalibratedThreshold(messages=True), "messages must be an integer"),
+        (lambda: CalibratedThreshold(messages=0), "messages must be an integer"),
+        (lambda: ConstantThreshold(tau=True), "positive and finite, got True"),
+    ], ids=["repetitions-float", "repetitions-bool", "repetitions-zero", "messages-float",
+            "messages-bool", "messages-zero", "tau-bool"])
+    def test_counts_follow_the_integer_rule(self, make, match):
+        # A float count used to construct and then fail inside run_cer, a
+        # True count to run one pilot or one calibration message, and a
+        # True tau to be reported as the threshold.
+        with pytest.raises(ValueError, match=match):
+            make()
+
     def test_defaults(self):
         assert PilotThreshold().repetitions == 100
         assert CalibratedThreshold().messages == 10_000

@@ -29,7 +29,9 @@ from molcode import (
     ita2,
     sample_arrivals,
 )
-from molcode.codebooks import _STEP_ENTRIES, _SYMBOL_BUCKETS, PAST_END, _SymbolGuide
+from molcode import _inversion
+from molcode._inversion import _GUIDE_BUCKETS, symbol_table
+from molcode.codebooks import _STEP_ENTRIES, PAST_END
 from molcode.codec import _count_cut, _decode_rows, _read_bits
 from molcode.mc_sim import (
     _CAL_TAG,
@@ -94,11 +96,15 @@ def _symbol_probs(cb, dist):
 
 
 # -- the symbol guide against Generator.choice ---------------------------
+#: The guide entry of a bucket whose draws search: int16's largest value.
+FLAG = np.iinfo(np.int16).max
+
+
 def _assert_draws_like_choice(probs, size, seed):
     probs = np.asarray(probs, dtype=float)
     want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     want = want_rng.choice(len(probs), size=size, p=probs)
-    got = _SymbolGuide.of(probs).draw(got_rng, size)
+    got = symbol_table(probs).draw(got_rng, size)
     assert got.dtype == np.int16
     np.testing.assert_array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -116,22 +122,32 @@ class TestSymbolGuide:
         # Every CDF value is a bucket edge, so no bucket holds a change of
         # symbol and none is searched.
         probs = [0.25, 0.25, 0.5]
-        assert (_SymbolGuide.of(probs).guide >= 0).all()
+        assert (symbol_table(probs).guide != FLAG).all()
         _assert_draws_like_choice(probs, 100_000, 3)
 
     def test_symbol_below_one_bucket(self):
         # The rare symbol lies inside the first bucket, which is searched.
         probs = np.array([1e-4, 0.3, 0.7 - 1e-4])
-        assert _SymbolGuide.of(probs).guide[0] < 0
+        assert symbol_table(probs).guide[0] == FLAG
         got = _assert_draws_like_choice(probs, 200_000, 4)
         assert (got == 0).any()
 
     def test_most_buckets_searched(self):
         rng = np.random.default_rng(5)
         weights = rng.random(1000)
-        guide = _SymbolGuide.of(weights / weights.sum())
-        assert (guide.guide < 0).mean() > 0.5
+        guide = symbol_table(weights / weights.sum())
+        assert (guide.guide == FLAG).mean() > 0.5
         _assert_draws_like_choice(weights / weights.sum(), 50_000, 6)
+
+    def test_alphabet_at_the_int16_limit(self):
+        # 32767 symbols, the most a codebook takes: the last index, 32766,
+        # sits one below the flag, and a heavy last symbol holds buckets.
+        weights = np.random.default_rng(7).random(32767)
+        weights[-1] = 2000.0
+        table = symbol_table(weights / weights.sum())
+        assert table.flag == FLAG and (table.guide == FLAG - 1).any()
+        got = _assert_draws_like_choice(weights / weights.sum(), 200_000, 8)
+        assert got.max() == FLAG - 1
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -148,13 +164,77 @@ class TestSymbolGuide:
         # The search is monotone in u, so an entry that is the search's
         # answer at the least and the greatest uniform of its bucket is
         # the answer for every uniform in between.
-        guide = _SymbolGuide.of(_symbol_probs(hcb, dist) if probs is None else probs)
-        held = np.flatnonzero(guide.guide >= 0)
-        low = held / _SYMBOL_BUCKETS
-        high = (held + 1) / _SYMBOL_BUCKETS - 2.0 ** -53
+        probs = _symbol_probs(hcb, dist) if probs is None else np.asarray(probs)
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        guide = symbol_table(probs).guide
+        held = np.flatnonzero(guide != FLAG)
+        low = held / _GUIDE_BUCKETS
+        high = (held + 1) / _GUIDE_BUCKETS - 2.0 ** -53
         for u in (low, high):
-            np.testing.assert_array_equal(guide.cdf.searchsorted(u, side="right"),
-                                          guide.guide[held])
+            np.testing.assert_array_equal(cdf.searchsorted(u, side="right"), guide[held])
+
+
+# -- Table.of against a brute-force first-hit search -----------------------
+_LATTICE = 2**53
+_STEP = _LATTICE // _GUIDE_BUCKETS
+#: Lattice points a cut may sit on: anywhere, on a bucket's first point or
+#: on a bucket's last one.
+_CUT = st.one_of(
+    st.integers(0, _LATTICE - 1),
+    st.integers(0, _GUIDE_BUCKETS - 1).map(lambda b: b * _STEP),
+    st.integers(1, _GUIDE_BUCKETS).map(lambda b: b * _STEP - 1),
+)
+
+
+@st.composite
+def _cut_rows(draw):
+    """Ascending int64 cut rows of one width, repeats included, each ending
+    in a cut that no uniform passes."""
+    rows, width = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    cuts = [sorted(draw(st.lists(_CUT, min_size=width - 1, max_size=width - 1)))
+            for _ in range(rows)]
+    last = draw(st.sampled_from([_LATTICE - 1, _LATTICE]))
+    repeat = draw(st.booleans())  # a cut twice in a row
+    return np.array([row[:1] * repeat + row[repeat:] + [last] for row in cuts],
+                    dtype=np.int64)
+
+
+def _first_hit(cuts, rows, m):
+    """The first x of each row whose cut reaches the lattice point m."""
+    return np.array([np.argmax(cuts[r] >= v) for r, v in zip(rows, m)])
+
+
+class TestTableOf:
+    @settings(max_examples=150, deadline=None)
+    @given(cuts=_cut_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_guide_search_draw_and_lookup_agree(self, cuts, seed):
+        rows, width = cuts.shape
+        table = _inversion.Table.of(cuts, np.uint8, np.full(rows, width - 1), 1.0)
+        row = np.repeat(np.arange(rows), _GUIDE_BUCKETS)
+        first = np.tile(np.arange(_GUIDE_BUCKETS) * _STEP, rows)
+        low = table.search(row, first / _LATTICE)
+        high = table.search(row, (first + _STEP - 1) / _LATTICE)
+        np.testing.assert_array_equal(low, _first_hit(cuts, row, first))
+        np.testing.assert_array_equal(high, _first_hit(cuts, row, first + _STEP - 1))
+        held = table.guide != table.flag
+        np.testing.assert_array_equal(table.guide[held], low[held])
+        np.testing.assert_array_equal(table.guide[held], high[held])
+        assert (low[~held] != high[~held]).all()
+
+        # Random uniforms, and those at and just past every cut.
+        rng = np.random.default_rng(seed)
+        near = np.clip(np.concatenate([cuts.ravel(), cuts.ravel() + 1]), 0, _LATTICE - 1)
+        u = np.concatenate([rng.random(2000), near / _LATTICE])
+        n = rng.integers(0, rows, u.size)
+        want = _first_hit(cuts, n, (u * _LATTICE).astype(np.int64))
+        np.testing.assert_array_equal(table.search(n, u), want)
+        got, redraw = table.lookup(n.astype(np.uint8), u, _inversion.Scratch.empty(u.size))
+        np.testing.assert_array_equal(got, want)
+        assert not redraw
+        drawn = table.draw(np.random.default_rng(seed), 2000)
+        u = np.random.default_rng(seed).random(2000)
+        np.testing.assert_array_equal(drawn, _first_hit(cuts, [0] * u.size, u * _LATTICE))
 
 
 # -- the one-pass lay against choice, CodeTables.lay and flatnonzero -------
@@ -195,7 +275,7 @@ class TestSampleBits:
         want_where = np.flatnonzero(want_bits)
         want_where += want_where // max_t * spare
 
-        syms, tlen, bitmat, where = _laid_messages(cb.tables, _SymbolGuide.of(probs), 700,
+        syms, tlen, bitmat, where = _laid_messages(cb.tables, symbol_table(probs), 700,
                                                    msg_len, spare, got_rng)
         np.testing.assert_array_equal(syms, want_syms)
         np.testing.assert_array_equal(tlen, want_tlen)
@@ -383,7 +463,7 @@ class TestStepDecoder:
         cb = DECODE_CODES[code]
         rng = np.random.default_rng(3)
         probs = np.full(len(cb.codewords), 1 / len(cb.codewords))
-        syms, tlen, bitmat, _ = _laid_messages(cb.tables, _SymbolGuide.of(probs), 500, 10, 0,
+        syms, tlen, bitmat, _ = _laid_messages(cb.tables, symbol_table(probs), 500, 10, 0,
                                                rng)
         flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
         _assert_same_decode(bitmat, tlen, syms, cb.tables)

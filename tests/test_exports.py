@@ -106,6 +106,20 @@ def test_every_private_definition_is_used_by_the_package():
     assert _unreferenced_private(sources) == []
 
 
+def test_exact_draws_are_imported_on_first_use():
+    # Importing the package must not compile molcode._inversion: its
+    # first draw does.
+    code = ("import sys, numpy, molcode\n"
+            "print('molcode._inversion' in sys.modules)\n"
+            "molcode.sample_arrivals(3, (0.5,), numpy.random.default_rng(0), 4)\n"
+            "print('molcode._inversion' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_readme_quick_start_runs():
     readme = (ROOT / "README.md").read_text()
     (block,) = re.findall(r"## Library quick start\n\n```python\n(.*?)```", readme, re.S)

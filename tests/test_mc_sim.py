@@ -173,13 +173,13 @@ class TestArrivalStreamIdentity:
                 px = ((n - x + 1) * p * px) / (x * q)
             return x
 
-        probs = mc_sim._slot_probabilities(np.asarray(coefficients))
-        tables = _inversion.link_tables(molecules, tuple(probs))
+        probs, tables = _inversion.link_tables(molecules, tuple(coefficients))
         for p, table in zip(probs, tables):
             if table is None:
                 continue
             for n in counts:
-                cuts = table.cuts[n * table.width:][:table.bound[n] + 1]
+                cuts = table.keys[n * table.width:][:table.bound[n] + 1] - n * (2**53 + 1)
+                cuts = cuts * 2.0**-53
                 u = np.concatenate([cuts, np.minimum(cuts + 2.0**-53, 1 - 2.0**-53)])
                 want = [numpy_walk(n, p, v) for v in u]
                 got, redraw = table.lookup(np.full(len(u), n, dtype=np.uint8), u,
@@ -204,8 +204,7 @@ class TestArrivalStreamIdentity:
     def test_slot_past_the_inversion_regime_calls_numpy(self):
         # 100 * 0.4 > 30: numpy samples slot 0 by BTPE, so it has no table.
         coeffs = (0.4, 0.1, 0.05)
-        probs = mc_sim._slot_probabilities(np.asarray(coeffs))
-        tables = _inversion.link_tables(100, tuple(probs))
+        _, tables = _inversion.link_tables(100, coeffs)
         assert [table is not None for table in tables] == [False, True, True]
         assert_same_stream(100, coeffs, 7, 5000)
 
@@ -214,14 +213,15 @@ class TestArrivalStreamIdentity:
         # 3 at 0.999: a uniform above that lands past the bound, several
         # blocks into the slot, and the whole slot is redone by numpy.
         molecules, coeffs = 43, coefficients
-        probs = mc_sim._slot_probabilities(np.asarray(coeffs))
-        tables = list(_inversion.link_tables(molecules, tuple(probs)))
+        probs, tables = _inversion.link_tables(molecules, tuple(coeffs))
+        tables = list(tables)
         table = tables[3]
-        cuts = table.cuts.reshape(-1, table.width)
+        rows = np.arange(len(table.bound))[:, None]
+        cuts = table.keys.reshape(-1, table.width) - rows * (2**53 + 1)
         within = np.arange(table.width) <= table.bound[:, None]
-        cuts = np.where(within, np.minimum(cuts, 0.999), cuts)
-        tables[3] = table._replace(cuts=cuts.ravel(), safe=0.0)
-        monkeypatch.setattr(_inversion, "link_tables", lambda *key: tables)
+        cuts = np.where(within, np.minimum(cuts, int(0.999 * 2**53)), cuts)
+        tables[3] = _inversion.Table.of(cuts, np.uint8, table.bound, 0.0)
+        monkeypatch.setattr(_inversion, "link_tables", lambda *key: (probs, tables))
         monkeypatch.setattr(_inversion, "BLOCK", 100)
         slots = []
         real = _inversion.draw_slot
@@ -272,21 +272,19 @@ class TestInversionGuide:
         buckets = _inversion._GUIDE_BUCKETS
         b = np.arange(buckets)
         ends = np.concatenate([b / buckets, (b + 1) / buckets - 2.0**-53])
-        probs = mc_sim._slot_probabilities(np.asarray(coefficients))
-        tables = _inversion.link_tables(molecules, tuple(probs))
+        probs, tables = _inversion.link_tables(molecules, tuple(coefficients))
         checked = 0
         for p, table in zip(probs, tables):
             if table is None:
                 continue
             want, bound = numpy_walks(molecules, p, ends)
-            guide = table.guide.reshape(-1, buckets)[1:].astype(np.int64)
-            walks = guide >= _inversion._WALK
-            guide = np.where(walks, guide - _inversion._WALK, guide)
+            guide = table.guide.reshape(-1, buckets)[1:]
+            flagged = guide == table.flag
             lo, hi = want[:, :buckets], want[:, buckets:]
-            np.testing.assert_array_equal(guide[~walks], lo[~walks])
-            np.testing.assert_array_equal(guide[~walks], hi[~walks])
-            assert (guide[walks] <= lo[walks]).all()
-            assert (bound < _inversion._WALK).all()
+            np.testing.assert_array_equal(guide[~flagged], lo[~flagged])
+            np.testing.assert_array_equal(guide[~flagged], hi[~flagged])
+            assert (lo[flagged] != hi[flagged]).all()
+            assert (bound < table.flag).all()
             checked += 1
         assert checked
 
