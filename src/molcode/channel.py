@@ -40,20 +40,25 @@ TAIL_FLOOR = 0.33
 
 @dataclass(frozen=True)
 class ChannelParams:
-    """Physical link parameters; micrometers and seconds throughout."""
+    """Physical link parameters; micrometers and seconds throughout.
+
+    Each is a positive finite number, not a bool, and distance puts the
+    transmitter outside the receiver.
+    """
 
     diffusion: float
     distance: float
     receiver_radius: float
 
     def __post_init__(self) -> None:
-        if not 0 < self.diffusion < math.inf:
+        # A bool is an int to Python, so True would read as 1.
+        if isinstance(self.diffusion, bool) or not 0 < self.diffusion < math.inf:
             raise ValueError(f"diffusion must be positive and finite, got {self.diffusion!r}")
-        if not 0 < self.receiver_radius < math.inf:
+        if isinstance(self.receiver_radius, bool) or not 0 < self.receiver_radius < math.inf:
             raise ValueError(
                 f"receiver_radius must be positive and finite, got {self.receiver_radius!r}"
             )
-        if not self.receiver_radius < self.distance < math.inf:
+        if isinstance(self.distance, bool) or not self.receiver_radius < self.distance < math.inf:
             raise ValueError(
                 "distance must be finite and put the transmitter outside the receiver, "
                 f"got {self.distance!r}"

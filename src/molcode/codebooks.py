@@ -1,9 +1,11 @@
 """Prefix codebooks and character distributions for slotted binary links.
 
-Three codebook families are supported: classic Huffman trees built with the
-low-probability branch labeled 1, a run-length-limited variant of the same
-tree in which every 1 is expanded to "10" (so no transmitted codeword stream
-ever contains adjacent ones), and a fixed 5-bit teleprinter alphabet.
+Three codebook families are supported: classic Huffman codes, a
+run-length-limited variant of the same code in which every 1 is expanded
+to "10" (so no transmitted codeword stream ever contains adjacent ones),
+and a fixed 5-bit teleprinter alphabet. build_huffman builds the Huffman
+code by merging groups of symbols, under the first-in, first-out tie rule
+its docstring states, and keeps no tree of its own.
 
 Every codebook also carries its CodeTables, built once on first use: the
 codeword layout that lays symbols into a stream, and the codeword trie
@@ -86,7 +88,7 @@ class CharacterDistribution:
 
     Symbol order is preserved; it is the tie-breaking order for codebook
     construction, so two distributions with the same weights but different
-    order may build different (equally optimal) trees.
+    order may build different (equally optimal) codes.
     """
 
     symbols: tuple[str, ...]
@@ -375,69 +377,36 @@ class CodeTables:
         return tlen, where
 
 
-class _Node:
-    __slots__ = ("prob", "seq", "symbol", "one_child", "zero_child")
+def build_huffman(dist: CharacterDistribution) -> Codebook:
+    """Optimal prefix code for dist with bit-0 on the higher probability branch.
 
-    def __init__(self, prob, seq, symbol=None, one_child=None, zero_child=None):
-        self.prob = prob
-        self.seq = seq
-        self.symbol = symbol
-        self.one_child = one_child
-        self.zero_child = zero_child
-
-    def __lt__(self, other: "_Node") -> bool:
-        # FIFO among equal probabilities: earlier insertion dequeues first.
-        return (self.prob, self.seq) < (other.prob, other.seq)
-
-
-def _build_tree(dist: CharacterDistribution) -> _Node:
-    """Huffman merge with bit-1 on the strictly lower probability operand.
-
-    At exact probability ties the earlier-inserted operand takes branch 0.
-    Leaves are inserted in distribution order, merged nodes in creation order.
+    The Huffman merge works on groups of symbols, one heap entry
+    (prob, seq, members) per group: symbols enter as one-member groups in
+    distribution order, merged groups in creation order, and seq is unique,
+    so equal probabilities dequeue first in, first out. Each merge of the
+    two least probable groups prepends its bit to the codewords of both:
+    the strictly lower probability operand takes bit 1, and at an exact
+    tie the earlier-inserted operand takes bit 0.
     """
-    heap: list[_Node] = []
-    seq = 0
-    for sym, p in zip(dist.symbols, dist.probs):
-        heapq.heappush(heap, _Node(p, seq, symbol=sym))
-        seq += 1
+    words = [""] * len(dist.symbols)
+    heap = [(p, seq, [seq]) for seq, p in enumerate(dist.probs)]
+    heapq.heapify(heap)
+    seq = len(heap)
     while len(heap) > 1:
         first = heapq.heappop(heap)
         second = heapq.heappop(heap)
-        if first.prob == second.prob:
-            one_child, zero_child = second, first
-        else:
-            one_child, zero_child = first, second
-        heapq.heappush(
-            heap,
-            _Node(first.prob + second.prob, seq, one_child=one_child, zero_child=zero_child),
-        )
+        one, zero = (second, first) if first[0] == second[0] else (first, second)
+        for i in one[2]:
+            words[i] = "1" + words[i]
+        for i in zero[2]:
+            words[i] = "0" + words[i]
+        heapq.heappush(heap, (first[0] + second[0], seq, first[2] + second[2]))
         seq += 1
-    return heap[0]
-
-
-def _tree_codewords(root: _Node, one_label: str) -> dict[str, str]:
-    """Leaf codewords in pre-order, branch 1 first; iterative, so any depth works."""
-    codes: dict[str, str] = {}
-    stack = [(root, "")]
-    while stack:
-        node, prefix = stack.pop()
-        if node.symbol is not None:
-            codes[node.symbol] = prefix
-        else:
-            stack.append((node.zero_child, prefix + "0"))
-            stack.append((node.one_child, prefix + one_label))
-    return codes
-
-
-def build_huffman(dist: CharacterDistribution) -> Codebook:
-    """Optimal prefix code for dist with bit-0 on the higher probability branch."""
-    words = _tree_codewords(_build_tree(dist), "1")
-    return Codebook(kind="huffman", codewords={s: words[s] for s in dist.symbols})
+    return Codebook(kind="huffman", codewords=dict(zip(dist.symbols, words)))
 
 
 def build_proposed(dist: CharacterDistribution) -> Codebook:
-    """Run-length-limited code: the Huffman tree for dist with 1 expanded to 10.
+    """Run-length-limited code: the Huffman code for dist with 1 expanded to 10.
 
     The expansion guarantees no codeword contains "11" and none ends in 1,
     so arbitrary concatenations stay free of adjacent ones.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
+from numbers import Integral, Real
 from typing import Iterable, Union
 
 import numpy as np
@@ -154,6 +154,8 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     # of the packed rows.
     starts = np.arange(0, max_t, k, dtype=np.int32)
     row_bytes = -(-max_t // 8)
+    # One flat packbits of a zero-padded copy: packbits along axis 1 pays
+    # per row and is the slower of the two below about a thousand slots.
     padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
     padded[:, :max_t] = final
     wide = np.zeros((row_bytes + 1, trials), dtype=np.uint16)
@@ -186,6 +188,13 @@ def _check_integer(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
+def _check_positive(name: str, value) -> None:
+    """Raise ValueError unless value is a non-bool real, above 0 and finite."""
+    if (isinstance(value, bool) or not isinstance(value, Real) or not value > 0
+            or not math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ConstantThreshold:
     """Use a fixed detection threshold as given: positive, finite, not a bool."""
@@ -193,8 +202,7 @@ class ConstantThreshold:
     tau: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.tau, bool) or not (self.tau > 0) or not math.isfinite(self.tau):
-            raise ValueError(f"threshold must be positive and finite, got {self.tau!r}")
+        _check_positive("threshold", self.tau)
 
 
 @dataclass(frozen=True)
@@ -230,8 +238,8 @@ class CalibratedThreshold:
         if self.candidates is not None:
             if not self.candidates:
                 raise ValueError("candidate grid must not be empty")
-            if any(not (c > 0) or not math.isfinite(c) for c in self.candidates):
-                raise ValueError("candidate thresholds must be positive and finite")
+            for c in self.candidates:
+                _check_positive("candidate threshold", c)
 
 
 ThresholdStrategy = Union[ConstantThreshold, PilotThreshold, CalibratedThreshold]

@@ -47,6 +47,7 @@ from .codec import (
     PilotThreshold,
     ThresholdStrategy,
     _check_integer,
+    _check_positive,
     _count_cut,
     _decode_rows,
     _read_bits,
@@ -92,7 +93,8 @@ class LinkConfig:
     a_1..a_memory of params at that slot. A zero molecule budget is allowed
     and gives the all-silent baseline link. The counts molecules_per_one,
     msg_len, memory, trials and master_seed must be integers (not bools);
-    anything else, or a value below its floor, raises ValueError.
+    anything else, or a value below its floor, raises ValueError, as does
+    a char_duration that is not a positive, finite real.
     """
 
     codebook: Codebook
@@ -112,8 +114,7 @@ class LinkConfig:
         for name, least in (("molecules_per_one", 0), ("msg_len", 1), ("memory", 1),
                             ("trials", 1), ("master_seed", 0)):
             _check_integer(name, getattr(self, name), least)
-        if self.char_duration <= 0:
-            raise ValueError("character duration must be positive")
+        _check_positive("char_duration", self.char_duration)
         if self.molecules_per_one * self.memory >= _COUNT_LIMIT:
             raise ValueError(
                 "molecule budget too large: slot counts must stay below 2**31 - 1"

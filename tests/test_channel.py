@@ -122,3 +122,13 @@ class TestParamsValidation:
     def test_nonpositive_diffusion_rejected(self):
         with pytest.raises(ValueError):
             ChannelParams(diffusion=0.0, distance=4.0, receiver_radius=2.0)
+
+    @pytest.mark.parametrize("args, name", [
+        ((True, 4.0, 2.0), "diffusion"),
+        ((79.4, 4.0, True), "receiver_radius"),
+        ((79.4, True, 0.5), "distance"),
+    ])
+    def test_bool_rejected(self, args, name):
+        # True is an int to Python, so unchecked it would read as 1.
+        with pytest.raises(ValueError, match=f"{name} must"):
+            ChannelParams(*args)

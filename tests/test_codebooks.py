@@ -39,15 +39,6 @@ EXP_ONES_ITA2 = 2.469588530411469
 ONES_RATIO = 0.7998611915900243
 
 
-def _proposed_via_tree(dist: CharacterDistribution) -> Codebook:
-    """The proposed code built directly on the merge tree with branch labels 10 / 0.
-
-    An independent construction route that must agree with build_proposed.
-    """
-    words = codebooks._tree_codewords(codebooks._build_tree(dist), "10")
-    return Codebook(kind="proposed", codewords={s: words[s] for s in dist.symbols})
-
-
 def small_distributions():
     """Random distributions over 2..6 symbols for property tests."""
     return st.integers(2, 6).flatmap(
@@ -89,10 +80,18 @@ class TestHuffman:
     def test_kraft_equality(self, hcb):
         assert hcb.kraft_sum() == Fraction(1)
 
-    def test_two_equal_symbols_tie_break(self):
-        d = CharacterDistribution.from_weights({"a": 0.5, "b": 0.5})
-        cb = build_huffman(d)
-        assert cb.codewords == {"a": "0", "b": "1"}
+    @pytest.mark.parametrize("weights, words", [
+        ((0.5, 0.5), ("0", "1")),
+        ((0.25, 0.25, 0.25, 0.25), ("00", "01", "10", "11")),
+        ((0.2, 0.2, 0.2, 0.2, 0.2), ("000", "001", "10", "11", "01")),
+        ((0.3, 0.2, 0.2, 0.2, 0.1), ("00", "010", "10", "11", "011")),
+    ], ids=["two-equal", "four-equal", "five-equal", "three-way-tie"])
+    def test_exact_ties_break_first_in_first_out(self, weights, words):
+        # Equal groups merge first in, first out, and at an exact tie the
+        # earlier-inserted group takes bit 0.
+        symbols = "abcde"[:len(weights)]
+        d = CharacterDistribution.from_weights(dict(zip(symbols, weights)))
+        assert build_huffman(d).codewords == dict(zip(symbols, words))
 
     def test_two_unequal_symbols(self):
         d = CharacterDistribution.from_weights({"a": 0.9, "b": 0.1})
@@ -161,10 +160,6 @@ class TestProposed:
 
     def test_ones_count_unchanged_by_substitution(self, pcb, dist):
         assert expected_ones(pcb, dist) == pytest.approx(EXP_ONES_HUFFMAN, abs=1e-12)
-
-    def test_matches_tree_labeled_construction(self, dist, pcb):
-        alt = _proposed_via_tree(dist)
-        assert alt.codewords == pcb.codewords
 
     def test_kraft_strictly_below_one(self, pcb):
         assert pcb.kraft_sum() < 1

@@ -332,7 +332,9 @@ class TestStrategyObjects:
         lambda: CalibratedThreshold(candidates=(0.0,)),
         lambda: CalibratedThreshold(candidates=(float("inf"),)),
         lambda: CalibratedThreshold(candidates=(4.0, float("nan"))),
-    ], ids=["constant-inf", "constant-nan", "candidate-zero", "candidate-inf", "candidate-nan"])
+        lambda: CalibratedThreshold(candidates=(True, 4.0)),
+    ], ids=["constant-inf", "constant-nan", "candidate-zero", "candidate-inf", "candidate-nan",
+            "candidate-bool"])
     def test_thresholds_must_be_positive_and_finite(self, make):
         with pytest.raises(ValueError, match="positive and finite"):
             make()

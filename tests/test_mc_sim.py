@@ -378,6 +378,13 @@ class TestLinkConfig:
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             dataclasses.replace(link, **{name: value})
 
+    @pytest.mark.parametrize("value", [True, float("nan"), float("inf"), 0.0, "0.5"])
+    def test_rejects_char_duration_off_the_positive_rule(self, link, value):
+        # True is an int to Python, so unchecked it would read as a
+        # 1-second character; nan must fail here, not on the slot it gives.
+        with pytest.raises(ValueError, match="char_duration must be positive and finite"):
+            dataclasses.replace(link, char_duration=value)
+
 
 class TestDeterminism:
     def test_repeat_runs_identical(self, link):
