@@ -47,6 +47,9 @@ class Table(NamedTuple):
     where the least and the greatest lattice point of the bucket draw the
     same x, every point between does, and the entry is x. Any other entry
     is flag, the guide dtype's largest value, and only those draws search.
+    The two ends differ exactly where a cut of row r lies in the bucket
+    short of its greatest point, and x is the count of row r's cuts below
+    the bucket.
     """
 
     keys: np.ndarray
@@ -63,9 +66,14 @@ class Table(NamedTuple):
         row = np.arange(rows)[:, None]
         keys = (cuts + row * (_LATTICE + 1)).ravel()
         step = _LATTICE // _GUIDE_BUCKETS
-        first = row * (_LATTICE + 1) + np.arange(_GUIDE_BUCKETS) * step
-        low, high = keys.searchsorted(first), keys.searchsorted(first + (step - 1))
-        guide = np.where(low == high, low - row * width, np.iinfo(dtype).max)
+        bucket, within = np.divmod(cuts, step)
+        # Column b + 1 of a row counts its cuts in bucket b, so the running
+        # sum at b counts those below bucket b; a cut of 2**53 is below none.
+        above = np.minimum(bucket + 1, _GUIDE_BUCKETS) + row * (_GUIDE_BUCKETS + 1)
+        below = np.bincount(above.ravel(), minlength=rows * (_GUIDE_BUCKETS + 1))
+        guide = below.reshape(rows, -1).cumsum(axis=1)[:, :-1]
+        split = (bucket < _GUIDE_BUCKETS) & (within < step - 1)
+        guide[split.nonzero()[0], bucket[split]] = np.iinfo(dtype).max
         return cls(keys, guide.astype(dtype).ravel(), bound, width, safe)
 
     @property

@@ -80,6 +80,9 @@ _STEP_SLOTS = 8
 _STEP_ENTRIES = 1 << 20
 #: Entries walked at a time while a step table is built.
 _STEP_BLOCK = 1 << 12
+#: Symbols laid at a time by CodeTables.lay_ones, in whole rows. A chunk of
+#: 8192 messages of 10 symbols is one block.
+_LAY_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -211,18 +214,16 @@ class Codebook:
         )
 
 
-def _ragged(off: np.ndarray, size: np.ndarray, syms: np.ndarray):
-    """Where the rows flat[off[s]:off[s] + size[s]] of a ragged table lie,
-    for every s of the 1-D syms, laid back to back.
+def _ragged(first: np.ndarray, size: np.ndarray):
+    """Where the rows flat[first[i]:first[i] + size[i]] of a ragged table
+    lie, for every i, laid back to back.
 
-    Returns, for each laid item, the index into syms of its row and its
-    index into flat.
+    Returns, for each laid item, the i of its row and its index into flat.
     """
-    size = size[syms]
     ends = np.cumsum(size)
-    owner = np.repeat(np.arange(syms.size), size)
+    owner = np.repeat(np.arange(size.size), size)
     index = np.arange(int(ends[-1]) if ends.size else 0)
-    index += (off[syms] - ends + size)[owner]
+    index += (first - ends + size)[owner]
     return owner, index
 
 
@@ -352,8 +353,9 @@ class CodeTables:
     def lay(self, syms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The codewords of syms back to back, and each bit's in-word position."""
         syms = syms.ravel()
-        owner, index = _ragged(self.word_off, self.word_len, syms)
-        return self.word_flat[index], index - self.word_off[syms][owner]
+        first = self.word_off[syms]
+        owner, index = _ragged(first, self.word_len[syms])
+        return self.word_flat[index], index - first[owner]
 
     def lay_ones(self, syms: np.ndarray, spare: int) -> tuple[np.ndarray, np.ndarray]:
         """Each row of the 2-D syms laid as one message, by its ones only.
@@ -363,17 +365,49 @@ class CodeTables:
         length in slots, and the flat positions of its ones in that
         matrix, ascending: each is its word's start plus its in-word
         position. Every other slot of the matrix holds a 0.
+
+        The rows are laid _LAY_BLOCK symbols at a time, twice: once for
+        each message's length and each block's count of ones, which size
+        where, and once to write each block's positions into its part of
+        where. So where is the only array held that grows with the chunk's
+        symbols or ones.
         """
         trials = syms.shape[0]
-        lens = self.word_len[syms]
-        starts = lens.cumsum(axis=1)
-        tlen = starts[:, -1].copy()  # starts is shifted in place below
+        rows = max(1, _LAY_BLOCK // syms.shape[1])
+        firsts = range(0, trials, rows)
+
+        def gather(a):
+            block = syms[a:a + rows]
+            lens = self.word_len[block]
+            return block, lens, lens.cumsum(axis=1), self.ones_len[block]
+
+        tlen = np.empty(trials, dtype=np.int64)
+        counts = []
+        for a in firsts:
+            block, lens, starts, ones = gather(a)
+            tlen[a:a + rows] = starts[:, -1]
+            counts.append(ones.sum())
+        ends = np.cumsum(counts).tolist()
         stride = int(tlen.max()) + spare
-        starts -= lens
-        starts += np.arange(0, trials * stride, stride)[:, None]
-        owner, index = _ragged(self.ones_off, self.ones_len, syms.ravel())
-        where = starts.ravel()[owner]
-        where += self.ones_flat[index]
+        where = None
+        # The last block first: its lengths are still at hand, so a chunk
+        # of one block gathers them once.
+        for a, end in zip(reversed(firsts), reversed(ends)):
+            if a != firsts[-1]:
+                block, lens, starts, ones = gather(a)
+            starts -= lens
+            starts += np.arange(a * stride, (a + len(block)) * stride, stride)[:, None]
+            owner, index = _ragged(self.ones_off[block.ravel()], ones.ravel())
+            if where is None:
+                # After the first block's gather, as one pass over the chunk
+                # allocated it: allocated before, where took fresh pages
+                # beside the gather's temporaries, and a two-thread sweep's
+                # peak RSS rose by 3.5 MiB.
+                where = np.empty(ends[-1], dtype=np.int64)
+            part = where[end - index.size:end]
+            # mode="clip" writes straight into part; "raise" would buffer.
+            starts.ravel().take(owner, out=part, mode="clip")
+            part += self.ones_flat[index]
         return tlen, where
 
 
@@ -386,9 +420,10 @@ def build_huffman(dist: CharacterDistribution) -> Codebook:
     so equal probabilities dequeue first in, first out. Each merge of the
     two least probable groups prepends its bit to the codewords of both:
     the strictly lower probability operand takes bit 1, and at an exact
-    tie the earlier-inserted operand takes bit 0.
+    tie the earlier-inserted operand takes bit 0. Each symbol collects its
+    bits last first, and they are joined reversed once at the end.
     """
-    words = [""] * len(dist.symbols)
+    bits: list[list[str]] = [[] for _ in dist.symbols]
     heap = [(p, seq, [seq]) for seq, p in enumerate(dist.probs)]
     heapq.heapify(heap)
     seq = len(heap)
@@ -397,11 +432,12 @@ def build_huffman(dist: CharacterDistribution) -> Codebook:
         second = heapq.heappop(heap)
         one, zero = (second, first) if first[0] == second[0] else (first, second)
         for i in one[2]:
-            words[i] = "1" + words[i]
+            bits[i].append("1")
         for i in zero[2]:
-            words[i] = "0" + words[i]
+            bits[i].append("0")
         heapq.heappush(heap, (first[0] + second[0], seq, first[2] + second[2]))
         seq += 1
+    words = ("".join(reversed(b)) for b in bits)
     return Codebook(kind="huffman", codewords=dict(zip(dist.symbols, words)))
 
 

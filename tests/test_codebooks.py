@@ -100,12 +100,18 @@ class TestHuffman:
 
     def test_deep_tree_builds(self):
         # p_i = 2**-i makes a chain-shaped tree 1049 levels deep, far past
-        # the interpreter's recursion limit.
+        # the interpreter's recursion limit, whose codewords hold n**2 / 2
+        # bits: each merge puts the rest of the chain on the 1 branch.
         n = 1050
         d = CharacterDistribution(tuple(f"s{i}" for i in range(1, n + 1)),
                                   tuple(2.0 ** -i for i in range(1, n + 1)))
-        lengths = sorted(len(w) for w in build_huffman(d).codewords.values())
+        words = build_huffman(d).codewords
+        lengths = sorted(len(w) for w in words.values())
         assert lengths == list(range(1, n)) + [n - 1]
+        assert words == {**{f"s{i}": "1" * (i - 1) + "0" for i in range(1, n)},
+                         f"s{n}": "1" * (n - 1)}
+        ordered = sorted(words.values())
+        assert not any(b.startswith(a) for a, b in zip(ordered, ordered[1:]))
 
     @settings(max_examples=60, deadline=None)
     @given(small_distributions())

@@ -1,7 +1,8 @@
 """The fast simulator paths against slow references kept here.
 
 The symbol guide is checked against Generator.choice, the message lay
-against rng.choice, CodeTables.lay and np.flatnonzero, count
+against rng.choice, CodeTables.lay and np.flatnonzero, in one block of
+rows and in many, count
 accumulation against a per-release Python loop, a chunk's bool scoring
 against the int8 scoring it replaced, the step-table decoder
 against the one-slot trie walk it replaced, and threshold calibration
@@ -29,7 +30,7 @@ from molcode import (
     ita2,
     sample_arrivals,
 )
-from molcode import _inversion
+from molcode import _inversion, codebooks
 from molcode._inversion import _GUIDE_BUCKETS, symbol_table
 from molcode.codebooks import _STEP_ENTRIES, PAST_END
 from molcode.codec import _count_cut, _decode_rows, _read_bits
@@ -285,6 +286,41 @@ class TestSampleBits:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
         if code == "zero-word":
             assert (np.count_nonzero(bitmat, axis=1) == 0).any()
+
+
+class TestBlockedLay:
+    """lay_ones a few rows at a time against CodeTables.lay in one pass."""
+
+    @pytest.mark.parametrize("spare", [0, 9])
+    @pytest.mark.parametrize("block", [1, 64])
+    @pytest.mark.parametrize("code", ["huffman", "proposed", "ita2", "zero-word"])
+    def test_matches_one_pass(self, code, block, spare, dist, monkeypatch):
+        monkeypatch.setattr(codebooks, "_LAY_BLOCK", block)
+        if code == "zero-word":
+            cb = Codebook(kind="custom", codewords={"a": "00", "b": "01", "c": "1"})
+            probs, msg_len = np.array([0.5, 0.3, 0.2]), 2
+        else:
+            cb = DECODE_CODES[code]
+            probs, msg_len = _symbol_probs(cb, dist), 7
+        rows = max(1, block // msg_len)
+        trials = 4 * rows + rows // 2 + 1  # four whole blocks and a short one
+        syms = symbol_table(probs).draw(np.random.default_rng(4), trials * msg_len)
+        syms = syms.reshape(trials, msg_len)
+        if code == "zero-word":
+            # The first block and the short last one lay no ones.
+            syms[:rows] = syms[4 * rows:] = 0
+
+        tables = cb.tables
+        want_tlen = tables.word_len[syms].sum(axis=1)
+        max_t = int(want_tlen.max())
+        bits = np.zeros((trials, max_t + spare), dtype=np.int8)
+        bits[:, :max_t][np.arange(max_t) < want_tlen[:, None]] = tables.lay(syms)[0]
+        tlen, where = tables.lay_ones(syms, spare)
+        np.testing.assert_array_equal(tlen, want_tlen)
+        np.testing.assert_array_equal(where, np.flatnonzero(bits))
+        if code == "zero-word":
+            assert not bits[:rows].any() and not bits[4 * rows:].any()
+            assert bits[rows:4 * rows].any()
 
 
 class TestAccumulateCounts:
