@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 __all__ = [
     "ChannelParams",
@@ -38,12 +39,23 @@ EPS_TAIL = 0.008
 TAIL_FLOOR = 0.33
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number other than a bool, which reads as 1 or 0."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_memory(memory) -> None:
+    """Raise ValueError unless memory is a non-bool integer of at least 1."""
+    if isinstance(memory, bool) or not isinstance(memory, Integral) or memory < 1:
+        raise ValueError(f"memory must be an integer of at least 1, got {memory!r}")
+
+
 @dataclass(frozen=True)
 class ChannelParams:
     """Physical link parameters; micrometers and seconds throughout.
 
-    Each is a positive finite number, not a bool, and distance puts the
-    transmitter outside the receiver.
+    Each is a positive finite real number, not a bool, and distance puts
+    the transmitter outside the receiver; ValueError otherwise.
     """
 
     diffusion: float
@@ -51,14 +63,13 @@ class ChannelParams:
     receiver_radius: float
 
     def __post_init__(self) -> None:
-        # A bool is an int to Python, so True would read as 1.
-        if isinstance(self.diffusion, bool) or not 0 < self.diffusion < math.inf:
+        if not _is_real(self.diffusion) or not 0 < self.diffusion < math.inf:
             raise ValueError(f"diffusion must be positive and finite, got {self.diffusion!r}")
-        if isinstance(self.receiver_radius, bool) or not 0 < self.receiver_radius < math.inf:
+        if not _is_real(self.receiver_radius) or not 0 < self.receiver_radius < math.inf:
             raise ValueError(
                 f"receiver_radius must be positive and finite, got {self.receiver_radius!r}"
             )
-        if isinstance(self.distance, bool) or not self.receiver_radius < self.distance < math.inf:
+        if not _is_real(self.distance) or not self.receiver_radius < self.distance < math.inf:
             raise ValueError(
                 "distance must be finite and put the transmitter outside the receiver, "
                 f"got {self.distance!r}"
@@ -92,10 +103,9 @@ def channel_coefficients(
     happens when the slot is short enough that the arrival-rate peak falls
     beyond the first slot.
     """
-    if not 0 < slot < math.inf:
+    if not _is_real(slot) or not 0 < slot < math.inf:
         raise ValueError(f"slot length must be positive and finite, got {slot!r}")
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
+    _check_memory(memory)
     hits = [hit_probability(params, k * slot) for k in range(memory + 1)]
     coeffs = tuple(hits[k] - hits[k - 1] for k in range(1, memory + 1))
     for k in range(1, memory):
@@ -129,8 +139,9 @@ def min_symbol_slot(params: ChannelParams, memory: int = DEFAULT_MEMORY) -> floa
     slots from 1e-8 s to a ceiling of 1e4 s and refined by bisection to a
     relative tolerance of 1e-6; the answer is the largest of the three. A
     predicate true over the whole grid contributes a floor of zero; one
-    still false at the ceiling raises ValueError.
+    still false at the ceiling raises ValueError, as does a bad memory.
     """
+    _check_memory(memory)
     grid_points = 512
     ceiling = 1e4
     log_lo, log_hi = math.log10(1e-8), math.log10(ceiling)

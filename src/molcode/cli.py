@@ -52,7 +52,7 @@ DEFAULTS: dict = {
         "trials": 100_000,
         "seed": 1,
         "budgets": [50, 70, 85, 100, 120],   # molecules per character
-        "kinds": ["huffman", "proposed", "ita2"],
+        "kinds": list(codebooks.KINDS),
     },
     "distribution": None,  # path to a CSV; None means the built-in English letters
 }
@@ -172,10 +172,10 @@ def _cmd_codebook(args, cfg: dict) -> int:
     dist = _distribution(cfg)
     rows = []
     for kind in _parse_kinds(args.kinds):
-        if kind == "ita2" and set(dist.symbols) != set(codebooks.ita2().symbols):
-            _note("warning: ita2 skipped, its alphabet is fixed to the 26 English letters")
-            continue
         cb = codebooks.build(kind, dist)
+        if set(cb.symbols) != set(dist.symbols):
+            _note(f"warning: {kind} skipped, its alphabet differs from the distribution's")
+            continue
         for sym in cb.codewords:
             rows.append([kind, sym, cb.codewords[sym], repr(dist.prob(sym))])
         _note(

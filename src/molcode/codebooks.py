@@ -184,7 +184,7 @@ class Codebook:
         for word, after in zip(ordered, ordered[1:]):
             if after.startswith(word):
                 raise ValueError(f"codeword table is not prefix free at {word!r}")
-        if self.kind == "proposed":
+        if self.corrected:
             for sym, word in self.codewords.items():
                 if "11" in word or word.endswith("1"):
                     raise ValueError(
@@ -366,45 +366,31 @@ class CodeTables:
         matrix, ascending: each is its word's start plus its in-word
         position. Every other slot of the matrix holds a 0.
 
-        The rows are laid _LAY_BLOCK symbols at a time, twice: once for
-        each message's length and each block's count of ones, which size
-        where, and once to write each block's positions into its part of
-        where. So where is the only array held that grows with the chunk's
-        symbols or ones.
+        The rows are laid _LAY_BLOCK symbols at a time, in two forward
+        passes: the first sums each message's length and the chunk's count
+        of ones, which sizes where, and the second writes each block's
+        positions into the next part of where. So where is the only array
+        held that grows with the chunk's symbols or ones.
         """
-        trials = syms.shape[0]
         rows = max(1, _LAY_BLOCK // syms.shape[1])
-        firsts = range(0, trials, rows)
-
-        def gather(a):
+        firsts = range(0, syms.shape[0], rows)
+        tlen = np.concatenate([self.word_len[syms[a:a + rows]].sum(axis=1) for a in firsts])
+        total = sum(int(self.ones_len[syms[a:a + rows]].sum()) for a in firsts)
+        stride = int(tlen.max()) + spare
+        end = 0
+        for a in firsts:
             block = syms[a:a + rows]
             lens = self.word_len[block]
-            return block, lens, lens.cumsum(axis=1), self.ones_len[block]
-
-        tlen = np.empty(trials, dtype=np.int64)
-        counts = []
-        for a in firsts:
-            block, lens, starts, ones = gather(a)
-            tlen[a:a + rows] = starts[:, -1]
-            counts.append(ones.sum())
-        ends = np.cumsum(counts).tolist()
-        stride = int(tlen.max()) + spare
-        where = None
-        # The last block first: its lengths are still at hand, so a chunk
-        # of one block gathers them once.
-        for a, end in zip(reversed(firsts), reversed(ends)):
-            if a != firsts[-1]:
-                block, lens, starts, ones = gather(a)
+            starts = lens.cumsum(axis=1)
             starts -= lens
             starts += np.arange(a * stride, (a + len(block)) * stride, stride)[:, None]
-            owner, index = _ragged(self.ones_off[block.ravel()], ones.ravel())
-            if where is None:
-                # After the first block's gather, as one pass over the chunk
-                # allocated it: allocated before, where took fresh pages
-                # beside the gather's temporaries, and a two-thread sweep's
-                # peak RSS rose by 3.5 MiB.
-                where = np.empty(ends[-1], dtype=np.int64)
-            part = where[end - index.size:end]
+            owner, index = _ragged(self.ones_off[block.ravel()], self.ones_len[block].ravel())
+            if a == 0:
+                # After the first gather: allocated before it, where took fresh pages
+                # beside the gather's temporaries and a two-thread sweep's peak RSS rose 3 %.
+                where = np.empty(total, dtype=np.int64)
+            part = where[end:end + index.size]
+            end += index.size
             # mode="clip" writes straight into part; "raise" would buffer.
             starts.ravel().take(owner, out=part, mode="clip")
             part += self.ones_flat[index]

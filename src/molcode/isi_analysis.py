@@ -29,6 +29,7 @@ from .codebooks import (
     _check_symbols,
     expected_length,
 )
+from .codec import _check_integer
 
 __all__ = [
     "IsiCoefficients",
@@ -95,8 +96,7 @@ def window_distribution(
     cb: Codebook, dist: CharacterDistribution, memory: int
 ) -> dict[str, float]:
     """Exact stationary probability of every bit pattern of length memory."""
-    if memory < 1:
-        raise ValueError("memory must be at least 1")
+    _check_integer("memory", memory, 1)
     bits, _, _, step, pi = _word_chain(cb, dist)
     layers: dict[str, np.ndarray] = {"": pi}
     for _ in range(memory):
@@ -119,8 +119,7 @@ def _stream_lag_profile(bits, step, pi, memory):
 
 def _check_lag_args(cb: Codebook, memory: int, corrected: bool) -> None:
     """Reject a window without lags, or correction the code's receiver lacks."""
-    if memory < 2:
-        raise ValueError("memory must be at least 2 to have any interference lag")
+    _check_integer("memory", memory, 2)
     if corrected and not cb.corrected:
         raise ValueError("only the run-length-limited kind supports correction")
 

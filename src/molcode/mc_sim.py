@@ -33,6 +33,7 @@ import numpy as np
 from . import codec
 from .channel import ChannelParams, channel_coefficients
 from .codebooks import (
+    KINDS,
     CharacterDistribution,
     Codebook,
     build,
@@ -489,7 +490,7 @@ def sweep(
     budgets: Iterable[float],
     trials: int,
     master_seed: int,
-    kinds: Sequence[str] = ("huffman", "proposed", "ita2"),
+    kinds: Sequence[str] = KINDS,
     char_duration: float = 0.5,
     msg_len: int = 10,
     memory: int = 10,
@@ -502,9 +503,9 @@ def sweep(
     codebook's bit-1 budget is budget / E[ones](kind) rounded, so every kind
     spends the same expected molecule count per character. All kinds also
     share the character duration char_duration (seconds), so rows with
-    equal budget are directly comparable. The run-length-limited kind
-    resolves its threshold from pilots and the conventional kinds calibrate
-    a fixed threshold on a training batch.
+    equal budget are directly comparable. A corrected codebook resolves
+    its threshold from pilots and any other calibrates a fixed threshold
+    on a training batch.
 
     Returns one row dict per (kind, budget), kinds outer and budgets inner;
     a row whose threshold cannot be resolved (a CalibrationError, for
@@ -536,7 +537,7 @@ def sweep(
             params=params,
             molecules_per_one=_budget_share(dist, cb, budget),
             char_duration=char_duration,
-            threshold=PilotThreshold() if kind == "proposed" else CalibratedThreshold(),
+            threshold=PilotThreshold() if cb.corrected else CalibratedThreshold(),
             msg_len=msg_len,
             memory=memory,
             trials=trials,

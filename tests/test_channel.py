@@ -1,5 +1,6 @@
 """First-arrival channel curve, slot coefficients and memory sizing."""
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from molcode.channel import (
     min_symbol_slot,
     peak_time,
 )
+from molcode.isi_analysis import expected_isi_bit0, isi_oracle, window_distribution
 
 # Frozen reference values for the default geometry (79.4 um^2/s, emitter at
 # 4 um, receiver radius 2 um), computed once from the closed form with an
@@ -132,3 +134,19 @@ class TestParamsValidation:
         # True is an int to Python, so unchecked it would read as 1.
         with pytest.raises(ValueError, match=f"{name} must"):
             ChannelParams(*args)
+
+
+@pytest.mark.parametrize("call, value", [
+    (lambda p, cb, d: ChannelParams("79.4", 4.0, 2.0), "79.4"),
+    (lambda p, cb, d: ChannelParams(79.4, 4.0, None), None),
+    (lambda p, cb, d: channel_coefficients(p, "0.1"), "0.1"),
+    (lambda p, cb, d: channel_coefficients(p, 0.1, memory=True), True),
+    (lambda p, cb, d: min_symbol_slot(p, memory=2.5), 2.5),
+    (lambda p, cb, d: expected_isi_bit0(cb, d, memory=2.5), 2.5),
+    (lambda p, cb, d: isi_oracle(cb, d, memory=2.5), 2.5),
+    (lambda p, cb, d: window_distribution(cb, d, memory=2.5), 2.5),
+], ids=["diffusion-str", "radius-none", "slot-str", "memory-bool", "min-slot-memory",
+        "isi-memory", "oracle-memory", "window-memory"])
+def test_bad_input_is_value_error_naming_it(params, hcb, dist, call, value):
+    with pytest.raises(ValueError, match=re.escape(repr(value))):
+        call(params, hcb, dist)

@@ -189,6 +189,23 @@ class TestSimulateCommand:
             "ita2,85.0,34,0.10000000000000003,6.280629455745135,0.2002,500,7,\n"
         )
 
+    def test_pins_the_reference_csv(self, capsys):
+        # Every row runs several main chunks, split over two threads.
+        assert run(["simulate", "--trials", "20000", "--seed", "7", "--budgets", "50,85,120",
+                    "--threads", "2"]) == 0
+        assert capsys.readouterr().out == (
+            "codebook,molecules_per_char,N_bit1,t_s,tau,cer,trials,seed,error\n"
+            "huffman,50.0,25,0.11699229489516336,4.016509486134542,0.26073,20000,7,\n"
+            "huffman,85.0,43,0.11699229489516336,8.290075579381696,0.095595,20000,7,\n"
+            "huffman,120.0,61,0.11699229489516336,11.76033977540194,0.038045,20000,7,\n"
+            "proposed,50.0,25,0.08001134559746015,3.431061910087172,0.23698,20000,7,\n"
+            "proposed,85.0,43,0.08001134559746015,5.295856553211951,0.059275,20000,7,\n"
+            "proposed,120.0,61,0.08001134559746015,7.213543821762655,0.021295,20000,7,\n"
+            "ita2,50.0,20,0.10000000000000003,3.0787399292868307,0.401585,20000,7,\n"
+            "ita2,85.0,34,0.10000000000000003,6.280629455745135,0.21261,20000,7,\n"
+            "ita2,120.0,49,0.10000000000000003,9.051495392103284,0.10678,20000,7,\n"
+        )
+
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
 
