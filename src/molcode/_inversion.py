@@ -287,13 +287,17 @@ def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
 
 
 def arrival_columns(molecules: int, coefficients: Sequence[float],
-                    rng: np.random.Generator, size: int) -> Iterator[np.ndarray]:
+                    rng: np.random.Generator, size: int,
+                    dtype=None) -> Iterator[np.ndarray]:
     """Yield the arrival counts of size releases of molecules, slot by slot.
 
     This is the sampler behind mc_sim.sample_arrivals, which documents the
-    draws. Every slot's column is written into one array of
-    count_dtype(molecules), which is yielded, so a column is valid until
-    the next one is drawn and no more than one is ever held.
+    draws. Every slot's column is written into one array of dtype, by
+    default count_dtype(molecules), which is yielded, so a column is valid
+    until the next one is drawn and no more than one is ever held. dtype
+    must hold molecules; mc_sim streams the columns in its counts' dtype,
+    so each np.add.at adds two arrays of one dtype, which numpy's fast loop
+    needs.
     """
     coeffs = np.asarray(coefficients, dtype=float)
     if molecules < 0:
@@ -303,7 +307,7 @@ def arrival_columns(molecules: int, coefficients: Sequence[float],
     probs, tables = link_tables(molecules, tuple(coeffs.tolist()))
     remaining = np.full(size, molecules,
                         dtype=np.uint8 if molecules <= _TABLE_MOLECULES else np.int64)
-    column = np.empty(size, dtype=count_dtype(molecules))
+    column = np.empty(size, dtype=count_dtype(molecules) if dtype is None else dtype)
     scratch = Scratch.empty(min(size, BLOCK)) if any(tables) else None
     for p, table in zip(probs, tables):
         if table is None or not draw_slot(table, remaining, column, rng, scratch):

@@ -77,9 +77,13 @@ class ChannelParams:
 
 
 def hit_probability(params: ChannelParams, t: float) -> float:
-    """Probability that a molecule released at time 0 is absorbed by time t."""
-    if t < 0:
-        raise ValueError("time must be non-negative")
+    """Probability that a molecule released at time 0 is absorbed by time t.
+
+    t is a non-negative real number of seconds, not a bool and not NaN;
+    anything else raises ValueError.
+    """
+    if not _is_real(t) or not t >= 0:
+        raise ValueError(f"time must be a non-negative real number, got {t!r}")
     if t == 0.0:
         return 0.0
     gap = params.distance - params.receiver_radius

@@ -97,7 +97,9 @@ def decode(bits: str, cb: Codebook) -> DecodeResult:
                         dead_end=bool(at == 3 * tables.dead))
 
 
-#: Slot counts are int32; mc_sim.LinkConfig keeps every count below this.
+#: mc_sim.LinkConfig keeps every slot count below this, int32's largest
+#: value; the counts themselves are of the narrowest unsigned dtype that
+#: holds molecules_per_one * memory, and a cut past that dtype reads 0.
 _COUNT_LIMIT = int(np.iinfo(np.int32).max)
 
 
@@ -136,9 +138,10 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     its state, its count of those k slots that lie before its tlen, and
     their code. A step writes the entry's emit column (its symbols, then
     -1) into the row's stretch of an int16 buffer from the row's decoded
-    count on. A row decodes at most max_t symbols and a step writes at
-    most the table's width past that, so stretches of max_t + width never
-    spill into each other, and past a row's decoded count they hold -1.
+    count on, or from msg_len once that count passes it: only the first
+    msg_len are scored. A step writes at most the table's width, so
+    stretches of msg_len + width never spill into each other, and past a
+    row's decoded count they hold -1. The count itself is not clipped.
 
     Returns per-row character errors (positions among the first msg_len
     whose decoded symbol differs from the sent one or is missing), the
@@ -164,15 +167,16 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     keys = np.clip(tlen.astype(np.int32) - starts[:, None], 0, k) << k
     keys += (window >> (starts & 7)[:, None]) & ((1 << k) - 1)
 
-    stride = max_t + width
+    stride = msg_len + width
     out = np.full(trials * stride, -1, dtype=np.int16)
     first = np.arange(trials, dtype=np.int64) * stride
+    last = first + msg_len
     put = first.copy()  # where each row's next symbol goes
     lanes = np.arange(width)[:, None]
     at = np.zeros(trials, dtype=np.int32)  # span * the state of each row
     for key in keys:
         entry = at + key
-        out[put + lanes] = steps.emit.take(entry, axis=1)
+        out[np.minimum(put, last) + lanes] = steps.emit.take(entry, axis=1)
         put += steps.count.take(entry)
         at = steps.next.take(entry)
     matches = np.count_nonzero(out.reshape(trials, stride)[:, :msg_len] == syms, axis=1)

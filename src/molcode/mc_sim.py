@@ -74,6 +74,9 @@ CHUNK_TRIALS = 8192
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
 _PILOT_TAG = 0x9110_07
+#: Symbols of rows scored at a time, about 2**20 slots at msg_len 200;
+#: a chunk of 8192 messages of 10 symbols is one block.
+_SCORE_BLOCK = 1 << 17
 
 
 def slot_length(codebook: Codebook, distribution: CharacterDistribution,
@@ -214,9 +217,10 @@ def _symbol_guide(cfg: LinkConfig) -> Table:
 
 
 def _release_matrix(shape: tuple[int, int], cfg: LinkConfig, dtype) -> tuple:
-    """A zero matrix in the stride max_t + memory - 1 of the release
-    positions, so a window that runs past max_t spills into spare columns
-    instead of being masked: returns it flat and as a (trials, max_t) view.
+    """A zero matrix of dtype in the stride max_t + memory - 1 of the
+    release positions, so a window that runs past max_t spills into spare
+    columns instead of being masked: returns it flat and as a (trials,
+    max_t) view.
     """
     trials, max_t = shape
     full = np.zeros((trials, max_t + cfg.memory - 1), dtype=dtype)
@@ -229,18 +233,22 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
 
     where holds the release positions, flat indices into a _release_matrix
     of shape (trials, max_t), whose view is returned. Counts are exact
-    int32 sums of integer arrivals (LinkConfig bounds them below the int32
-    limit). Each slot's arrival column is added with one np.add.at as soon
-    as it is drawn, at where in a view of the flat counts that starts lag
-    slots in, so no (memory, releases) array is ever held and where is
-    left as it was.
+    sums of integer arrivals in the narrowest unsigned dtype that holds
+    molecules_per_one * memory: a slot counts the arrivals of at most
+    memory releases, one per lag, each of at most molecules_per_one.
+    Each slot's arrival column is drawn in that dtype too, so np.add.at
+    stays on numpy's loop for one dtype (a column of another dtype took
+    over ten times as long), and added as soon as it is drawn, at where in
+    a view of the flat counts that starts lag slots in, so no (memory,
+    releases) array is ever held and where is left as it was.
     """
     from . import _inversion
 
-    flat, counts = _release_matrix(shape, cfg, np.int32)
+    dtype = np.min_scalar_type(cfg.molecules_per_one * cfg.memory)
+    flat, counts = _release_matrix(shape, cfg, dtype)
     if where.size:
         for lag, column in enumerate(_inversion.arrival_columns(
-                cfg.molecules_per_one, cfg.coefficients, rng, where.size)):
+                cfg.molecules_per_one, cfg.coefficients, rng, where.size, dtype)):
             np.add.at(flat[lag:], where, column)
     return counts
 
@@ -261,15 +269,34 @@ def _draw_chunk(cfg: LinkConfig, guide: Table, trials: int, seed_tuple):
     return syms, tlen, where, counts
 
 
+def _score_rows(sent: np.ndarray, final: np.ndarray, tlen: np.ndarray) -> list[int]:
+    """Read ones, kept ones and the two contexts' counts and errors of rows.
+
+    sent and final are bool matrices of the same shape, and tlen holds
+    the rows' message lengths. Returns [read_ones, kept_ones, ctx_100,
+    ctx_100_err, ctx_x01, ctx_x01_err].
+    """
+    # Padding after a message is 0 in sent but may read 1 in final.
+    valid = np.arange(final.shape[1]) < tlen[:, None]
+    ctx100 = sent[:, :-2] & ~sent[:, 1:-1] & ~sent[:, 2:] & valid[:, 2:]
+    # A sent 1 lies inside its message, so ctx_x01 needs no valid term.
+    ctx_x01 = ~sent[:, :-1] & sent[:, 1:]
+    return [int(np.count_nonzero(mask)) for mask in (
+        final & valid, sent & final,
+        ctx100, ctx100 & final[:, 2:], ctx_x01, ctx_x01 & ~final[:, 1:])]
+
+
 def _run_chunk(cfg: LinkConfig, guide: Table, trials: int, tau: float,
                seed_tuple):
     """Simulate, read, decode and score one chunk of trials.
 
     The chunk's counts are read by codec._read_bits at tau's count cut,
     correction included, and decoded by codec._decode_rows; the sent bits
-    are put from the release positions once the counts are freed. Returns
-    the chunk's integer totals under their CerReport names, and the sum
-    and sum of squares of its per-trial character errors.
+    are put from the release positions once the counts are freed, and
+    scored _SCORE_BLOCK symbols of rows at a time, so the masks of the
+    scoring are one block's. Returns the chunk's integer totals under
+    their CerReport names, and the sum and sum of squares of its
+    per-trial character errors.
     """
     syms, tlen, where, counts = _draw_chunk(cfg, guide, trials, seed_tuple)
     final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected).view(bool)
@@ -279,24 +306,21 @@ def _run_chunk(cfg: LinkConfig, guide: Table, trials: int, tau: float,
 
     flat, sent = _release_matrix(final.shape, cfg, bool)
     flat.put(where, True)
-    # Padding after a message is 0 in sent but may read 1 in final.
-    valid = np.arange(final.shape[1]) < tlen[:, None]
+    rows = max(1, _SCORE_BLOCK // cfg.msg_len)
+    blocks = [_score_rows(sent[a:a + rows], final[a:a + rows], tlen[a:a + rows])
+              for a in range(0, trials, rows)]
+    read_ones, kept_ones, ctx100, ctx100_err, ctx_x01, ctx_x01_err = map(sum, zip(*blocks))
     slots = int(tlen.sum())
     sent_ones = where.size
-    read_ones = int(np.count_nonzero(final & valid))
-    kept_ones = int(np.count_nonzero(sent & final))
-    ctx100 = sent[:, :-2] & ~sent[:, 1:-1] & ~sent[:, 2:] & valid[:, 2:]
-    # A sent 1 lies inside its message, so ctx_x01 needs no valid term.
-    ctx_x01 = ~sent[:, :-1] & sent[:, 1:]
     return {
         "00": slots - sent_ones - read_ones + kept_ones,
         "01": read_ones - kept_ones,
         "10": sent_ones - kept_ones,
         "11": kept_ones,
-        "ctx_100": int(np.count_nonzero(ctx100)),
-        "ctx_100_err": int(np.count_nonzero(ctx100 & final[:, 2:])),
-        "ctx_x01": int(np.count_nonzero(ctx_x01)),
-        "ctx_x01_err": int(np.count_nonzero(ctx_x01 & ~final[:, 1:])),
+        "ctx_100": ctx100,
+        "ctx_100_err": ctx100_err,
+        "ctx_x01": ctx_x01,
+        "ctx_x01_err": ctx_x01_err,
         "dead_end": int(dead.sum()),
         "incomplete_tail": int(incomplete.sum()),
         "decoded_overflow": int((dec_len > cfg.msg_len).sum()),

@@ -35,6 +35,12 @@ class TestHitProbability:
         with pytest.raises(ValueError):
             hit_probability(params, -1.0)
 
+    @pytest.mark.parametrize("t", ["0.1", None, True, False, math.nan])
+    def test_time_that_is_not_a_real_number_rejected(self, params, t):
+        # A bool would read as 1 or 0 s, and NaN would return NaN.
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(t))}"):
+            hit_probability(params, t)
+
     def test_long_time_limit_is_radius_ratio(self, params):
         assert hit_probability(params, 1e12) == pytest.approx(
             params.receiver_radius / params.distance, abs=1e-6

@@ -17,7 +17,7 @@ from molcode import (
 )
 from molcode import mc_sim
 from molcode.codebooks import Codebook, CharacterDistribution, build_huffman
-from molcode.codec import _read_bits
+from molcode.codec import _COUNT_LIMIT, _count_cut, _read_bits
 
 bitstrings = st.text(alphabet="01", min_size=0, max_size=64)
 
@@ -116,9 +116,10 @@ class TestReadBits:
         got = _read_bits(np.zeros((0, 7), dtype=np.int8), 1, corrected=True)
         assert got.shape == (0, 7) and got.dtype == np.int8
 
-    def test_integer_counts_at_every_cut(self, correct_row):
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int32])
+    def test_integer_counts_at_every_cut(self, correct_row, dtype):
         # Counts as the simulator passes them: a view without spare columns.
-        held = np.random.default_rng(5).integers(0, 12, size=(80, 39), dtype=np.int32)
+        held = np.random.default_rng(5).integers(0, 12, size=(80, 39), dtype=dtype)
         before = held.copy()
         counts = held[:, :30]
         for cut in range(1, int(counts.max()) + 1):
@@ -128,6 +129,15 @@ class TestReadBits:
             assert _read_bits(counts, cut, corrected=True).tolist() == want
         # The correction writes only the matrix the read returns.
         np.testing.assert_array_equal(held, before)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    @pytest.mark.parametrize("corrected", [False, True])
+    def test_clamped_cut_reads_nothing_in_narrow_counts(self, dtype, corrected):
+        # A threshold past int32 clamps to _COUNT_LIMIT, far past these dtypes.
+        counts = np.full((3, 5), np.iinfo(dtype).max, dtype=dtype)
+        got = _read_bits(counts, _count_cut(1e12), corrected)
+        assert _count_cut(1e12) == _COUNT_LIMIT
+        assert got.dtype == np.int8 and not got.any()
 
     def test_threshold_is_inclusive(self):
         got = _read_bits(np.array([[120, 119]], dtype=np.int32), 120, corrected=False)

@@ -30,7 +30,7 @@ from molcode import (
     ita2,
     sample_arrivals,
 )
-from molcode import _inversion, codebooks
+from molcode import _inversion, codebooks, mc_sim
 from molcode._inversion import _GUIDE_BUCKETS, symbol_table
 from molcode.codebooks import _STEP_ENTRIES, PAST_END
 from molcode.codec import _count_cut, _decode_rows, _read_bits
@@ -323,20 +323,27 @@ class TestBlockedLay:
             assert bits[rows:4 * rows].any()
 
 
+def _fast_and_loop_counts(cfg, trials, seed):
+    """_accumulate_counts and the release loop on one laid chunk and stream,
+    with its bit matrix and message lengths; where is checked unchanged."""
+    rng = np.random.default_rng(seed)
+    syms, tlen, bitmat, where = _laid_messages(cfg.codebook.tables, _symbol_guide(cfg),
+                                               trials, cfg.msg_len, cfg.memory - 1, rng)
+    state, sent = rng.bit_generator.state, where.copy()
+    fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
+    np.testing.assert_array_equal(where, sent)
+    rng.bit_generator.state = state
+    return fast, _release_loop_counts(bitmat, cfg, rng), bitmat, tlen
+
+
 class TestAccumulateCounts:
     @pytest.mark.parametrize("kind", ["huffman", "proposed"])
     def test_matches_release_loop(self, kind, dist, hcb, pcb, params):
         cfg = _link(hcb if kind == "huffman" else pcb, dist, params, molecules=40, msg_len=4)
-        rng = np.random.default_rng(11)
-        syms, tlen, bitmat, where = _laid_messages(cfg.codebook.tables, _symbol_guide(cfg),
-                                                   300, cfg.msg_len, cfg.memory - 1, rng)
-        state, sent = rng.bit_generator.state, where.copy()
-        fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
-        np.testing.assert_array_equal(where, sent)
-        rng.bit_generator.state = state
-        slow = _release_loop_counts(bitmat, cfg, rng)
+        fast, slow, bitmat, tlen = _fast_and_loop_counts(cfg, 300, 11)
 
-        assert fast.dtype == np.int32
+        # 40 molecules over 10 slots of memory can sum to 400, past uint8.
+        assert fast.dtype == np.uint16
         assert fast.shape == bitmat.shape
         np.testing.assert_array_equal(fast, slow)
         # The case the spare columns exist for: windows that run past max_t.
@@ -345,6 +352,18 @@ class TestAccumulateCounts:
         # And counts past a message's own end stay in the matrix.
         past_end = np.arange(bitmat.shape[1]) >= tlen[:, None]
         assert fast[past_end].any()
+
+    # molecules * memory on both sides of uint8's largest value, 255; the
+    # releases of 260 molecules are drawn by rng.binomial, not by tables.
+    @pytest.mark.parametrize("molecules, memory, dtype", [
+        (25, 10, np.uint8), (26, 10, np.uint16), (250, 1, np.uint8), (260, 1, np.uint16)])
+    def test_narrowest_dtype_at_the_uint8_edge(self, molecules, memory, dtype, dist, pcb,
+                                               params):
+        cfg = _link(pcb, dist, params, molecules, msg_len=6, memory=memory)
+        fast, slow, _, _ = _fast_and_loop_counts(cfg, 200, molecules)
+        assert fast.dtype == dtype
+        np.testing.assert_array_equal(fast, slow)
+        assert slow.max() > 0
 
 
 # -- the bool scoring of a chunk against the int8 block it replaced --------
@@ -419,6 +438,18 @@ class TestChunkScoring:
                 assert all(type(total) is int for total in got.values())
                 errors += got["01"] + got["10"]
         assert errors
+
+    @pytest.mark.parametrize("msg_len", [1, 10])
+    @pytest.mark.parametrize("code", ["huffman", "proposed", "ita2"])
+    def test_blocks_of_rows_score_as_one(self, code, msg_len, dist, params, monkeypatch):
+        # Blocks of 1 row, of 3 rows with a short last one, and the chunk.
+        cb = DECODE_CODES[code]
+        cfg = _link(cb, dist, params, 40, ConstantThreshold(1.0), msg_len=msg_len, memory=3)
+        tau, seed, trials = 0.4 * 40 * cfg.coefficients[0], (msg_len,), 100
+        want = _int8_chunk_totals(cfg, trials, tau, seed)
+        for rows in (1, 3, trials):
+            monkeypatch.setattr(mc_sim, "_SCORE_BLOCK", rows * msg_len)
+            assert _run_chunk(cfg, _symbol_guide(cfg), trials, tau, seed) == want, rows
 
 
 # -- the step-table decoder against the one-slot trie walk ---------------
@@ -504,6 +535,22 @@ class TestStepDecoder:
         flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
         _assert_same_decode(bitmat, tlen, syms, cb.tables)
         _assert_same_decode(bitmat ^ flips, tlen, syms, cb.tables)
+
+    @pytest.mark.parametrize("words", [{"a": "0", "b": "1"},
+                                       {"a": "0", "b": "10", "c": "11"}])
+    def test_rows_that_decode_far_past_msg_len(self, words):
+        # A 0 at a word start decodes an a, so a row of zeros decodes one
+        # symbol a slot: the writes past msg_len are clipped, the decoded
+        # counts are not.
+        cb = Codebook(kind="custom", codewords=words)
+        rng = np.random.default_rng(9)
+        final, _, syms = _random_rows(cb, rng, 40, 3, 150, 0.3)
+        final[::2] = 0
+        tlen = np.full(40, 150)
+        tlen[1::4] = rng.integers(0, 150, size=10)
+        _assert_same_decode(final, tlen, syms, cb.tables)
+        decoded = _decode_rows(final, tlen, syms, cb.tables)[1]
+        assert (decoded[::2] == 150).all() and (decoded > 10 * syms.shape[1]).any()
 
     @pytest.mark.parametrize("symbols, bits, slots", [(1000, 10, 7), (2**15 - 1, 15, 3)])
     def test_large_alphabet_takes_fewer_slots(self, symbols, bits, slots):

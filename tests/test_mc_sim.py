@@ -325,6 +325,33 @@ class TestStreamedCounts:
         assert peak < arrivals_bytes
 
 
+class TestChunkPeak:
+    def test_long_chunk_peaks_below_3_2_times_the_positions(self, dist, pcb, params):
+        # Narrow counts, a decode buffer of msg_len + width columns and
+        # scoring in row blocks: int32 counts, a max_t + width buffer and
+        # scoring masks of the whole chunk peaked at 3.74 times where.
+        cfg = LinkConfig(
+            codebook=pcb, distribution=dist, params=params,
+            molecules_per_one=_budget_share(dist, pcb, 85), char_duration=0.5,
+            threshold=ConstantThreshold(8.0), msg_len=200, memory=10,
+        )
+        mc_sim._build_link_tables(cfg)
+        guide = mc_sim._symbol_guide(cfg)
+        seed = (0, mc_sim._MAIN_TAG, 0)
+        # The chunk's own messages: its generator draws them first.
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        syms = guide.draw(rng, CHUNK_TRIALS * 200).reshape(CHUNK_TRIALS, 200)
+        where_bytes = pcb.tables.lay_ones(syms, cfg.memory - 1)[1].nbytes
+        del syms
+        tracemalloc.start()
+        try:
+            mc_sim._run_chunk(cfg, guide, CHUNK_TRIALS, 8.0, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2 * where_bytes
+
+
 class TestBlockedLay:
     @pytest.mark.parametrize("kind", ["huffman", "proposed", "ita2"])
     def test_peak_stays_below_twice_the_positions(self, dist, kind):
