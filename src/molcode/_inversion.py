@@ -6,7 +6,8 @@ lattice cuts, with a guide that answers most uniforms by one take (Chen
 and Asau, AIIE Trans. 1974, made exact): symbol_table for
 Generator.choice, and arrival_columns' tables for the slots that
 Generator.binomial samples by inversion (Kachitvichyanukul and
-Schmeiser, CACM 1988). mc_sim and isi_analysis import it on first use.
+Schmeiser, CACM 1988), which arrival_groups reads for many small
+releases at once. mc_sim and isi_analysis import it on first use.
 """
 from __future__ import annotations
 
@@ -286,6 +287,16 @@ def draw_slot(table: Table, remaining: np.ndarray, column: np.ndarray,
     return True
 
 
+def _checked_link(molecules: int, coefficients: Sequence[float]):
+    """link_tables of a release of molecules, once both are checked."""
+    coeffs = np.asarray(coefficients, dtype=float)
+    if molecules < 0:
+        raise ValueError("molecule count must be non-negative")
+    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
+        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
+    return link_tables(molecules, tuple(coeffs.tolist()))
+
+
 def arrival_columns(molecules: int, coefficients: Sequence[float],
                     rng: np.random.Generator, size: int,
                     dtype=None) -> Iterator[np.ndarray]:
@@ -299,12 +310,7 @@ def arrival_columns(molecules: int, coefficients: Sequence[float],
     so each np.add.at adds two arrays of one dtype, which numpy's fast loop
     needs.
     """
-    coeffs = np.asarray(coefficients, dtype=float)
-    if molecules < 0:
-        raise ValueError("molecule count must be non-negative")
-    if (coeffs < 0).any() or coeffs.sum() > 1.0 + 1e-12:
-        raise ValueError("arrival coefficients must be non-negative and sum to at most 1")
-    probs, tables = link_tables(molecules, tuple(coeffs.tolist()))
+    probs, tables = _checked_link(molecules, coefficients)
     remaining = np.full(size, molecules,
                         dtype=np.uint8 if molecules <= _TABLE_MOLECULES else np.int64)
     column = np.empty(size, dtype=count_dtype(molecules) if dtype is None else dtype)
@@ -315,3 +321,66 @@ def arrival_columns(molecules: int, coefficients: Sequence[float],
         # In remaining's dtype: numpy's int32 loop for the pair took twice as long.
         np.subtract(remaining, column, out=remaining, dtype=remaining.dtype, casting="unsafe")
         yield column
+
+
+def _draw_groups(tables: Sequence[Table], molecules: int, rng: np.random.Generator,
+                 out: np.ndarray, scratch: Scratch) -> bool:
+    """Draw the releases of a block of groups into out, of shape (groups,
+    memory, size), from one rng.random call, or restore rng and return
+    False where the block's draws would not be those of its groups drawn
+    one by one.
+
+    The uniforms are laid group, then slot, then release, which is the
+    order arrival_columns reads them in as long as every slot has a table,
+    every release still has molecules left at every slot after its first,
+    and no uniform lands where numpy would redraw. Each slot is read by
+    one lookup over the whole block, through scratch, which holds at
+    least groups * size entries.
+    """
+    state = rng.bit_generator.state
+    groups, _, size = out.shape
+    u = rng.random(out.shape)
+    remaining = np.full(groups * size, molecules, dtype=np.uint8)
+    slot_u = scratch.u[:remaining.size]
+    for k, table in enumerate(tables):
+        if k and not remaining.all():  # numpy draws nothing for a spent release
+            break
+        np.copyto(slot_u.reshape(groups, size), u[:, k])
+        x, redraw = table.lookup(remaining, slot_u, scratch)
+        if redraw:
+            break
+        out[:, k] = x.reshape(groups, size)
+        np.subtract(remaining, x, out=remaining)
+    else:
+        return True
+    rng.bit_generator.state = state
+    return False
+
+
+def arrival_groups(molecules: int, coefficients: Sequence[float],
+                   rng: np.random.Generator, groups: int, size: int) -> Iterator[np.ndarray]:
+    """Yield the arrivals of groups successive releases of molecules, each
+    group of size releases, as a (size, memory) array.
+
+    The groups, and the state rng is left in, are those of groups
+    successive mc_sim.sample_arrivals calls, bit for bit. Whole groups of
+    at most BLOCK releases are drawn at a time, each block from one
+    rng.random call when every slot has a table; any block those uniforms
+    cannot draw, and every group of more than BLOCK releases, is drawn
+    group by group through arrival_columns. A block holds at most BLOCK *
+    memory uniforms and as many counts, and each array yielded is a view
+    into its block's counts.
+    """
+    _, tables = _checked_link(molecules, coefficients)
+    per_block = max(1, BLOCK // max(size, 1))
+    batched = size <= BLOCK and all(tables)
+    scratch = Scratch.empty(min(groups, per_block) * size) if batched else None
+    for start in range(0, groups, per_block):
+        out = np.empty((min(per_block, groups - start), len(tables), size),
+                       dtype=count_dtype(molecules))
+        if not (batched and _draw_groups(tables, molecules, rng, out, scratch)):
+            for group in out:
+                for row, column in zip(group, arrival_columns(molecules, coefficients,
+                                                              rng, size)):
+                    row[:] = column
+        yield from out.transpose(0, 2, 1)

@@ -336,16 +336,22 @@ def _pilot_counts(cb: Codebook, coefficients: Sequence[float], molecules: int,
     A pilot sends one codeword alone: every bit-1 releases molecules, and
     arrivals past the end of the codeword are dropped. Returns one
     (repetitions, codeword length) array per symbol, in cb.codewords order.
+    The ones release in codebook order, then in word order, each with the
+    draws of one sample_arrivals call of repetitions releases, made in
+    batches by _inversion.arrival_groups.
     """
+    from . import _inversion
+
     rng = np.random.default_rng(np.random.SeedSequence((master_seed, _PILOT_TAG)))
     memory = len(coefficients)
-    out = {}
-    for sym, word in cb.codewords.items():
-        counts = out[sym] = np.zeros((repetitions, len(word)), dtype=np.int64)
-        for i in [i for i, bit in enumerate(word) if bit == "1"]:
-            arrivals = sample_arrivals(molecules, coefficients, rng, size=repetitions)
-            keep = min(memory, len(word) - i)
-            counts[:, i:i + keep] += arrivals[:, :keep]
+    out = {sym: np.zeros((repetitions, len(word)), dtype=np.int64)
+           for sym, word in cb.codewords.items()}
+    ones = [(out[sym], i) for sym, word in cb.codewords.items()
+            for i, bit in enumerate(word) if bit == "1"]
+    groups = _inversion.arrival_groups(molecules, coefficients, rng, len(ones), repetitions)
+    for (counts, i), arrivals in zip(ones, groups):
+        keep = min(memory, counts.shape[1] - i)
+        counts[:, i:i + keep] += arrivals[:, :keep]
     return out
 
 
@@ -576,7 +582,7 @@ def sweep(
         kind, budget, cfg = item
         row = {
             "codebook": kind,
-            "molecules_per_char": float(budget),
+            "molecules_per_char": float(budget) + 0.0,  # a -0.0 budget reads 0.0
             "N_bit1": cfg.molecules_per_one,
             "t_s": cfg.slot,
             "trials": trials,

@@ -206,6 +206,22 @@ class TestSimulateCommand:
             "ita2,120.0,49,0.10000000000000003,9.051495392103284,0.10678,20000,7,\n"
         )
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_zero_budget_is_written_as_zero(self, tmp_path, capsys, source):
+        argv = ["simulate", "--trials", "10", "--kinds", "huffman"]
+        if source == "flag":
+            argv.append("--budgets=-0.0,50")
+        else:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text("simulate:\n  budgets: [-0.0, 50]\n")
+            argv = ["--config", str(cfg), *argv]
+        assert run(argv) == 0
+        captured = capsys.readouterr()
+        rows = captured.out.splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["huffman", "0.0"], ["huffman", "50.0"]]
+        assert "-0" not in captured.out
+        assert "at 0 molecules/char" in captured.err and "-0" not in captured.err
+
     def test_negative_budget_rejected(self):
         assert run(["simulate", "--budgets", "-5", "--trials", "100"]) == 2
 

@@ -5,7 +5,8 @@ against rng.choice, CodeTables.lay and np.flatnonzero, in one block of
 rows and in many, count
 accumulation against a per-release Python loop, a chunk's bool scoring
 against the int8 scoring it replaced, the step-table decoder
-against the one-slot trie walk it replaced, and threshold calibration
+against the one-slot trie walk it replaced, the batched pilots against
+one sample_arrivals call per codeword one, and threshold calibration
 against the brute-force scorer it replaced: float counts from
 full-length bincount passes, then a full read, correct, decode and score
 of every candidate tau on its own. Every reference must agree exactly,
@@ -36,11 +37,14 @@ from molcode.codebooks import _STEP_ENTRIES, PAST_END
 from molcode.codec import _count_cut, _decode_rows, _read_bits
 from molcode.mc_sim import (
     _CAL_TAG,
+    _PILOT_TAG,
     CHUNK_TRIALS,
     _accumulate_counts,
+    _budget_share,
     _calibrate_threshold,
     _default_candidates,
     _draw_chunk,
+    _pilot_counts,
     _run_chunk,
     _symbol_guide,
 )
@@ -564,6 +568,133 @@ class TestStepDecoder:
         rng = np.random.default_rng(symbols)
         final, tlen, syms = _random_rows(cb, rng, 300, 3, 3 * bits + 5, 0.5)
         _assert_same_decode(final, tlen, syms, cb.tables)
+
+
+# -- the batched pilots against one sample_arrivals call per codeword one --
+def _loop_pilot_counts(cb, coefficients, molecules, master_seed, repetitions):
+    """The pilot counts of one sample_arrivals call per codeword one, in
+    codebook then word order, and the generator's final state."""
+    rng = np.random.default_rng(np.random.SeedSequence((master_seed, _PILOT_TAG)))
+    out = {}
+    for sym, word in cb.codewords.items():
+        counts = out[sym] = np.zeros((repetitions, len(word)), dtype=np.int64)
+        for i, bit in enumerate(word):
+            if bit == "1":
+                arrivals = sample_arrivals(molecules, coefficients, rng, size=repetitions)
+                keep = min(len(coefficients), len(word) - i)
+                counts[:, i:i + keep] += arrivals[:, :keep]
+    return out, rng.bit_generator.state
+
+
+def _ones(cb):
+    return sum(word.count("1") for word in cb.codewords.values())
+
+
+def _assert_pilots_like_loop(cb, coefficients, molecules, seed, repetitions):
+    """Check _pilot_counts, and the generator it leaves, against the loop,
+    and return the number of groups it drew through arrival_columns."""
+    want, want_state = _loop_pilot_counts(cb, coefficients, molecules, seed, repetitions)
+    made, calls = [], []
+    default_rng, columns = np.random.default_rng, _inversion.arrival_columns
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.random, "default_rng",
+                      lambda *args: made.append(default_rng(*args)) or made[-1])
+        patch.setattr(_inversion, "arrival_columns",
+                      lambda *args: calls.append(args) or columns(*args))
+        got = _pilot_counts(cb, coefficients, molecules, seed, repetitions)
+    assert list(got) == list(want)
+    for sym in want:
+        assert got[sym].dtype == want[sym].dtype
+        np.testing.assert_array_equal(got[sym], want[sym])
+    (rng,) = made
+    assert rng.bit_generator.state == want_state
+    return len(calls)
+
+
+class TestBatchedPilots:
+    @pytest.mark.parametrize("memory", [1, 10])
+    @pytest.mark.parametrize("molecules", [0, 1, 2, 3, 40, 255, 256])
+    @pytest.mark.parametrize("kind", ["huffman", "proposed", "ita2"])
+    def test_matches_one_call_per_one(self, kind, molecules, memory, dist, hcb, pcb, icb,
+                                      params):
+        cb = {"huffman": hcb, "proposed": pcb, "ita2": icb}[kind]
+        cfg = _link(cb, dist, params, molecules, memory=memory)
+        _assert_pilots_like_loop(cb, cfg.coefficients, molecules, 3, 100)
+
+    @pytest.mark.parametrize("molecules", [1, 2, 3])
+    def test_spent_releases_fall_back(self, molecules, dist, pcb, params):
+        # With a few molecules over ten slots some release is spent before
+        # the last slot, where numpy draws nothing, so its block falls back.
+        cfg = _link(pcb, dist, params, molecules)
+        assert 0 < _assert_pilots_like_loop(pcb, cfg.coefficients, molecules, 4, 100)
+
+    @pytest.mark.parametrize("coefficients", [(0.3, 0.6, 0.05), (0.2, 0.0, 0.1)],
+                             ids=["p-over-half", "zero-slot"])
+    def test_slot_without_table_falls_back(self, coefficients, pcb):
+        assert not all(_inversion.link_tables(40, coefficients)[1])
+        assert _assert_pilots_like_loop(pcb, coefficients, 40, 5, 100) == _ones(pcb)
+
+    # BLOCK of 250 releases: two pilot groups of 100 a block, and a group of
+    # 300 that always takes arrival_columns.
+    @pytest.mark.parametrize("repetitions, batched", [(100, True), (250, True), (300, False)])
+    def test_many_blocks(self, repetitions, batched, dist, icb, params, monkeypatch):
+        monkeypatch.setattr(_inversion, "BLOCK", 250)
+        cfg = _link(icb, dist, params, 40, memory=3)
+        fallbacks = _assert_pilots_like_loop(icb, cfg.coefficients, 40, 6, repetitions)
+        assert fallbacks == (0 if batched else _ones(icb))
+
+    def test_blocks_fall_back_one_by_one(self, dist, icb, params, monkeypatch):
+        # With 2 molecules and blocks of 2 groups, some blocks are spent
+        # before their last slot and some are not.
+        monkeypatch.setattr(_inversion, "BLOCK", 20)
+        cfg = _link(icb, dist, params, 2, memory=3)
+        assert 0 < _assert_pilots_like_loop(icb, cfg.coefficients, 2, 6, 10) < _ones(icb)
+
+    def test_redraw_falls_back(self, dist, pcb, params, monkeypatch):
+        # As in test_redraw_falls_back_to_numpy: slot 3's cuts capped at
+        # 0.999 make a uniform above that one numpy would redraw, which
+        # some blocks of 10 groups draw and some do not.
+        cfg = _link(pcb, dist, params, 43)
+        probs, tables = _inversion.link_tables(43, cfg.coefficients)
+        tables = list(tables)
+        table = tables[3]
+        rows = np.arange(len(table.bound))[:, None]
+        cuts = table.keys.reshape(-1, table.width) - rows * (2**53 + 1)
+        within = np.arange(table.width) <= table.bound[:, None]
+        cuts = np.where(within, np.minimum(cuts, int(0.999 * 2**53)), cuts)
+        tables[3] = _inversion.Table.of(cuts, np.uint8, table.bound, 0.0)
+        monkeypatch.setattr(_inversion, "link_tables", lambda *key: (probs, tables))
+        monkeypatch.setattr(_inversion, "BLOCK", 1000)
+        fallbacks = _assert_pilots_like_loop(pcb, cfg.coefficients, 43, 2, 100)
+        assert 0 < fallbacks < _ones(pcb)
+
+    def test_many_blocks_at_full_size(self, dist, icb, params):
+        cfg = _link(icb, dist, params, 30, memory=3)
+        repetitions = _inversion.BLOCK // 3 + 1
+        assert _assert_pilots_like_loop(icb, cfg.coefficients, 30, 7, repetitions) == 0
+
+    @pytest.mark.parametrize("budget", [50, 70, 85, 100, 120])
+    def test_reference_links_never_fall_back(self, budget, dist, pcb, params, monkeypatch):
+        # A silent fallback would keep the counts and lose the batch.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pilot block fell back to arrival_columns")
+
+        cfg = _link(pcb, dist, params, _budget_share(dist, pcb, budget))
+        monkeypatch.setattr(_inversion, "arrival_columns", refuse)
+        counts = _pilot_counts(pcb, cfg.coefficients, cfg.molecules_per_one, 1, 100)
+        assert list(counts) == list(pcb.codewords)
+
+    def test_groups_match_successive_calls(self, monkeypatch):
+        monkeypatch.setattr(_inversion, "BLOCK", 64)
+        coefficients = (0.2, 0.15, 0.1)
+        want_rng, got_rng = np.random.default_rng(8), np.random.default_rng(8)
+        want = [sample_arrivals(12, coefficients, want_rng, size=20) for _ in range(7)]
+        got = list(_inversion.arrival_groups(12, coefficients, got_rng, 7, 20))
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 # -- the brute-force calibration: one full scoring pass per candidate ------

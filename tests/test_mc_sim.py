@@ -648,6 +648,12 @@ class TestSweep:
         )
         assert len(seen) == 1 and seen[0]["codebook"] == "huffman"
 
+    def test_negative_zero_budget_is_zero(self, dist, params):
+        (row,) = sweep(dist, params, budgets=[-0.0], trials=100, master_seed=1,
+                       kinds=("huffman",))
+        assert row["molecules_per_char"] == 0.0
+        assert math.copysign(1.0, row["molecules_per_char"]) == 1.0
+
     def test_unknown_kind_rejected(self, dist, params):
         with pytest.raises(ValueError):
             sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
