@@ -18,14 +18,21 @@ checkout's interquartile range), and the seeds on which the second did
 better than the first, and says whether their digests agree on every
 seed.
 
+A run's memory can depend on the directory it runs in, so --swap-halves
+swaps two checkouts' directories (three renames) for the second half of
+each workload's seeds: each checkout then runs half its seeds in either
+directory, and one command gives a comparison free of that bias. The
+directories are swapped back when the half ends, also on an error.
+
 Usage:
     python scripts/bench.py --out BENCH.json
     python scripts/bench.py --checkout ../parent --label parent \\
-        --checkout . --label change --seeds 1-10 --out BENCH.json
+        --checkout ../change --label change --seeds 1-10 --swap-halves --out BENCH.json
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import statistics
 import subprocess
@@ -67,6 +74,29 @@ def dirty(checkout: Path) -> bool | None:
     except (OSError, subprocess.SubprocessError):
         return None
     return bool(done.stdout.strip()) if done.returncode == 0 else None
+
+
+@contextlib.contextmanager
+def swapped(first: Path, second: Path):
+    """Swap the directories first and second by name until the block ends.
+
+    A spare name beside first holds one of them for the middle rename; it
+    must not exist.
+    """
+    spare = first.with_name(f".{first.name}.bench-swap")
+    if spare.exists():
+        raise SystemExit(f"error: cannot swap checkouts: {spare} exists")
+
+    def swap():
+        first.rename(spare)
+        second.rename(first)
+        spare.rename(second)
+
+    swap()
+    try:
+        yield
+    finally:
+        swap()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
@@ -144,6 +174,9 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, default=float(spec["run_seconds"]),
                     help="run length of each perfbench run (default: BENCHMARK.json's)")
     ap.add_argument("--size", choices=("full", "tiny"), default="full")
+    ap.add_argument("--swap-halves", action="store_true",
+                    help="swap the two checkouts' directories for the second half "
+                         "of each workload's seeds")
     ap.add_argument("--out", type=Path, required=True, help="JSON file to write")
     args = ap.parse_args(argv)
 
@@ -155,26 +188,36 @@ def main(argv=None) -> int:
     if set(workloads) - set(names):
         ap.error(f"unknown workloads: {', '.join(sorted(set(workloads) - set(names)))}")
 
+    if args.swap_halves and (len(checkouts) != 2 or any(
+            a == b or a in b.parents for a, b in (checkouts, checkouts[::-1]))):
+        ap.error("--swap-halves needs two --checkout directories, neither inside the other")
+    swap_at = (len(args.seeds) + 1) // 2 if args.swap_halves else len(args.seeds)
+
     records = {label: {w: {} for w in workloads} for label in labels}
-    sides = list(zip(labels, checkouts))
     for workload in workloads:
-        for i, seed in enumerate(args.seeds):
-            shift = i % len(sides)
-            for label, checkout in sides[shift:] + sides[:shift]:
-                rec = run_once(checkout, workload, seed, args.seconds, args.size)
-                records[label][workload][seed] = rec
-                metrics = rec["result"]["metrics"]
-                print(f"{workload} seed {seed} {label}: " + ", ".join(
-                    f"{k} {v['value']:.6g}" for k, v in metrics.items()), file=sys.stderr)
+        with contextlib.ExitStack() as stack:
+            for i, seed in enumerate(args.seeds):
+                if i == swap_at:
+                    stack.enter_context(swapped(*checkouts))
+                # Once swapped, each label's tree sits in the other's directory.
+                sides = list(zip(labels, checkouts if i < swap_at else checkouts[::-1]))
+                shift = i % len(sides)
+                for label, checkout in sides[shift:] + sides[:shift]:
+                    rec = run_once(checkout, workload, seed, args.seconds, args.size)
+                    records[label][workload][seed] = rec
+                    metrics = rec["result"]["metrics"]
+                    print(f"{workload} seed {seed} {label}: " + ", ".join(
+                        f"{k} {v['value']:.6g}" for k, v in metrics.items()), file=sys.stderr)
 
     metrics = spec["end_to_end"]
     doc = {
         "benchmark": {"command": spec["command"], "seconds": args.seconds, "size": args.size,
-                      "seeds": args.seeds, "workloads": workloads},
+                      "seeds": args.seeds, "swapped_seeds": args.seeds[swap_at:],
+                      "workloads": workloads},
         "checkouts": [
             {"label": label, "dirty": dirty(checkout),
              "workloads": {w: summarize(records[label][w], metrics) for w in workloads}}
-            for label, checkout in sides
+            for label, checkout in zip(labels, checkouts)
         ],
     }
     if len(checkouts) == 2:

@@ -9,16 +9,22 @@ rng.binomial draw them, and the messages are laid by their ones straight
 into release positions, where each slot's arrivals are added.
 codec._read_bits reads the counts into bits, error corrected for a
 corrected kind, and codec._decode_rows parses them back into characters
-and scores them positionally against the sent message; only _run_chunk
+and scores them positionally against the sent message; only _link_totals
 puts the sent bits together, from the release positions, to count bit
 errors. A LinkConfig describes one link and derives its slot and
 coefficients.
 
 Determinism contract: trials are processed in fixed chunks of
 CHUNK_TRIALS, and chunk c draws all of its randomness from a dedicated
-generator seeded by (master_seed, stream tag, c). Results are therefore
-bit-identical for a given (master_seed, trials) no matter how many worker
-threads process the chunks. Changing CHUNK_TRIALS changes the streams.
+generator seeded by (master_seed, stream tag, c): first the messages,
+then the arrivals of their releases. Results are therefore bit-identical
+for a given (master_seed, trials) no matter how many worker threads
+process the chunks. Changing CHUNK_TRIALS changes the streams. Links that
+differ only in molecules_per_one draw the same messages, so run_cer and
+sweep run through one runner, _run_groups, that draws a chunk's messages
+once for a group of such links and restores the generator state they
+left before each link's arrivals; a link's results are those it has when
+run alone.
 """
 from __future__ import annotations
 
@@ -26,6 +32,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -253,20 +260,43 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
     return counts
 
 
-def _draw_chunk(cfg: LinkConfig, guide: Table, trials: int, seed_tuple):
-    """The messages and slot counts of one chunk, drawn from its own stream.
+class _Messages:
+    """One chunk's messages, laid, and the generator that drew them.
+
+    where holds the release positions, and state is the generator's state
+    right after the messages, where every link's arrivals start.
+    """
+
+    def __init__(self, syms: np.ndarray, tlen: np.ndarray, where: np.ndarray,
+                 rng: np.random.Generator) -> None:
+        self.syms, self.tlen, self.where, self.rng = syms, tlen, where, rng
+        self.state = rng.bit_generator.state
+
+    def counts(self, cfg: LinkConfig) -> np.ndarray:
+        """cfg's slot counts of these messages, drawn from state.
+
+        Every link that differs only in molecules_per_one draws its
+        arrivals from the same state, as it would right after drawing the
+        same messages itself.
+        """
+        self.rng.bit_generator.state = self.state
+        return _accumulate_counts(self.where, (len(self.tlen), int(self.tlen.max())),
+                                  cfg, self.rng)
+
+
+def _draw_messages(cfg: LinkConfig, guide: Table, trials: int, seed_tuple) -> _Messages:
+    """The messages of one chunk, drawn from its own stream.
 
     The generator is seeded by seed_tuple, and it draws the messages
-    first and the arrivals of their releases second; that order is part
-    of the determinism contract. The symbols are guide.draw's, which are
-    rng.choice's, laid by their ones with CodeTables.lay_ones. Returns
-    (syms, tlen, where, counts), where being the release positions.
+    first and the arrivals of their releases second (_Messages.counts);
+    that order is part of the determinism contract. The symbols are
+    guide.draw's, which are rng.choice's, laid by their ones with
+    CodeTables.lay_ones.
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
     syms = guide.draw(rng, trials * cfg.msg_len).reshape(trials, cfg.msg_len)
     tlen, where = cfg.codebook.tables.lay_ones(syms, cfg.memory - 1)
-    counts = _accumulate_counts(where, (trials, int(tlen.max())), cfg, rng)
-    return syms, tlen, where, counts
+    return _Messages(syms, tlen, where, rng)
 
 
 def _score_rows(sent: np.ndarray, final: np.ndarray, tlen: np.ndarray) -> list[int]:
@@ -286,19 +316,33 @@ def _score_rows(sent: np.ndarray, final: np.ndarray, tlen: np.ndarray) -> list[i
         ctx100, ctx100 & final[:, 2:], ctx_x01, ctx_x01 & ~final[:, 1:])]
 
 
-def _run_chunk(cfg: LinkConfig, guide: Table, trials: int, tau: float,
-               seed_tuple):
-    """Simulate, read, decode and score one chunk of trials.
+def _run_chunk(links: Sequence[LinkConfig], taus: Sequence[float], guide: Table,
+               trials: int, seed_tuple) -> list[dict]:
+    """Simulate, read, decode and score one chunk of trials on every link.
 
-    The chunk's counts are read by codec._read_bits at tau's count cut,
+    links differ only in molecules_per_one, so the chunk's messages are
+    drawn once for all of them; each link then draws its own arrivals
+    and is read at its tau by _link_totals. Returns each link's totals,
+    in links order.
+    """
+    messages = _draw_messages(links[0], guide, trials, seed_tuple)
+    return [_link_totals(cfg, tau, messages) for cfg, tau in zip(links, taus)]
+
+
+def _link_totals(cfg: LinkConfig, tau: float, messages: _Messages) -> dict:
+    """Read, decode and score one link's arrivals on a chunk's messages.
+
+    The counts are read by codec._read_bits at tau's count cut,
     correction included, and decoded by codec._decode_rows; the sent bits
     are put from the release positions once the counts are freed, and
     scored _SCORE_BLOCK symbols of rows at a time, so the masks of the
-    scoring are one block's. Returns the chunk's integer totals under
-    their CerReport names, and the sum and sum of squares of its
-    per-trial character errors.
+    scoring are one block's. Every array is freed on return, before the
+    next link's are drawn. Returns the chunk's integer totals under their
+    CerReport names, and the sum and sum of squares of its per-trial
+    character errors.
     """
-    syms, tlen, where, counts = _draw_chunk(cfg, guide, trials, seed_tuple)
+    syms, tlen, where = messages.syms, messages.tlen, messages.where
+    counts = messages.counts(cfg)
     final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected).view(bool)
     del counts
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
@@ -307,6 +351,7 @@ def _run_chunk(cfg: LinkConfig, guide: Table, trials: int, tau: float,
     flat, sent = _release_matrix(final.shape, cfg, bool)
     flat.put(where, True)
     rows = max(1, _SCORE_BLOCK // cfg.msg_len)
+    trials = len(tlen)
     blocks = [_score_rows(sent[a:a + rows], final[a:a + rows], tlen[a:a + rows])
               for a in range(0, trials, rows)]
     read_ones, kept_ones, ctx100, ctx100_err, ctx_x01, ctx_x01_err = map(sum, zip(*blocks))
@@ -433,26 +478,17 @@ def _build_link_tables(cfg: LinkConfig) -> None:
     _inversion.link_tables(cfg.molecules_per_one, cfg.coefficients)
 
 
-def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
-    """Estimate the character error rate of a link over random messages.
+def _resolved(cfg: LinkConfig):
+    """resolve_threshold(cfg, cfg.master_seed), or the CalibrationError it raises."""
+    try:
+        return resolve_threshold(cfg, cfg.master_seed)
+    except CalibrationError as exc:
+        return exc
 
-    Runs cfg.trials messages seeded from cfg.master_seed on up to threads
-    worker threads, one chunk each; threads defaults to the available
-    cores. The result is bit-identical for any thread count.
-    """
-    n_threads = _thread_count(threads)
+
+def _report(cfg: LinkConfig, tau: float, origin: str, parts: list[dict]) -> CerReport:
+    """The CerReport of a link from the totals of each of its chunks."""
     trials = cfg.trials
-    master_seed = cfg.master_seed
-    _build_link_tables(cfg)
-    tau, origin = resolve_threshold(cfg, master_seed)
-    guide = _symbol_guide(cfg)
-
-    def work(item):
-        index, size = item
-        return _run_chunk(cfg, guide, size, tau, (master_seed, _MAIN_TAG, index))
-
-    parts = _map_in_order(work, list(enumerate(_chunk_sizes(trials))), n_threads)
-
     total = {key: sum(p[key] for p in parts) for key in parts[0]}
     sum_err = total["sum_err"]
     chars = trials * cfg.msg_len
@@ -469,7 +505,7 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
         trials=trials,
         tau=tau,
         threshold_origin=origin,
-        master_seed=master_seed,
+        master_seed=cfg.master_seed,
         bit_counts={key: total[key] for key in ("00", "01", "10", "11")},
         context_counts=ctx,
         context_rates={
@@ -482,6 +518,106 @@ def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
     )
 
 
+def _run_groups(groups: list[list[LinkConfig]], threads: int, each=None) -> list[list]:
+    """Run every link of every group: a CerReport, or the CalibrationError
+    its threshold raised, per link, in groups order.
+
+    The links of a group must differ only in molecules_per_one. Chunk c of
+    each of them then draws the same messages from (master_seed, tag, c),
+    so the group draws them once per chunk (_draw_messages) and each link
+    draws its own arrivals from the state they left.
+    Every cached table is built first. The work then runs as items on up
+    to threads worker threads, in two passes: first the threshold of each
+    pilot or constant link and each calibration chunk of a calibrated
+    group, scored at every link's cuts; then each main chunk of a group,
+    over the links whose threshold resolved. each, when given, is called
+    with a group's index and outcomes as soon as that group's last main
+    chunk and every earlier group's are in.
+    """
+    for group in groups:
+        for cfg in group:
+            _build_link_tables(cfg)
+    guides = [_symbol_guide(group[0]) for group in groups]
+    calibrated = [isinstance(group[0].threshold, CalibratedThreshold) for group in groups]
+    candidates = [[cfg.threshold.candidates or _default_candidates(cfg) for cfg in group]
+                  if cal else None for group, cal in zip(groups, calibrated)]
+
+    jobs, owners = [], []
+    for g, group in enumerate(groups):
+        if calibrated[g]:
+            sizes = _chunk_sizes(group[0].threshold.messages)
+            jobs += [partial(_calibration_errors, group, candidates[g], guides[g], size,
+                             (group[0].master_seed, _CAL_TAG, index))
+                     for index, size in enumerate(sizes)]
+            owners += [g] * len(sizes)
+        else:
+            jobs += [partial(_resolved, cfg) for cfg in group]
+            owners += [g] * len(group)
+    landed = [[] for _ in groups]
+    for g, result in zip(owners, _map_in_order(_call, jobs, threads)):
+        landed[g].append(result)
+    outcomes = [
+        [(_pick_tau(cands, [chunk[j] for chunk in results]), "calibrated")
+         for j, cands in enumerate(candidates[g])] if calibrated[g] else results
+        for g, results in enumerate(landed)
+    ]
+
+    jobs, owners = [], []
+    for g, group in enumerate(groups):
+        live = [j for j, o in enumerate(outcomes[g]) if not isinstance(o, CalibrationError)]
+        if live:
+            sizes = _chunk_sizes(group[0].trials)
+            jobs += [partial(_run_chunk, [group[j] for j in live],
+                             [outcomes[g][j][0] for j in live], guides[g], size,
+                             (group[0].master_seed, _MAIN_TAG, index))
+                     for index, size in enumerate(sizes)]
+            owners += [g] * len(sizes)
+    parts = [[] for _ in groups]
+    pending = [owners.count(g) for g in range(len(groups))]
+    done: list[list] = []
+
+    def flush() -> None:
+        while len(done) < len(groups) and not pending[len(done)]:
+            g = len(done)
+            per_link = zip(*parts[g])  # each resolved link's totals of every chunk
+            done.append([o if isinstance(o, CalibrationError)
+                         else _report(groups[g][j], *o, list(next(per_link)))
+                         for j, o in enumerate(outcomes[g])])
+            if each is not None:
+                each(g, done[g])
+
+    owner = iter(owners)
+
+    def land(totals: list[dict]) -> None:
+        g = next(owner)
+        parts[g].append(totals)
+        pending[g] -= 1
+        flush()
+
+    flush()
+    _map_in_order(_call, jobs, threads, each=land)
+    return done
+
+
+def _call(job):
+    return job()
+
+
+def run_cer(cfg: LinkConfig, threads: int | None = None) -> CerReport:
+    """Estimate the character error rate of a link over random messages.
+
+    Runs cfg.trials messages seeded from cfg.master_seed on up to threads
+    worker threads, one chunk each; threads defaults to the available
+    cores. A calibrated threshold's chunks run the same way, before the
+    main chunks. The result is bit-identical for any thread count. A
+    threshold that cannot be resolved raises CalibrationError.
+    """
+    ((outcome,),) = _run_groups([[cfg]], _thread_count(threads))
+    if isinstance(outcome, CalibrationError):
+        raise outcome
+    return outcome
+
+
 def _default_candidates(cfg: LinkConfig) -> tuple[float, ...]:
     # The natural threshold scale is the expected first-slot signal; the
     # floor keeps the grid valid for the zero-budget baseline link.
@@ -489,29 +625,47 @@ def _default_candidates(cfg: LinkConfig) -> tuple[float, ...]:
     return tuple(scale * f for f in np.linspace(0.05, 1.2, 24))
 
 
+def _calibration_errors(links: Sequence[LinkConfig], candidates: Sequence[Sequence[float]],
+                        guide: Table, trials: int, seed_tuple) -> list[dict[int, int]]:
+    """Each link's character errors at each count cut of its candidates, on
+    one calibration chunk whose messages are drawn once for all links.
+
+    Candidates that share an integer count cut ceil(tau) read identical
+    bits, so each distinct cut is read once. Scoring counts character
+    errors only: each cut reads the chunk through codec._read_bits, with
+    the same correction as run_cer, and codec._decode_rows compares the
+    decoded symbols with the sent ones.
+    """
+    messages = _draw_messages(links[0], guide, trials, seed_tuple)
+    return [_cut_errors(cfg, cands, messages) for cfg, cands in zip(links, candidates)]
+
+
+def _cut_errors(cfg: LinkConfig, candidates: Sequence[float],
+                messages: _Messages) -> dict[int, int]:
+    counts = messages.counts(cfg)
+    return {cut: int(_decode_rows(_read_bits(counts, cut, cfg.codebook.corrected),
+                                  messages.tlen, messages.syms, cfg.codebook.tables)[0].sum())
+            for cut in dict.fromkeys(map(_count_cut, candidates))}
+
+
+def _pick_tau(candidates: Sequence[float], chunk_errors: list[dict[int, int]]) -> float:
+    """The candidate with the fewest errors over all chunks; ties go to the
+    smaller tau."""
+    errors = {cut: sum(chunk[cut] for chunk in chunk_errors) for cut in chunk_errors[0]}
+    return float(min(candidates, key=lambda tau: (errors[_count_cut(tau)], tau)))
+
+
 def _calibrate_threshold(
     cfg: LinkConfig, strategy: CalibratedThreshold, master_seed: int
 ) -> float:
-    """Candidate tau with the fewest character errors on one shared batch.
-
-    Candidates that share an integer count cut ceil(tau) read identical
-    bits, so each distinct cut is scored once per batch chunk and its error
-    count is credited to all of its candidates. Scoring counts character
-    errors only: each cut reads the batch through codec._read_bits, with
-    the same correction as run_cer, and codec._decode_rows compares the
-    decoded symbols with the sent ones.
-    The fewest errors win; ties go to the smaller tau.
-    """
+    """Candidate tau with the fewest character errors on one shared batch
+    of strategy.messages messages, drawn and scored by _calibration_errors."""
     candidates = strategy.candidates or _default_candidates(cfg)
-    tables = cfg.codebook.tables
     guide = _symbol_guide(cfg)
-    cut_errors = dict.fromkeys(map(_count_cut, candidates), 0)
-    for index, size in enumerate(_chunk_sizes(strategy.messages)):
-        syms, tlen, _, counts = _draw_chunk(cfg, guide, size, (master_seed, _CAL_TAG, index))
-        for cut in cut_errors:
-            final = _read_bits(counts, cut, cfg.codebook.corrected)
-            cut_errors[cut] += int(_decode_rows(final, tlen, syms, tables)[0].sum())
-    return float(min(candidates, key=lambda tau: (cut_errors[_count_cut(tau)], tau)))
+    return _pick_tau(candidates, [
+        _calibration_errors([cfg], [candidates], guide, size, (master_seed, _CAL_TAG, index))[0]
+        for index, size in enumerate(_chunk_sizes(strategy.messages))
+    ])
 
 
 def sweep(
@@ -545,11 +699,14 @@ def sweep(
     repeated or negative budget, a budget whose counts could overflow, or
     a bad thread count, raise ValueError before any row is simulated.
 
-    Rows run concurrently: min(threads, rows) of them at a time, each on
-    threads // rows (at least 1) threads of its own, so one row's threshold
-    resolution overlaps another row's sampling. threads defaults as in
-    run_cer. Every row is bit-identical for any thread count. progress,
-    when given, is called with each finished row, in row order.
+    The budgets of a kind share their messages: every chunk, calibration
+    chunks included, is drawn once per kind and read by each budget in
+    turn. The whole grid runs on up to threads worker threads (default as
+    in run_cer): first every pilot row and every calibration chunk of
+    every kind, then every main chunk of every kind. Every row is
+    bit-identical for any thread count, and to run_cer of its link.
+    progress, when given, is called with each row in row order, a kind's
+    rows together once that kind's last chunk is in.
     """
     budgets = list(budgets)
     for name, values in (("kind", kinds), ("budget", [float(b) for b in budgets])):
@@ -560,8 +717,8 @@ def sweep(
             raise ValueError(f"repeated {name}s: {', '.join(map(str, repeated))}")
     books = [build(kind, dist) for kind in kinds]
     n_threads = _thread_count(threads)
-    grid = [
-        (kind, budget, LinkConfig(
+    groups = [
+        [LinkConfig(
             codebook=cb,
             distribution=dist,
             params=params,
@@ -572,30 +729,30 @@ def sweep(
             memory=memory,
             trials=trials,
             master_seed=master_seed,
-        ))
-        for kind, cb in zip(kinds, books)
-        for budget in budgets
+        ) for budget in budgets]
+        for cb in books
     ]
-    row_threads = max(1, n_threads // max(len(grid), 1))
+    rows: list[dict] = []
 
-    def run_row(item) -> dict:
-        kind, budget, cfg = item
-        row = {
-            "codebook": kind,
-            "molecules_per_char": float(budget) + 0.0,  # a -0.0 budget reads 0.0
-            "N_bit1": cfg.molecules_per_one,
-            "t_s": cfg.slot,
-            "trials": trials,
-            "seed": master_seed,
-        }
-        try:
-            report = run_cer(cfg, threads=row_threads)
-        except CalibrationError as exc:
-            row.update(tau=None, cer=None, cer_stderr=None,
-                       error=f"uncalibratable: {exc}")
-        else:
-            row.update(tau=report.tau, cer=report.cer,
-                       cer_stderr=report.cer_stderr, error=None)
-        return row
+    def land(g: int, outcomes: list) -> None:
+        for budget, cfg, outcome in zip(budgets, groups[g], outcomes):
+            row = {
+                "codebook": kinds[g],
+                "molecules_per_char": float(budget) + 0.0,  # a -0.0 budget reads 0.0
+                "N_bit1": cfg.molecules_per_one,
+                "t_s": cfg.slot,
+                "trials": trials,
+                "seed": master_seed,
+            }
+            if isinstance(outcome, CalibrationError):
+                row.update(tau=None, cer=None, cer_stderr=None,
+                           error=f"uncalibratable: {outcome}")
+            else:
+                row.update(tau=outcome.tau, cer=outcome.cer,
+                           cer_stderr=outcome.cer_stderr, error=None)
+            rows.append(row)
+            if progress is not None:
+                progress(row)
 
-    return _map_in_order(run_row, grid, n_threads, each=progress)
+    _run_groups(groups, n_threads, each=land)
+    return rows

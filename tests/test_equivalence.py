@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from molcode import (
     CalibratedThreshold,
+    CalibrationError,
     CharacterDistribution,
     Codebook,
     ConstantThreshold,
     LinkConfig,
+    PilotThreshold,
     build_huffman,
     build_proposed,
     english_letter_distribution,
@@ -43,10 +45,12 @@ from molcode.mc_sim import (
     _budget_share,
     _calibrate_threshold,
     _default_candidates,
-    _draw_chunk,
+    _draw_messages,
     _pilot_counts,
     _run_chunk,
+    _run_groups,
     _symbol_guide,
+    run_cer,
 )
 
 
@@ -71,7 +75,7 @@ def _laid_messages(tables, guide, trials, msg_len, spare, rng):
     """Messages drawn and laid as a chunk draws them, with their bit matrix.
 
     The symbols are guide.draw's and the release positions
-    tables.lay_ones', as in mc_sim._draw_chunk. Returns (syms, tlen,
+    tables.lay_ones', as in mc_sim._draw_messages. Returns (syms, tlen,
     bitmat, where).
     """
     syms = guide.draw(rng, trials * msg_len).reshape(trials, msg_len)
@@ -378,7 +382,9 @@ def _int8_chunk_totals(cfg, trials, tau, seed_tuple):
     positions, and both it and the read bits are compared with == 1 and
     == 0.
     """
-    syms, tlen, where, counts = _draw_chunk(cfg, _symbol_guide(cfg), trials, seed_tuple)
+    messages = _draw_messages(cfg, _symbol_guide(cfg), trials, seed_tuple)
+    syms, tlen, where, counts = (messages.syms, messages.tlen, messages.where,
+                                 messages.counts(cfg))
     bitmat = _bit_matrix(where, trials, counts.shape[1], cfg.memory - 1)
     final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
@@ -437,7 +443,7 @@ class TestChunkScoring:
                 tau = max(1.0, 0.4 * molecules * cfg.coefficients[0])
                 seed = (molecules, msg_len, memory)
                 want = _int8_chunk_totals(cfg, 400, tau, seed)
-                got = _run_chunk(cfg, _symbol_guide(cfg), 400, tau, seed)
+                (got,) = _run_chunk([cfg], [tau], _symbol_guide(cfg), 400, seed)
                 assert got == want, (msg_len, molecules)
                 assert all(type(total) is int for total in got.values())
                 errors += got["01"] + got["10"]
@@ -453,7 +459,7 @@ class TestChunkScoring:
         want = _int8_chunk_totals(cfg, trials, tau, seed)
         for rows in (1, 3, trials):
             monkeypatch.setattr(mc_sim, "_SCORE_BLOCK", rows * msg_len)
-            assert _run_chunk(cfg, _symbol_guide(cfg), trials, tau, seed) == want, rows
+            assert _run_chunk([cfg], [tau], _symbol_guide(cfg), trials, seed) == [want], rows
 
 
 # -- the step-table decoder against the one-slot trie walk ---------------
@@ -813,3 +819,37 @@ class TestCalibrationEquivalence:
         strategy = CalibratedThreshold(messages=4000)
         want, _ = _brute_force_calibration(cfg, strategy, 2)
         assert _calibrate_threshold(cfg, strategy, 2) == want
+
+
+# -- a kind's shared messages against each link run alone ----------------
+#: Molecules per character of the shared-message links: the silent link,
+#: two reference budgets, and 700, whose bit-1 release of more than 255
+#: molecules is drawn by rng.binomial, not by tables, so only the
+#: generator state each link restores can keep its arrivals right.
+SHARED_BUDGETS = (0, 60, 85, 700)
+
+
+class TestSharedMessages:
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_every_link_reports_as_run_alone(self, threads, dist, params):
+        groups = [
+            [LinkConfig(codebook=cb, distribution=dist, params=params,
+                        molecules_per_one=_budget_share(dist, cb, budget), char_duration=0.5,
+                        threshold=PilotThreshold() if cb.corrected else CalibratedThreshold(),
+                        trials=CHUNK_TRIALS + 300, master_seed=9)
+             for budget in SHARED_BUDGETS]
+            for cb in (DECODE_CODES[kind] for kind in ("huffman", "proposed", "ita2"))
+        ]
+        assert max(cfg.molecules_per_one for cfg in groups[0]) > 255
+        outcomes = _run_groups(groups, threads)
+        for group, shared in zip(groups, outcomes):
+            for cfg, got in zip(group, shared):
+                if isinstance(got, CalibrationError):
+                    assert cfg.codebook.kind == "proposed" and cfg.molecules_per_one == 0
+                    with pytest.raises(CalibrationError) as alone:
+                        run_cer(cfg, threads=1)
+                    assert type(got) is type(alone.value)
+                    assert str(got) == str(alone.value)
+                else:
+                    assert got == run_cer(cfg, threads=1), cfg.molecules_per_one
+        assert sum(isinstance(got, CalibrationError) for row in outcomes for got in row) == 1

@@ -29,6 +29,11 @@ from molcode.codebooks import Codebook, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
 
+#: The functions a sweep runs its items through: a pilot or constant
+#: link's threshold, a calibration chunk and a main chunk of one kind.
+ITEM_SEAMS = ("resolve_threshold", "_calibration_errors", "_run_chunk")
+
+
 @pytest.fixture
 def pool_sizes(monkeypatch):
     """max_workers of every thread pool mc_sim starts, in order."""
@@ -345,7 +350,7 @@ class TestChunkPeak:
         del syms
         tracemalloc.start()
         try:
-            mc_sim._run_chunk(cfg, guide, CHUNK_TRIALS, 8.0, seed)
+            mc_sim._run_chunk([cfg], [8.0], guide, CHUNK_TRIALS, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -526,10 +531,10 @@ class TestEngineAgreesWithScalarPath:
         )
         rep = run_cer(cfg)
 
-        from molcode.mc_sim import _MAIN_TAG, _draw_chunk, _symbol_guide
+        from molcode.mc_sim import _MAIN_TAG, _draw_messages, _symbol_guide
 
-        syms, tlen, _, counts = _draw_chunk(cfg, _symbol_guide(cfg), cfg.trials,
-                                            (17, _MAIN_TAG, 0))
+        messages = _draw_messages(cfg, _symbol_guide(cfg), cfg.trials, (17, _MAIN_TAG, 0))
+        syms, tlen, counts = messages.syms, messages.tlen, messages.counts(cfg)
         alphabet = cb.symbols
         errors = 0
         for i in range(cfg.trials):
@@ -670,7 +675,9 @@ class TestSweep:
     ], ids=["kind", "budget"])
     def test_repeats_rejected_before_any_row(self, dist, params, monkeypatch,
                                              kinds, budgets, match):
-        monkeypatch.setattr(mc_sim, "run_cer", lambda cfg, threads=None: 1 / 0)
+        # Any table build or item of work would raise ZeroDivisionError.
+        for seam in ITEM_SEAMS + ("_build_link_tables",):
+            monkeypatch.setattr(mc_sim, seam, lambda *args: 1 / 0)
         with pytest.raises(ValueError, match=match):
             sweep(dist, params, budgets=budgets, trials=100, master_seed=1, kinds=kinds)
 
@@ -688,8 +695,10 @@ class TestSweep:
             ("huffman", 0.0), ("huffman", 60.0), ("proposed", 0.0), ("proposed", 60.0),
         ]
         assert runs[1][0][2]["error"].startswith("uncalibratable")
-        # One pool of three rows at a time; each row then runs on one thread.
-        assert pool_sizes == [3]
+        # One pool for the two huffman calibration chunks and the two
+        # proposed pilots, then one for a main chunk of each kind; the
+        # uncalibratable row runs no main chunk.
+        assert pool_sizes == [3, 2]
 
     def test_rows_agree_on_one_and_two_threads_past_a_chunk(self, dist, params):
         # Every row runs two chunks; on two threads two rows run at once,
@@ -703,21 +712,51 @@ class TestSweep:
         assert all(row["error"] is None and row["tau"] > 0 for row in one)
 
     def test_failing_row_cancels_queued_rows(self, dist, params, monkeypatch):
+        # Each of the six main chunks of the row is an item of its own.
         started = []
 
-        def broken(cfg, threads=None):
-            started.append(cfg.molecules_per_one)
+        def broken(links, taus, guide, trials, seed_tuple):
+            started.append(seed_tuple)
             if len(started) == 1:
                 raise RuntimeError("internal bug")
             threading.Event().wait(1.0)
 
-        monkeypatch.setattr(mc_sim, "run_cer", broken)
+        monkeypatch.setattr(mc_sim, "_run_chunk", broken)
         with pytest.raises(RuntimeError, match="internal bug"):
-            sweep(dist, params, budgets=[50.0, 60.0, 70.0, 80.0, 90.0, 100.0],
-                  trials=100, master_seed=1, kinds=("huffman",), threads=2)
-        # The failing row, and at most the two rows its worker and the
+            sweep(dist, params, budgets=[60.0], trials=6 * CHUNK_TRIALS, master_seed=1,
+                  kinds=("proposed",), threads=2)
+        # The failing chunk, and at most the two chunks its worker and the
         # other worker took before the failure was seen.
         assert len(started) <= 3
+
+    def test_failing_threshold_item_runs_no_main_chunk(self, dist, params, monkeypatch):
+        started = []
+        monkeypatch.setattr(mc_sim, "_calibration_errors", lambda *args: 1 / 0)
+        monkeypatch.setattr(mc_sim, "_run_chunk", lambda *args: started.append(args))
+        seen = []
+        with pytest.raises(ZeroDivisionError):
+            sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
+                  kinds=("proposed", "huffman"), threads=2, progress=seen.append)
+        assert started == [] and seen == []
+
+    def test_progress_arrives_a_kind_at_a_time(self, dist, params, monkeypatch):
+        # The rows of a kind are passed on together, once its last chunk is
+        # in, and never before the rows of an earlier kind.
+        run_chunk, events = mc_sim._run_chunk, []
+
+        def logged(links, *args):
+            events.append(("chunk", links[0].codebook.kind))
+            return run_chunk(links, *args)
+
+        monkeypatch.setattr(mc_sim, "_run_chunk", logged)
+        rows = sweep(dist, params, budgets=[0.0, 60.0, 85.0], trials=CHUNK_TRIALS + 100,
+                     master_seed=2, kinds=("proposed", "ita2"), threads=1,
+                     progress=lambda row: events.append((row["codebook"],
+                                                         row["molecules_per_char"])))
+        assert events == (
+            [("chunk", "proposed")] * 2 + [("proposed", b) for b in (0.0, 60.0, 85.0)]
+            + [("chunk", "ita2")] * 2 + [("ita2", b) for b in (0.0, 60.0, 85.0)])
+        assert rows[0]["error"].startswith("uncalibratable")
 
 
 class TestThreadEnvCap:
@@ -769,13 +808,17 @@ class TestThreadEnvCap:
 
 class TestErrorClassification:
     def test_only_calibration_errors_become_rows(self, dist, params, monkeypatch):
-        def broken(cfg, threads=None):
+        def broken(*args):
             raise ValueError("not a calibration problem")
 
-        monkeypatch.setattr(mc_sim, "run_cer", broken)
-        with pytest.raises(ValueError, match="not a calibration problem"):
-            sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
-                  kinds=("huffman",))
+        # A pilot row's threshold, a calibration chunk and a main chunk.
+        for seam, kind in (("resolve_threshold", "proposed"),
+                           ("_calibration_errors", "huffman"), ("_run_chunk", "ita2")):
+            with monkeypatch.context() as patch:
+                patch.setattr(mc_sim, seam, broken)
+                with pytest.raises(ValueError, match="not a calibration problem"):
+                    sweep(dist, params, budgets=[60.0], trials=100, master_seed=1,
+                          kinds=(kind,))
 
 
 class TestCountLimit:

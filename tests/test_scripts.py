@@ -109,3 +109,75 @@ def test_bad_seeds_stop_the_run_before_it_starts(tmp_path):
     assert proc.returncode == 2
     assert "seed range '5-3' runs backwards" in proc.stderr
     assert not out.exists()
+
+
+def fake_record(tree: str) -> dict:
+    """A perfbench record whose round0_digest names the tree that made it."""
+    meta = {"git_revision": None, "threads": 1, "numpy": "n", "python": "p", "nproc": 1,
+            "round0_digest": tree}
+    metrics = {name: {"value": 1.0} for name in ("setup_s", "chars_per_s", "peak_rss_mb")}
+    return {"meta": meta,
+            "result": {"attempted": 1, "failed": 0, "correct": True, "metrics": metrics}}
+
+
+def test_swap_halves_runs_each_checkout_in_both_directories(tmp_path, monkeypatch):
+    bench = load_bench()
+    dirs = {}
+    for name in ("parent", "change"):
+        dirs[name] = tmp_path / name
+        dirs[name].mkdir()
+        (dirs[name] / "tree").write_text(name)
+    ran = []
+
+    def run_once(checkout, workload, seed, seconds, size):
+        tree = (checkout / "tree").read_text()
+        ran.append((seed, tree, checkout.name))
+        return fake_record(tree)
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    assert bench.main([
+        "--checkout", str(dirs["parent"]), "--label", "parent",
+        "--checkout", str(dirs["change"]), "--label", "change", "--workloads",
+        "cer_hotpath,sweep_reference", "--seeds", "1-3", "--swap-halves", "--out", str(out),
+    ]) == 0
+    # Seeds 1 and 2 run in each checkout's own directory, seed 3 in the
+    # other's, for every workload; each label's records come from its tree.
+    own = {(seed, name, name) for seed in (1, 2) for name in dirs}
+    other = {(3, "parent", "change"), (3, "change", "parent")}
+    assert sorted(ran) == sorted(list(own | other) * 2)
+    doc = json.loads(out.read_text())
+    assert doc["benchmark"]["swapped_seeds"] == [3]
+    for checkout in doc["checkouts"]:
+        for run in checkout["workloads"].values():
+            assert set(run["round0_digest"].values()) == {checkout["label"]}
+    assert {name: (d / "tree").read_text() for name, d in dirs.items()} == {
+        "parent": "parent", "change": "change"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bench.json", "change", "parent"]
+
+
+def test_swapped_directories_return_after_an_error(tmp_path):
+    bench = load_bench()
+    first, second = tmp_path / "a", tmp_path / "b"
+    for d in (first, second):
+        d.mkdir()
+        (d / "tree").write_text(d.name)
+    with pytest.raises(RuntimeError, match="mid-run"):
+        with bench.swapped(first, second):
+            assert (first / "tree").read_text() == "b"
+            raise RuntimeError("mid-run")
+    assert [(d / "tree").read_text() for d in (first, second)] == ["a", "b"]
+
+
+@pytest.mark.parametrize("checkouts", [["one"], ["one", "one"], ["one", "one/two"]],
+                         ids=["single", "same", "nested"])
+def test_swap_halves_needs_two_separate_checkouts(tmp_path, checkouts, capsys):
+    argv = ["--swap-halves", "--out", str(tmp_path / "x.json")]
+    for i, name in enumerate(checkouts):
+        (tmp_path / name).mkdir(parents=True, exist_ok=True)
+        argv += ["--checkout", str(tmp_path / name), "--label", f"side{i}"]
+    with pytest.raises(SystemExit) as exit_info:
+        load_bench().main(argv)
+    assert exit_info.value.code == 2
+    assert "neither inside the other" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
