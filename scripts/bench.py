@@ -11,7 +11,12 @@ The output holds, per checkout and workload, the median, quartiles,
 minimum and maximum of every end-to-end metric BENCHMARK.json names, the
 round0_digest of every seed, the attempted and failed call counts, and
 the git revision, thread count and numpy version from the run records.
-With exactly two checkouts it also gives, per workload and metric, the
+It also summarizes, under "rusage", each run's user and system CPU
+seconds and minor page faults: resource.getrusage(RUSAGE_CHILDREN)
+differences around the run's subprocess, so they include the set-up
+probes perfbench starts in processes of its own, and the CPU time of
+every thread. With exactly two checkouts it also gives, per workload and
+metric (the rusage entries under "rusage"), the
 size of the change (the second median over the first, minus 1), whether
 that change is resolved (the medians differ by more than the first
 checkout's interquartile range), and the seeds on which the second did
@@ -34,12 +39,19 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import resource
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+#: What run_once measures of each run, summarized and compared as the metrics.
+RUSAGE = [
+    {"name": "user_s", "unit": "s", "better": "lower"},
+    {"name": "system_s", "unit": "s", "better": "lower"},
+    {"name": "minor_faults", "unit": "count", "better": "lower"},
+]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -100,17 +112,24 @@ def swapped(first: Path, second: Path):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
-    """One untraced perfbench run; returns its record file."""
+    """One untraced perfbench run; returns its record file, with the
+    run's RUSAGE under "rusage"."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", repr(seconds), "--trace", "0", "--size", size],
         cwd=checkout, capture_output=True, text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     if done.returncode != 0:
         raise SystemExit(f"error: {workload} seed {seed} in {checkout} exited "
                          f"{done.returncode}:\n{done.stderr}")
-    record = checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json"
-    return json.loads(record.read_text())
+    record = json.loads(
+        (checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
+    record["rusage"] = {"user_s": after.ru_utime - before.ru_utime,
+                        "system_s": after.ru_stime - before.ru_stime,
+                        "minor_faults": after.ru_minflt - before.ru_minflt}
+    return record
 
 
 def summary(values: list[float]) -> dict:
@@ -130,25 +149,26 @@ def summarize(records: dict[int, dict], metrics: list[dict]) -> dict:
         failed=sum(r["result"]["failed"] for r in records.values()),
         correct=all(r["result"]["correct"] for r in records.values()),
         round0_digest={str(seed): r["meta"]["round0_digest"] for seed, r in records.items()},
-        metrics={},
     )
-    for m in metrics:
-        values = [r["result"]["metrics"][m["name"]]["value"] for r in records.values()]
-        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], **summary(values)}
+    for key, specs, value in (
+            ("metrics", metrics, lambda r, name: r["result"]["metrics"][name]["value"]),
+            ("rusage", RUSAGE, lambda r, name: r["rusage"][name])):
+        out[key] = {m["name"]: {"unit": m["unit"], "better": m["better"],
+                                **summary([value(r, m["name"]) for r in records.values()])}
+                    for m in specs}
     return out
 
 
 def compare(first: dict, second: dict, metrics: list[dict]) -> dict:
-    """Per metric, second's median over first's minus 1 (None if first's is
-    0), whether the medians differ by more than first's interquartile range
-    q3 - q1, and the seeds on which second beat first; ties count for
-    neither."""
-    out = {"digests_equal": first["round0_digest"] == second["round0_digest"]}
-    for m in metrics:
-        sign = 1 if m["better"] == "higher" else -1
-        a_side, b_side = first["metrics"][m["name"]], second["metrics"][m["name"]]
+    """Per metric, and per RUSAGE entry under "rusage", second's median
+    over first's minus 1 (None if first's is 0), whether the medians differ
+    by more than first's interquartile range q3 - q1, and the seeds on which
+    second beat first; ties count for neither."""
+
+    def change(a_side: dict, b_side: dict) -> dict:
+        sign = 1 if a_side["better"] == "higher" else -1
         pairs = list(zip(a_side["values"], b_side["values"]))
-        out[m["name"]] = {
+        return {
             "median_change": (b_side["median"] / a_side["median"] - 1
                               if a_side["median"] else None),
             "resolved": abs(b_side["median"] - a_side["median"]) > a_side["q3"] - a_side["q1"],
@@ -156,6 +176,12 @@ def compare(first: dict, second: dict, metrics: list[dict]) -> dict:
             "second_better": sum(sign * (b - a) > 0 for a, b in pairs),
             "second_worse": sum(sign * (b - a) < 0 for a, b in pairs),
         }
+
+    out = {"digests_equal": first["round0_digest"] == second["round0_digest"]}
+    for m in metrics:
+        out[m["name"]] = change(first["metrics"][m["name"]], second["metrics"][m["name"]])
+    out["rusage"] = {m["name"]: change(first["rusage"][m["name"]], second["rusage"][m["name"]])
+                     for m in RUSAGE}
     return out
 
 
@@ -207,7 +233,8 @@ def main(argv=None) -> int:
                     records[label][workload][seed] = rec
                     metrics = rec["result"]["metrics"]
                     print(f"{workload} seed {seed} {label}: " + ", ".join(
-                        f"{k} {v['value']:.6g}" for k, v in metrics.items()), file=sys.stderr)
+                        [f"{k} {v['value']:.6g}" for k, v in metrics.items()]
+                        + [f"{k} {v:.6g}" for k, v in rec["rusage"].items()]), file=sys.stderr)
 
     metrics = spec["end_to_end"]
     doc = {

@@ -30,6 +30,11 @@ _GUIDE_BUCKETS = 1024
 #: overlap only within them, and at 8192 two threads sampled no faster
 #: than one.
 BLOCK = 1 << 16
+#: Uniforms Table.draw reads at a time. Sized for cache and page reuse, not
+#: for memory: its buffers, 13 bytes a uniform, stay in cache and their
+#: pages stay mapped from block to block, where one block per chunk took
+#: fresh pages for every chunk's uniforms.
+_DRAW_BLOCK = 1 << 14
 #: Generator.random returns m * 2**-53 for an integer 0 <= m < 2**53.
 _LATTICE = 2 ** 53
 
@@ -91,12 +96,23 @@ class Table(NamedTuple):
         """Outcomes of row 0 for size uniforms of rng, in the guide dtype.
 
         For a symbol_table these are rng.choice's symbols, bit for bit,
-        and rng ends in the same state.
+        and rng ends in the same state: the uniforms are drawn _DRAW_BLOCK
+        at a time, in order, into buffers reused from block to block, and
+        each block's guide entries are taken straight into its part of the
+        one array returned; only flagged draws search.
         """
-        u = rng.random(size)
-        x = self.guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
-        flagged = np.flatnonzero(x == self.flag)
-        x[flagged] = self.search(0, u[flagged])
+        x = np.empty(size, dtype=self.guide.dtype)
+        block = max(1, min(size, _DRAW_BLOCK))
+        u_buf, idx_buf, flag_buf = (np.empty(block), np.empty(block, np.int32),
+                                    np.empty(block, bool))
+        for start in range(0, size, block):
+            part = x[start:start + block]
+            u = rng.random(part.size, out=u_buf[:part.size])
+            idx = np.multiply(u, _GUIDE_BUCKETS, out=idx_buf[:part.size], casting="unsafe")
+            # mode="clip" writes straight into part; "raise" would buffer.
+            self.guide.take(idx, out=part, mode="clip")
+            flagged = np.flatnonzero(np.equal(part, self.flag, out=flag_buf[:part.size]))
+            part[flagged] = self.search(0, u[flagged])
         return x
 
     def lookup(self, n: np.ndarray, u: np.ndarray,

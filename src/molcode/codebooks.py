@@ -80,9 +80,12 @@ _STEP_SLOTS = 8
 _STEP_ENTRIES = 1 << 20
 #: Entries walked at a time while a step table is built.
 _STEP_BLOCK = 1 << 12
-#: Symbols laid at a time by CodeTables.lay_ones, in whole rows. A chunk of
-#: 8192 messages of 10 symbols is one block.
-_LAY_BLOCK = 1 << 17
+#: Symbols laid at a time by CodeTables.lay_ones, in whole rows. Sized for
+#: cache and page reuse, not for memory: a block's temporaries, about 130
+#: bytes a symbol, fit a 2 MiB L2 cache and reuse the pages the block
+#: before freed, where blocks of 2**17 laid a chunk of 8192 messages of
+#: 10 symbols at once, on pages freshly mapped for every chunk.
+_LAY_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -81,9 +81,10 @@ CHUNK_TRIALS = 8192
 _MAIN_TAG = 0xC0DE
 _CAL_TAG = 0xCA1
 _PILOT_TAG = 0x9110_07
-#: Symbols of rows scored at a time, about 2**20 slots at msg_len 200;
-#: a chunk of 8192 messages of 10 symbols is one block.
-_SCORE_BLOCK = 1 << 17
+#: Symbols of rows scored at a time, about 2**17 slots. Sized for cache and
+#: page reuse, not for memory, as codebooks._LAY_BLOCK is: the masks of one
+#: block stay in cache and reuse freed pages from block to block.
+_SCORE_BLOCK = 1 << 14
 
 
 def slot_length(codebook: Codebook, distribution: CharacterDistribution,

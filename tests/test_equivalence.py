@@ -1,6 +1,7 @@
 """The fast simulator paths against slow references kept here.
 
-The symbol guide is checked against Generator.choice, the message lay
+The symbol guide is checked against Generator.choice, and its draw a
+few uniforms at a time against one draw of them all, the message lay
 against rng.choice, CodeTables.lay and np.flatnonzero, in one block of
 rows and in many, count
 accumulation against a per-release Python loop, a chunk's bool scoring
@@ -182,6 +183,42 @@ class TestSymbolGuide:
         high = (held + 1) / _GUIDE_BUCKETS - 2.0 ** -53
         for u in (low, high):
             np.testing.assert_array_equal(cdf.searchsorted(u, side="right"), guide[held])
+
+
+def _one_call_draw(table, rng, size):
+    """Table.draw as one block: every uniform, guide index and flag at once."""
+    u = rng.random(size)
+    x = table.guide.take((u * _GUIDE_BUCKETS).astype(np.intp))
+    flagged = np.flatnonzero(x == table.flag)
+    x[flagged] = table.search(0, u[flagged])
+    return x
+
+
+class TestBlockedDraw:
+    """Table.draw _DRAW_BLOCK uniforms at a time against choice and one call."""
+
+    BLOCK = 64
+
+    @pytest.mark.parametrize("size", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 17])
+    def test_matches_choice_and_one_call(self, size, monkeypatch):
+        monkeypatch.setattr(_inversion, "_DRAW_BLOCK", self.BLOCK)
+        weights = np.random.default_rng(5).random(1000)
+        probs = weights / weights.sum()
+        table = symbol_table(probs)
+        choice_rng, one_rng, got_rng = (np.random.default_rng(9) for _ in range(3))
+        want = choice_rng.choice(len(probs), size=size, p=probs)
+        one = _one_call_draw(table, one_rng, size)
+        got = table.draw(got_rng, size)
+        assert got.dtype == np.int16 and got.shape == (size,)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, one)
+        assert got_rng.bit_generator.state == choice_rng.bit_generator.state
+        assert got_rng.bit_generator.state == one_rng.bit_generator.state
+        if size > self.BLOCK:
+            # Flagged buckets are searched in more than one block.
+            u = np.random.default_rng(9).random(size)
+            flagged = np.flatnonzero(table.guide[(u * _GUIDE_BUCKETS).astype(np.intp)] == FLAG)
+            assert np.unique(flagged // self.BLOCK).size > 1
 
 
 # -- Table.of against a brute-force first-hit search -----------------------

@@ -377,6 +377,56 @@ class TestBlockedLay:
         assert peak < 2 * where.nbytes
 
 
+def _traced_peak(call, *args):
+    """call(*args)'s result and the peak bytes tracemalloc saw during it."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+@pytest.mark.parametrize("kind", ["huffman", "proposed", "ita2"])
+class TestShortChunkPeak:
+    """An 8192 x 10 chunk at 85 molecules/char is drawn, laid and scored in
+    blocks: drawn, laid and scored whole, the draw peaked at 12.0 times its
+    symbols, the lay at 5.5-6.1 times the positions and the chunk at
+    5.6-6.3 times."""
+
+    @pytest.fixture
+    def cfg(self, dist, params, kind):
+        cb = build(kind, dist)
+        cfg = LinkConfig(
+            codebook=cb, distribution=dist, params=params,
+            molecules_per_one=_budget_share(dist, cb, 85), char_duration=0.5,
+            threshold=ConstantThreshold(8.0), msg_len=10, memory=10,
+        )
+        mc_sim._build_link_tables(cfg)
+        return cfg
+
+    def test_draw_peaks_below_6_times_the_symbols(self, cfg):
+        guide = mc_sim._symbol_guide(cfg)
+        syms, peak = _traced_peak(guide.draw, np.random.default_rng(8), CHUNK_TRIALS * 10)
+        assert peak < 6 * syms.nbytes
+
+    def test_lay_peaks_below_4_times_the_positions(self, cfg):
+        syms = mc_sim._symbol_guide(cfg).draw(np.random.default_rng(8), CHUNK_TRIALS * 10)
+        (_, where), peak = _traced_peak(cfg.codebook.tables.lay_ones,
+                                        syms.reshape(CHUNK_TRIALS, 10), cfg.memory - 1)
+        assert peak < 4 * where.nbytes
+
+    def test_chunk_peaks_below_5_times_the_positions(self, cfg):
+        guide = mc_sim._symbol_guide(cfg)
+        seed = (0, mc_sim._MAIN_TAG, 0)
+        messages = mc_sim._draw_messages(cfg, guide, CHUNK_TRIALS, seed)
+        where_bytes = messages.where.nbytes
+        del messages
+        _, peak = _traced_peak(mc_sim._run_chunk, [cfg], [8.0], guide, CHUNK_TRIALS, seed)
+        assert peak < 5 * where_bytes
+
+
 class TestLinkConfig:
     def test_build_assembles_consistent_profile(self, link, pcb, dist, params):
         from molcode.codebooks import expected_length
