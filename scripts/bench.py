@@ -12,10 +12,12 @@ minimum and maximum of every end-to-end metric BENCHMARK.json names, the
 round0_digest of every seed, the attempted and failed call counts, and
 the git revision, thread count and numpy version from the run records.
 It also summarizes, under "rusage", each run's user and system CPU
-seconds and minor page faults: resource.getrusage(RUSAGE_CHILDREN)
-differences around the run's subprocess, so they include the set-up
-probes perfbench starts in processes of its own, and the CPU time of
-every thread. With exactly two checkouts it also gives, per workload and
+seconds and minor page faults per call: resource.getrusage(RUSAGE_CHILDREN)
+differences around the run's subprocess, divided by the calls the run
+attempted. A run lasts a fixed time, so its totals grow with its speed;
+per call they do not. They still include the set-up probes perfbench
+starts in processes of its own, spread over the calls, and the CPU time
+of every thread. With exactly two checkouts it also gives, per workload and
 metric (the rusage entries under "rusage"), the
 size of the change (the second median over the first, minus 1), whether
 that change is resolved (the medians differ by more than the first
@@ -48,9 +50,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 #: What run_once measures of each run, summarized and compared as the metrics.
 RUSAGE = [
-    {"name": "user_s", "unit": "s", "better": "lower"},
-    {"name": "system_s", "unit": "s", "better": "lower"},
-    {"name": "minor_faults", "unit": "count", "better": "lower"},
+    {"name": "user_s_per_call", "unit": "s", "better": "lower"},
+    {"name": "system_s_per_call", "unit": "s", "better": "lower"},
+    {"name": "minor_faults_per_call", "unit": "count", "better": "lower"},
 ]
 
 
@@ -113,7 +115,7 @@ def swapped(first: Path, second: Path):
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, size: str) -> dict:
     """One untraced perfbench run; returns its record file, with the
-    run's RUSAGE under "rusage"."""
+    run's RUSAGE, per attempted call, under "rusage"."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -126,9 +128,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, size: str
                          f"{done.returncode}:\n{done.stderr}")
     record = json.loads(
         (checkout / ".perfbench_out" / f"{workload}-seed{seed}-trace0.json").read_text())
-    record["rusage"] = {"user_s": after.ru_utime - before.ru_utime,
-                        "system_s": after.ru_stime - before.ru_stime,
-                        "minor_faults": after.ru_minflt - before.ru_minflt}
+    calls = record["result"]["attempted"]
+    record["rusage"] = {"user_s_per_call": (after.ru_utime - before.ru_utime) / calls,
+                        "system_s_per_call": (after.ru_stime - before.ru_stime) / calls,
+                        "minor_faults_per_call": (after.ru_minflt - before.ru_minflt) / calls}
     return record
 
 

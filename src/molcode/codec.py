@@ -231,7 +231,11 @@ class CalibratedThreshold:
     the first-slot signal level is used. All candidates are scored on one
     shared batch of messages (common random numbers) and ties go to the
     smaller tau. Slot counts are integers, so candidates with the same
-    ceiling always tie; each such integer cut is scored once.
+    ceiling always tie; each such integer cut is scored once. The batch is
+    drawn in chunks of the simulator's main chunk size, each from its own
+    calibration stream of the seed, and run_cer, sweep and
+    resolve_threshold score it through the same chunks: the first two on
+    the worker pool, resolve_threshold one chunk after another.
     """
 
     candidates: tuple[float, ...] | None = None

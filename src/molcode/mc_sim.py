@@ -31,9 +31,10 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -406,7 +407,9 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
 
     Pilot and calibration randomness comes from dedicated substreams of
     master_seed, so resolving never perturbs the main simulation stream;
-    codec.collect_pilot_stats reads the pilots _pilot_counts sends.
+    codec.collect_pilot_stats reads the pilots _pilot_counts sends. A
+    calibrated threshold runs the calibration chunks that _run_groups runs
+    for cfg seeded with master_seed (_threshold_items), one after another.
     """
     strat = cfg.threshold
     if isinstance(strat, ConstantThreshold):
@@ -417,7 +420,10 @@ def resolve_threshold(cfg: LinkConfig, master_seed: int) -> tuple[float, str]:
         stats = codec.collect_pilot_stats(cfg.codebook, counts, cfg.molecules_per_one)
         return stats.tau, "pilot"
     if isinstance(strat, CalibratedThreshold):
-        return _calibrate_threshold(cfg, strat, master_seed), "calibrated"
+        items, finish = _threshold_items([replace(cfg, master_seed=master_seed)],
+                                         _symbol_guide(cfg))
+        (outcome,) = finish([item() for item in items])
+        return outcome
     raise TypeError(f"unknown threshold strategy {strat!r}")
 
 
@@ -444,26 +450,31 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * whole + ([rest] if rest else [])
 
 
-def _map_in_order(fn, items: list, workers: int, each=None) -> list:
-    """[fn(item) for item in items], on up to workers threads.
+def _map_groups(jobs: list[list], workers: int, each=None) -> list[list]:
+    """[[job() for job in group] for group in jobs], on up to workers threads.
 
-    Starts no pool when one thread would do. each, when given, is called
-    with every result in item order, as soon as it and all results before
-    it are in. If fn or each raises, the items not yet started are
-    cancelled and the exception propagates once the running ones finish.
+    Every job of every group runs on one pool, which is not started when
+    one thread would do, and the results come back in submission order.
+    each, when given, is called with every group's index and results as
+    soon as they and every earlier group's are in, so a group without jobs
+    is passed on right after the groups before it. If a job or each raises,
+    the jobs not yet started are cancelled and the exception propagates
+    once the running ones finish.
     """
-    workers = min(workers, len(items))
+    flat = [job for group in jobs for job in group]
+    workers = min(workers, len(flat))
     pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    results = []
+    out = []
     try:
-        for result in pool.map(fn, items) if pool else map(fn, items):
-            results.append(result)
+        results = pool.map(_call, flat) if pool else map(_call, flat)
+        for g, group in enumerate(jobs):
+            out.append(list(islice(results, len(group))))
             if each is not None:
-                each(result)
+                each(g, out[g])
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return results
+    return out
 
 
 def _build_link_tables(cfg: LinkConfig) -> None:
@@ -519,6 +530,29 @@ def _report(cfg: LinkConfig, tau: float, origin: str, parts: list[dict]) -> CerR
     )
 
 
+def _threshold_items(group: list[LinkConfig], guide: Table) -> tuple[list, Callable]:
+    """The items that resolve a group's thresholds, and finish, which turns
+    their results into each link's (tau, origin) or CalibrationError.
+
+    A calibrated group's items are its calibration chunks, chunk c seeded
+    by (master_seed, _CAL_TAG, c) and scored at every link's candidate
+    cuts (_calibration_errors), and finish picks each link's tau from them
+    by _pick_tau. Any other link is one _resolved item.
+    """
+    if not isinstance(group[0].threshold, CalibratedThreshold):
+        return [partial(_resolved, cfg) for cfg in group], list
+    candidates = [cfg.threshold.candidates or _default_candidates(cfg) for cfg in group]
+    items = [partial(_calibration_errors, group, candidates, guide, size,
+                     (group[0].master_seed, _CAL_TAG, index))
+             for index, size in enumerate(_chunk_sizes(group[0].threshold.messages))]
+
+    def finish(chunks: list) -> list:
+        return [(_pick_tau(cands, [chunk[j] for chunk in chunks]), "calibrated")
+                for j, cands in enumerate(candidates)]
+
+    return items, finish
+
+
 def _run_groups(groups: list[list[LinkConfig]], threads: int, each=None) -> list[list]:
     """Run every link of every group: a CerReport, or the CalibrationError
     its threshold raised, per link, in groups order.
@@ -527,77 +561,39 @@ def _run_groups(groups: list[list[LinkConfig]], threads: int, each=None) -> list
     each of them then draws the same messages from (master_seed, tag, c),
     so the group draws them once per chunk (_draw_messages) and each link
     draws its own arrivals from the state they left.
-    Every cached table is built first. The work then runs as items on up
-    to threads worker threads, in two passes: first the threshold of each
-    pilot or constant link and each calibration chunk of a calibrated
-    group, scored at every link's cuts; then each main chunk of a group,
-    over the links whose threshold resolved. each, when given, is called
-    with a group's index and outcomes as soon as that group's last main
-    chunk and every earlier group's are in.
+    Every cached table is built first. The work then runs through one
+    scheduler, _map_groups, on up to threads worker threads, in two
+    passes: first every group's threshold items (_threshold_items), then
+    each main chunk of a group, over the links whose threshold resolved.
+    each, when given, is called with a group's index and outcomes as soon
+    as that group's last main chunk and every earlier group's are in.
     """
     for group in groups:
         for cfg in group:
             _build_link_tables(cfg)
     guides = [_symbol_guide(group[0]) for group in groups]
-    calibrated = [isinstance(group[0].threshold, CalibratedThreshold) for group in groups]
-    candidates = [[cfg.threshold.candidates or _default_candidates(cfg) for cfg in group]
-                  if cal else None for group, cal in zip(groups, calibrated)]
+    plans = [_threshold_items(group, guide) for group, guide in zip(groups, guides)]
+    outcomes = [finish(results) for (_, finish), results
+                in zip(plans, _map_groups([items for items, _ in plans], threads))]
+    jobs = []
+    for group, outs, guide in zip(groups, outcomes, guides):
+        live = [j for j, o in enumerate(outs) if not isinstance(o, CalibrationError)]
+        sizes = _chunk_sizes(group[0].trials) if live else []
+        jobs.append([partial(_run_chunk, [group[j] for j in live], [outs[j][0] for j in live],
+                             guide, size, (group[0].master_seed, _MAIN_TAG, index))
+                     for index, size in enumerate(sizes)])
+    reports: list[list] = []
 
-    jobs, owners = [], []
-    for g, group in enumerate(groups):
-        if calibrated[g]:
-            sizes = _chunk_sizes(group[0].threshold.messages)
-            jobs += [partial(_calibration_errors, group, candidates[g], guides[g], size,
-                             (group[0].master_seed, _CAL_TAG, index))
-                     for index, size in enumerate(sizes)]
-            owners += [g] * len(sizes)
-        else:
-            jobs += [partial(_resolved, cfg) for cfg in group]
-            owners += [g] * len(group)
-    landed = [[] for _ in groups]
-    for g, result in zip(owners, _map_in_order(_call, jobs, threads)):
-        landed[g].append(result)
-    outcomes = [
-        [(_pick_tau(cands, [chunk[j] for chunk in results]), "calibrated")
-         for j, cands in enumerate(candidates[g])] if calibrated[g] else results
-        for g, results in enumerate(landed)
-    ]
+    def land(g: int, chunks: list[list[dict]]) -> None:
+        per_link = zip(*chunks)  # each resolved link's totals of every chunk
+        reports.append([o if isinstance(o, CalibrationError)
+                        else _report(groups[g][j], *o, list(next(per_link)))
+                        for j, o in enumerate(outcomes[g])])
+        if each is not None:
+            each(g, reports[g])
 
-    jobs, owners = [], []
-    for g, group in enumerate(groups):
-        live = [j for j, o in enumerate(outcomes[g]) if not isinstance(o, CalibrationError)]
-        if live:
-            sizes = _chunk_sizes(group[0].trials)
-            jobs += [partial(_run_chunk, [group[j] for j in live],
-                             [outcomes[g][j][0] for j in live], guides[g], size,
-                             (group[0].master_seed, _MAIN_TAG, index))
-                     for index, size in enumerate(sizes)]
-            owners += [g] * len(sizes)
-    parts = [[] for _ in groups]
-    pending = [owners.count(g) for g in range(len(groups))]
-    done: list[list] = []
-
-    def flush() -> None:
-        while len(done) < len(groups) and not pending[len(done)]:
-            g = len(done)
-            per_link = zip(*parts[g])  # each resolved link's totals of every chunk
-            done.append([o if isinstance(o, CalibrationError)
-                         else _report(groups[g][j], *o, list(next(per_link)))
-                         for j, o in enumerate(outcomes[g])])
-            if each is not None:
-                each(g, done[g])
-
-    owner = iter(owners)
-
-    def land(totals: list[dict]) -> None:
-        g = next(owner)
-        parts[g].append(totals)
-        pending[g] -= 1
-        flush()
-
-    flush()
-    _map_in_order(_call, jobs, threads, each=land)
-    return done
+    _map_groups(jobs, threads, each=land)
+    return reports
 
 
 def _call(job):
@@ -654,19 +650,6 @@ def _pick_tau(candidates: Sequence[float], chunk_errors: list[dict[int, int]]) -
     smaller tau."""
     errors = {cut: sum(chunk[cut] for chunk in chunk_errors) for cut in chunk_errors[0]}
     return float(min(candidates, key=lambda tau: (errors[_count_cut(tau)], tau)))
-
-
-def _calibrate_threshold(
-    cfg: LinkConfig, strategy: CalibratedThreshold, master_seed: int
-) -> float:
-    """Candidate tau with the fewest character errors on one shared batch
-    of strategy.messages messages, drawn and scored by _calibration_errors."""
-    candidates = strategy.candidates or _default_candidates(cfg)
-    guide = _symbol_guide(cfg)
-    return _pick_tau(candidates, [
-        _calibration_errors([cfg], [candidates], guide, size, (master_seed, _CAL_TAG, index))[0]
-        for index, size in enumerate(_chunk_sizes(strategy.messages))
-    ])
 
 
 def sweep(

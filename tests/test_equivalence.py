@@ -13,6 +13,7 @@ full-length bincount passes, then a full read, correct, decode and score
 of every candidate tau on its own. Every reference must agree exactly,
 not statistically.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from molcode import (
     build_proposed,
     english_letter_distribution,
     ita2,
+    resolve_threshold,
     sample_arrivals,
 )
 from molcode import _inversion, codebooks, mc_sim
@@ -44,7 +46,6 @@ from molcode.mc_sim import (
     CHUNK_TRIALS,
     _accumulate_counts,
     _budget_share,
-    _calibrate_threshold,
     _default_candidates,
     _draw_messages,
     _pilot_counts,
@@ -836,7 +837,8 @@ class TestCalibrationEquivalence:
         cfg = _link(hcb, dist, params, molecules=40)
         strategy = CalibratedThreshold(messages=CHUNK_TRIALS + 700)
         want, _ = _brute_force_calibration(cfg, strategy, 5)
-        assert _calibrate_threshold(cfg, strategy, 5) == want
+        assert resolve_threshold(dataclasses.replace(cfg, threshold=strategy), 5) == (
+            want, "calibrated")
 
     def test_candidates_sharing_a_ceiling(self, dist, icb, params):
         # Up to four candidates per integer cut, out of order: the
@@ -849,13 +851,15 @@ class TestCalibrationEquivalence:
         for tau, err in zip(grid, errors):
             by_cut.setdefault(math.ceil(tau), set()).add(err)
         assert all(len(errs) == 1 for errs in by_cut.values())
-        assert _calibrate_threshold(cfg, strategy, 8) == want
+        assert resolve_threshold(dataclasses.replace(cfg, threshold=strategy), 8) == (
+            want, "calibrated")
 
     def test_proposed_with_correction(self, dist, pcb, params):
         cfg = _link(pcb, dist, params, molecules=30)
         strategy = CalibratedThreshold(messages=4000)
         want, _ = _brute_force_calibration(cfg, strategy, 2)
-        assert _calibrate_threshold(cfg, strategy, 2) == want
+        assert resolve_threshold(dataclasses.replace(cfg, threshold=strategy), 2) == (
+            want, "calibrated")
 
 
 # -- a kind's shared messages against each link run alone ----------------

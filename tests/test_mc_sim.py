@@ -1,5 +1,6 @@
 """Monte Carlo link engine: sampling, determinism, fairness, sweeps."""
 import dataclasses
+import functools
 import math
 import threading
 import tracemalloc
@@ -670,6 +671,19 @@ class TestThresholdResolution:
         )
         assert resolve_threshold(cfg, 2) == resolve_threshold(cfg, 2)
 
+    @pytest.mark.parametrize("kind", ["huffman", "ita2"])
+    @pytest.mark.parametrize("budget", [40, 60])
+    def test_calibration_is_seeded_by_the_seed_argument(self, dist, params, kind, budget):
+        # The link's own master_seed is 0; the seed argument alone seeds
+        # calibration, as run_cer of the link with that master_seed does.
+        cfg = LinkConfig(
+            codebook=build(kind, dist), distribution=dist, params=params,
+            molecules_per_one=budget, char_duration=0.5,
+            threshold=CalibratedThreshold(messages=3000), trials=100, master_seed=0,
+        )
+        want = run_cer(dataclasses.replace(cfg, master_seed=7), threads=1).tau
+        assert resolve_threshold(cfg, 7) == (want, "calibrated")
+
 
 class TestSweep:
     def test_rows_cover_kind_budget_grid(self, dist, params):
@@ -807,6 +821,71 @@ class TestSweep:
             [("chunk", "proposed")] * 2 + [("proposed", b) for b in (0.0, 60.0, 85.0)]
             + [("chunk", "ita2")] * 2 + [("ita2", b) for b in (0.0, 60.0, 85.0)])
         assert rows[0]["error"].startswith("uncalibratable")
+
+    def test_failing_progress_cancels_queued_chunks(self, dist, params, monkeypatch):
+        # Two kinds of eight main chunks each; every chunk waits a little,
+        # so the first row, which raises, lands while the two workers hold
+        # at most the next kind's first two chunks.
+        run_chunk, started = mc_sim._run_chunk, []
+
+        def slow(links, taus, guide, trials, seed_tuple):
+            started.append(seed_tuple)
+            threading.Event().wait(0.1)
+            return run_chunk(links, taus, guide, 50, seed_tuple)
+
+        def failing(row):
+            raise RuntimeError("progress failed")
+
+        monkeypatch.setattr(mc_sim, "_run_chunk", slow)
+        threads_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="progress failed"):
+            sweep(dist, params, budgets=[60.0], trials=8 * CHUNK_TRIALS, master_seed=1,
+                  kinds=("proposed", "huffman"), threads=2, progress=failing)
+        assert 8 <= len(started) <= 10
+        assert set(threading.enumerate()) <= threads_before
+
+
+class TestMapGroups:
+    #: Group sizes with empty groups at the start, in the middle and at the end.
+    SIZES = [[], [0], [0, 0], [3], [0, 2, 0, 3, 1, 0], [1, 0, 0, 2]]
+
+    @staticmethod
+    def _jobs(sizes, events):
+        def job(g, i):
+            events.append(("job", g))
+            return g, i
+
+        return [[functools.partial(job, g, i) for i in range(n)] for g, n in enumerate(sizes)]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_results_are_each_groups_in_order(self, sizes, workers):
+        jobs = self._jobs(sizes, [])
+        assert mc_sim._map_groups(jobs, workers) == [[job() for job in group]
+                                                     for group in jobs]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("sizes", SIZES)
+    def test_each_sees_every_group_once_in_order(self, sizes, workers):
+        events = []
+        jobs = self._jobs(sizes, events)
+        got = mc_sim._map_groups(jobs, workers,
+                                 each=lambda g, results: events.append(("each", g, results)))
+        landed = [e for e in events if e[0] == "each"]
+        assert landed == [("each", g, results) for g, results in enumerate(got)]
+        for at, event in enumerate(events):
+            if event[0] == "each":
+                # Every job of this group and of the earlier ones ran before.
+                g = event[1]
+                ran = [e for e in events[:at] if e[0] == "job" and e[1] <= g]
+                assert len(ran) == sum(sizes[:g + 1])
+        if workers == 1:
+            # One thread runs no job ahead: an empty group lands straight
+            # after the group before it, before any later group's job.
+            want = []
+            for g, n in enumerate(sizes):
+                want += [("job", g)] * n + [("each", g, got[g])]
+            assert events == want
 
 
 class TestThreadEnvCap:

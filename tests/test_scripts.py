@@ -15,6 +15,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCH = ROOT / "scripts" / "bench.py"
+#: The rusage entries of a run, each per attempted call.
+RUSAGE_KEYS = ("user_s_per_call", "system_s_per_call", "minor_faults_per_call")
 
 
 def load_bench():
@@ -51,13 +53,14 @@ def test_bench_writes_a_trajectory(tmp_path):
     assert {"git_revision", "threads", "numpy", "round0_digest", "failed"} <= set(run)
     assert run["threads"] == 1 and run["failed"] == 0 and set(run["round0_digest"]) == {"1"}
     assert set(run["metrics"]) == {"setup_s", "chars_per_s", "peak_rss_mb"}
-    assert set(run["rusage"]) == {"user_s", "system_s", "minor_faults"}
+    assert set(run["rusage"]) == set(RUSAGE_KEYS)
     for entry in [*run["metrics"].values(), *run["rusage"].values()]:
         assert {"median", "min", "max"} <= set(entry)
         assert entry["min"] <= entry["median"] <= entry["max"]
     # The run and its set-up probes import numpy: they take CPU time and fault pages in.
-    assert run["rusage"]["user_s"]["min"] > 0 and run["rusage"]["minor_faults"]["min"] > 0
-    assert run["rusage"]["system_s"]["min"] >= 0
+    rusage = run["rusage"]
+    assert rusage["user_s_per_call"]["min"] > 0 and rusage["minor_faults_per_call"]["min"] > 0
+    assert rusage["system_s_per_call"]["min"] >= 0
 
 
 def test_bench_compares_two_checkouts(tmp_path):
@@ -79,11 +82,11 @@ def test_bench_compares_two_checkouts(tmp_path):
     assert pair["digests_equal"] is True
     first, second = (c["workloads"]["cer_hotpath"]["metrics"] for c in doc["checkouts"])
     firsts, seconds = (c["workloads"]["cer_hotpath"]["rusage"] for c in doc["checkouts"])
-    assert set(pair["rusage"]) == {"user_s", "system_s", "minor_faults"}
+    assert set(pair["rusage"]) == set(RUSAGE_KEYS)
     for entry, a, b in [(pair[name], first[name], second[name])
                         for name in ("setup_s", "chars_per_s", "peak_rss_mb")] + [
                         (pair["rusage"][name], firsts[name], seconds[name])
-                        for name in ("user_s", "system_s", "minor_faults")]:
+                        for name in RUSAGE_KEYS]:
         assert entry["pairs"] == 1
         assert entry["second_better"] + entry["second_worse"] <= 1
         assert entry["median_change"] == (pytest.approx(b["median"] / a["median"] - 1)
@@ -127,7 +130,8 @@ def fake_record(tree: str) -> dict:
     metrics = {name: {"value": 1.0} for name in ("setup_s", "chars_per_s", "peak_rss_mb")}
     return {"meta": meta,
             "result": {"attempted": 1, "failed": 0, "correct": True, "metrics": metrics},
-            "rusage": {"user_s": 1.0, "system_s": 0.1, "minor_faults": 100}}
+            "rusage": {"user_s_per_call": 1.0, "system_s_per_call": 0.1,
+                       "minor_faults_per_call": 100.0}}
 
 
 def test_swap_halves_runs_each_checkout_in_both_directories(tmp_path, monkeypatch):
