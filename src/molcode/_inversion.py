@@ -52,7 +52,8 @@ class Table(NamedTuple):
     b = floor(u * _GUIDE_BUCKETS) in row r. The draw is monotone in m, so
     where the least and the greatest lattice point of the bucket draw the
     same x, every point between does, and the entry is x. Any other entry
-    is flag, the guide dtype's largest value, and only those draws search.
+    is flag, the guide dtype's largest value, held as a field so no lookup
+    builds it, and only those draws search.
     The two ends differ exactly where a cut of row r lies in the bucket
     short of its greatest point, and x is the count of row r's cuts below
     the bucket.
@@ -63,6 +64,7 @@ class Table(NamedTuple):
     bound: np.ndarray
     width: int
     safe: float
+    flag: int
 
     @classmethod
     def of(cls, cuts: np.ndarray, dtype, bound: np.ndarray, safe: float) -> Table:
@@ -79,12 +81,9 @@ class Table(NamedTuple):
         below = np.bincount(above.ravel(), minlength=rows * (_GUIDE_BUCKETS + 1))
         guide = below.reshape(rows, -1).cumsum(axis=1)[:, :-1]
         split = (bucket < _GUIDE_BUCKETS) & (within < step - 1)
-        guide[split.nonzero()[0], bucket[split]] = np.iinfo(dtype).max
-        return cls(keys, guide.astype(dtype).ravel(), bound, width, safe)
-
-    @property
-    def flag(self) -> int:
-        return int(np.iinfo(self.guide.dtype).max)
+        flag = int(np.iinfo(dtype).max)
+        guide[split.nonzero()[0], bucket[split]] = flag
+        return cls(keys, guide.astype(dtype).ravel(), bound, width, safe, flag)
 
     def search(self, rows, u: np.ndarray) -> np.ndarray:
         """The outcome of each uniform of u in its row of rows, from keys alone."""

@@ -217,6 +217,13 @@ class Codebook:
         )
 
 
+def _position_dtype(rows: int, stride: int) -> type:
+    """int32 for flat positions into a rows x stride matrix while its size
+    stays within int32's range, else int64: half the bytes, where every
+    position fits."""
+    return np.int32 if rows * stride <= np.iinfo(np.int32).max else np.int64
+
+
 def _ragged(first: np.ndarray, size: np.ndarray):
     """Where the rows flat[first[i]:first[i] + size[i]] of a ragged table
     lie, for every i, laid back to back.
@@ -367,36 +374,42 @@ class CodeTables:
         columns, max_t being the longest message. Returns every message's
         length in slots, and the flat positions of its ones in that
         matrix, ascending: each is its word's start plus its in-word
-        position. Every other slot of the matrix holds a 0.
+        position, of the dtype _position_dtype picks for the matrix. Every
+        other slot of the matrix holds a 0.
 
         The rows are laid _LAY_BLOCK symbols at a time, in two forward
         passes: the first sums each message's length and the chunk's count
         of ones, which sizes where, and the second writes each block's
-        positions into the next part of where. So where is the only array
-        held that grows with the chunk's symbols or ones.
+        positions into the next part of where, computing them in where's
+        dtype. So where is the only array held that grows with the chunk's
+        symbols or ones.
         """
         rows = max(1, _LAY_BLOCK // syms.shape[1])
         firsts = range(0, syms.shape[0], rows)
         tlen = np.concatenate([self.word_len[syms[a:a + rows]].sum(axis=1) for a in firsts])
         total = sum(int(self.ones_len[syms[a:a + rows]].sum()) for a in firsts)
         stride = int(tlen.max()) + spare
+        dtype = _position_dtype(syms.shape[0], stride)
+        # A take into an out of another dtype buffers the whole gather.
+        word_len, ones_flat = self.word_len.astype(dtype), self.ones_flat.astype(dtype)
         end = 0
         for a in firsts:
             block = syms[a:a + rows]
-            lens = self.word_len[block]
-            starts = lens.cumsum(axis=1)
+            lens = word_len[block]
+            starts = lens.cumsum(axis=1, dtype=dtype)
             starts -= lens
-            starts += np.arange(a * stride, (a + len(block)) * stride, stride)[:, None]
+            starts += np.arange(a * stride, (a + len(block)) * stride, stride,
+                                dtype=dtype)[:, None]
             owner, index = _ragged(self.ones_off[block.ravel()], self.ones_len[block].ravel())
             if a == 0:
                 # After the first gather: allocated before it, where took fresh pages
                 # beside the gather's temporaries and a two-thread sweep's peak RSS rose 3 %.
-                where = np.empty(total, dtype=np.int64)
+                where = np.empty(total, dtype=dtype)
             part = where[end:end + index.size]
             end += index.size
             # mode="clip" writes straight into part; "raise" would buffer.
             starts.ravel().take(owner, out=part, mode="clip")
-            part += self.ones_flat[index]
+            part += ones_flat[index]
         return tlen, where
 
 

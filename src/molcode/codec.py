@@ -132,11 +132,12 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     """Walk the codeword trie along every row and score it against syms.
 
     final has a column per slot of the longest message, so at least
-    msg_len. The walk reads tables.steps, the same trie k slots per
-    lookup, in ceil(max_t / k) steps: each row's bits are packed into
-    k-bit codes, time major, and a step looks up every row's entry from
-    its state, its count of those k slots that lie before its tlen, and
-    their code. A step writes the entry's emit column (its symbols, then
+    msg_len, and may have more: a row's slots past its tlen are never
+    read. The walk reads tables.steps, the same trie k slots per lookup,
+    in ceil(max_t / k) steps, max_t being final's width: each row's bits
+    are packed into k-bit codes, time major, and a step looks up every
+    row's entry from its state, its count of those k slots that lie
+    before its tlen, and their code. A step writes the entry's emit column (its symbols, then
     -1) into the row's stretch of an int16 buffer from the row's decoded
     count on, or from msg_len once that count passes it: only the first
     msg_len are scored. A step writes at most the table's width, so
@@ -157,12 +158,16 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     # of the packed rows.
     starts = np.arange(0, max_t, k, dtype=np.int32)
     row_bytes = -(-max_t // 8)
-    # One flat packbits of a zero-padded copy: packbits along axis 1 pays
-    # per row and is the slower of the two below about a thousand slots.
-    padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
-    padded[:, :max_t] = final
+    # One flat packbits: packbits along axis 1 pays per row and is the
+    # slower of the two below about a thousand slots. The simulator reads
+    # C-contiguous rows of whole bytes, packed as they are; any other
+    # matrix is packed from a zero-padded copy.
+    if max_t % 8 or not final.flags.c_contiguous:
+        padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
+        padded[:, :max_t] = final
+        final = padded
     wide = np.zeros((row_bytes + 1, trials), dtype=np.uint16)
-    wide[:-1] = np.packbits(padded, bitorder="little").reshape(trials, row_bytes).T
+    wide[:-1] = np.packbits(final, bitorder="little").reshape(trials, row_bytes).T
     window = wide[starts >> 3] | wide[(starts >> 3) + 1] << 8
     keys = np.clip(tlen.astype(np.int32) - starts[:, None], 0, k) << k
     keys += (window >> (starts & 7)[:, None]) & ((1 << k) - 1)

@@ -225,15 +225,28 @@ def _symbol_guide(cfg: LinkConfig) -> Table:
     return _inversion.symbol_table([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
+def _spare(cfg: LinkConfig) -> int:
+    """Columns a release matrix keeps past max_t in every row: the memory - 1
+    slots a window spills into, and at least the 7 a read rounds up by."""
+    return max(cfg.memory - 1, 7)
+
+
+def _read_width(max_t: int) -> int:
+    """The slots a (trials, max_t) chunk is read over: max_t rounded up to
+    whole bytes, so codec._decode_rows packs the read with no padded copy.
+    Slots past a row's tlen are ignored by the decode and the scoring."""
+    return -(-max_t // 8) * 8
+
+
 def _release_matrix(shape: tuple[int, int], cfg: LinkConfig, dtype) -> tuple:
-    """A zero matrix of dtype in the stride max_t + memory - 1 of the
+    """A zero matrix of dtype in the stride max_t + _spare(cfg) of the
     release positions, so a window that runs past max_t spills into spare
     columns instead of being masked: returns it flat and as a (trials,
-    max_t) view.
+    _read_width(max_t)) view.
     """
     trials, max_t = shape
-    full = np.zeros((trials, max_t + cfg.memory - 1), dtype=dtype)
-    return full.reshape(-1), full[:, :max_t]
+    full = np.zeros((trials, max_t + _spare(cfg)), dtype=dtype)
+    return full.reshape(-1), full[:, :_read_width(max_t)]
 
 
 def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfig,
@@ -241,13 +254,15 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
     """Superpose the arrival spreads of every bit-1 release into slot counts.
 
     where holds the release positions, flat indices into a _release_matrix
-    of shape (trials, max_t), whose view is returned. Counts are exact
-    sums of integer arrivals in the narrowest unsigned dtype that holds
-    molecules_per_one * memory: a slot counts the arrivals of at most
-    memory releases, one per lag, each of at most molecules_per_one.
+    of shape (trials, max_t), whose view is returned: the counts over the
+    read width. Counts are exact sums of integer arrivals in the narrowest
+    unsigned dtype that holds molecules_per_one * memory: a slot counts
+    the arrivals of at most memory releases, one per lag, each of at most
+    molecules_per_one.
     Each slot's arrival column is drawn in that dtype too, so np.add.at
     stays on numpy's loop for one dtype (a column of another dtype took
-    over ten times as long), and added as soon as it is drawn, at where in
+    over ten times as long; int32 positions it takes with no copy), and
+    added as soon as it is drawn, at where in
     a view of the flat counts that starts lag slots in, so no (memory,
     releases) array is ever held and where is left as it was.
     """
@@ -265,13 +280,15 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
 class _Messages:
     """One chunk's messages, laid, and the generator that drew them.
 
-    where holds the release positions, and state is the generator's state
-    right after the messages, where every link's arrivals start.
+    where holds the release positions in a _release_matrix of shape
+    (trials, max_t), and state is the generator's state right after the
+    messages, where every link's arrivals start.
     """
 
     def __init__(self, syms: np.ndarray, tlen: np.ndarray, where: np.ndarray,
                  rng: np.random.Generator) -> None:
         self.syms, self.tlen, self.where, self.rng = syms, tlen, where, rng
+        self.shape = (len(tlen), int(tlen.max()))
         self.state = rng.bit_generator.state
 
     def counts(self, cfg: LinkConfig) -> np.ndarray:
@@ -282,8 +299,7 @@ class _Messages:
         same messages itself.
         """
         self.rng.bit_generator.state = self.state
-        return _accumulate_counts(self.where, (len(self.tlen), int(self.tlen.max())),
-                                  cfg, self.rng)
+        return _accumulate_counts(self.where, self.shape, cfg, self.rng)
 
 
 def _draw_messages(cfg: LinkConfig, guide: Table, trials: int, seed_tuple) -> _Messages:
@@ -297,7 +313,7 @@ def _draw_messages(cfg: LinkConfig, guide: Table, trials: int, seed_tuple) -> _M
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
     syms = guide.draw(rng, trials * cfg.msg_len).reshape(trials, cfg.msg_len)
-    tlen, where = cfg.codebook.tables.lay_ones(syms, cfg.memory - 1)
+    tlen, where = cfg.codebook.tables.lay_ones(syms, _spare(cfg))
     return _Messages(syms, tlen, where, rng)
 
 
@@ -335,8 +351,9 @@ def _link_totals(cfg: LinkConfig, tau: float, messages: _Messages) -> dict:
     """Read, decode and score one link's arrivals on a chunk's messages.
 
     The counts are read by codec._read_bits at tau's count cut,
-    correction included, and decoded by codec._decode_rows; the sent bits
-    are put from the release positions once the counts are freed, and
+    correction included, over the read width, and decoded by
+    codec._decode_rows; the sent bits are set at the release positions
+    once the counts are freed (a put would copy int32 positions), and
     scored _SCORE_BLOCK symbols of rows at a time, so the masks of the
     scoring are one block's. Every array is freed on return, before the
     next link's are drawn. Returns the chunk's integer totals under their
@@ -350,8 +367,8 @@ def _link_totals(cfg: LinkConfig, tau: float, messages: _Messages) -> dict:
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
                                                             cfg.codebook.tables)
 
-    flat, sent = _release_matrix(final.shape, cfg, bool)
-    flat.put(where, True)
+    flat, sent = _release_matrix(messages.shape, cfg, bool)
+    flat[where] = True
     rows = max(1, _SCORE_BLOCK // cfg.msg_len)
     trials = len(tlen)
     blocks = [_score_rows(sent[a:a + rows], final[a:a + rows], tlen[a:a + rows])

@@ -49,8 +49,10 @@ from molcode.mc_sim import (
     _default_candidates,
     _draw_messages,
     _pilot_counts,
+    _read_width,
     _run_chunk,
     _run_groups,
+    _spare,
     _symbol_guide,
     run_cer,
 )
@@ -85,15 +87,15 @@ def _laid_messages(tables, guide, trials, msg_len, spare, rng):
     return syms, tlen, _bit_matrix(where, trials, int(tlen.max()), spare), where
 
 
-def _release_loop_counts(bitmat, cfg, rng):
-    """One release at a time, in row-major order, clipped at the row end."""
-    trials, max_t = bitmat.shape
+def _release_loop_counts(bitmat, cfg, rng, width):
+    """One release at a time, in row-major order, into rows of width slots,
+    clipped at the row end."""
     rows, cols = np.nonzero(bitmat)
     arrivals = _sample_arrivals(cfg, rng, rows.size)
-    counts = np.zeros((trials, max_t), dtype=np.int64)
+    counts = np.zeros((len(bitmat), width), dtype=np.int64)
     for r, c, spread in zip(rows, cols, arrivals):
         for k, a in enumerate(spread):
-            if c + k < max_t:
+            if c + k < width:
                 counts[r, c + k] += a
     return counts
 
@@ -370,16 +372,18 @@ class TestBlockedLay:
 
 
 def _fast_and_loop_counts(cfg, trials, seed):
-    """_accumulate_counts and the release loop on one laid chunk and stream,
-    with its bit matrix and message lengths; where is checked unchanged."""
+    """_accumulate_counts and the release loop over the read width on one
+    laid chunk and stream, with its bit matrix and message lengths; where
+    is checked unchanged."""
     rng = np.random.default_rng(seed)
     syms, tlen, bitmat, where = _laid_messages(cfg.codebook.tables, _symbol_guide(cfg),
-                                               trials, cfg.msg_len, cfg.memory - 1, rng)
+                                               trials, cfg.msg_len, _spare(cfg), rng)
     state, sent = rng.bit_generator.state, where.copy()
     fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
     np.testing.assert_array_equal(where, sent)
     rng.bit_generator.state = state
-    return fast, _release_loop_counts(bitmat, cfg, rng), bitmat, tlen
+    width = _read_width(bitmat.shape[1])
+    return fast, _release_loop_counts(bitmat, cfg, rng, width), bitmat, tlen
 
 
 class TestAccumulateCounts:
@@ -390,13 +394,16 @@ class TestAccumulateCounts:
 
         # 40 molecules over 10 slots of memory can sum to 400, past uint8.
         assert fast.dtype == np.uint16
-        assert fast.shape == bitmat.shape
+        # The counts are read over max_t rounded up to whole bytes.
+        assert fast.shape == (len(bitmat), _read_width(bitmat.shape[1]))
+        assert fast.shape[1] % 8 == 0 and fast.shape[1] - bitmat.shape[1] < 8
         np.testing.assert_array_equal(fast, slow)
-        # The case the spare columns exist for: windows that run past max_t.
+        # The case the spare columns exist for: windows that run past the
+        # read, so past max_t.
         _, cols = np.nonzero(bitmat)
-        assert (cols + cfg.memory > bitmat.shape[1]).any()
+        assert (cols + cfg.memory > fast.shape[1]).any()
         # And counts past a message's own end stay in the matrix.
-        past_end = np.arange(bitmat.shape[1]) >= tlen[:, None]
+        past_end = np.arange(fast.shape[1]) >= tlen[:, None]
         assert fast[past_end].any()
 
     # molecules * memory on both sides of uint8's largest value, 255; the
@@ -414,17 +421,19 @@ class TestAccumulateCounts:
 
 # -- the bool scoring of a chunk against the int8 block it replaced --------
 def _int8_chunk_totals(cfg, trials, tau, seed_tuple):
-    """A chunk's totals as _run_chunk scored them on int8 matrices.
+    """A chunk's totals as _run_chunk scored them on int8 matrices of max_t
+    columns.
 
     The sent bits are an int8 matrix put together from the release
-    positions, and both it and the read bits are compared with == 1 and
-    == 0.
+    positions, the counts are read over max_t only, and both it and the
+    read bits are compared with == 1 and == 0.
     """
     messages = _draw_messages(cfg, _symbol_guide(cfg), trials, seed_tuple)
     syms, tlen, where, counts = (messages.syms, messages.tlen, messages.where,
                                  messages.counts(cfg))
-    bitmat = _bit_matrix(where, trials, counts.shape[1], cfg.memory - 1)
-    final = _read_bits(counts, _count_cut(tau), cfg.codebook.corrected)
+    max_t = int(tlen.max())
+    bitmat = _bit_matrix(where, trials, max_t, _spare(cfg))
+    final = _read_bits(counts[:, :max_t], _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
                                                             cfg.codebook.tables)
 
@@ -583,6 +592,21 @@ class TestStepDecoder:
         flips = (rng.random(bitmat.shape) < 0.02).astype(np.int8)
         _assert_same_decode(bitmat, tlen, syms, cb.tables)
         _assert_same_decode(bitmat ^ flips, tlen, syms, cb.tables)
+
+    @pytest.mark.parametrize("width", [8, 9, 15, 16, 23, 64, 70])
+    @pytest.mark.parametrize("code", sorted(DECODE_CODES))
+    def test_matches_one_slot_walk_at_whole_and_odd_byte_widths(self, code, width):
+        # Contiguous rows of whole bytes are packed as they are; rows of
+        # other widths, and a view that is not contiguous, from a padded copy.
+        cb = DECODE_CODES[code]
+        rng = np.random.default_rng(width)
+        final, tlen, syms = _random_rows(cb, rng, 60, min(width, 6), width, 0.4)
+        _assert_same_decode(final, tlen, syms, cb.tables)
+        inside = np.ones((60, width + 8), dtype=np.int8)
+        inside[:, :width] = final
+        view = inside[:, :width]
+        assert not view.flags.c_contiguous
+        _assert_same_decode(view, tlen, syms, cb.tables)
 
     @pytest.mark.parametrize("words", [{"a": "0", "b": "1"},
                                        {"a": "0", "b": "10", "c": "11"}])

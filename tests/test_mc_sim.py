@@ -25,7 +25,7 @@ from molcode import (
     sample_arrivals,
     sweep,
 )
-from molcode import _inversion, mc_sim
+from molcode import _inversion, codebooks, codec, mc_sim
 from molcode.codebooks import Codebook, build
 from molcode.mc_sim import CHUNK_TRIALS, _budget_share
 
@@ -320,7 +320,7 @@ class TestStreamedCounts:
         mc_sim._build_link_tables(cfg)
         rng = np.random.default_rng(8)
         syms = mc_sim._symbol_guide(cfg).draw(rng, 1024 * cfg.msg_len).reshape(1024, -1)
-        tlen, where = hcb.tables.lay_ones(syms, cfg.memory - 1)
+        tlen, where = hcb.tables.lay_ones(syms, mc_sim._spare(cfg))
         arrivals_bytes = cfg.memory * where.size * 4
         tracemalloc.start()
         try:
@@ -333,9 +333,13 @@ class TestStreamedCounts:
 
 class TestChunkPeak:
     def test_long_chunk_peaks_below_3_2_times_the_positions(self, dist, pcb, params):
+        # Bounds count the positions at 8 bytes each, as int64 holds them.
         # Narrow counts, a decode buffer of msg_len + width columns and
         # scoring in row blocks: int32 counts, a max_t + width buffer and
-        # scoring masks of the whole chunk peaked at 3.74 times where.
+        # scoring masks of the whole chunk peaked at 3.74 times the
+        # positions. int64 positions and a padded copy for the decode
+        # peaked at 2.87 times, below a bound of 3.2; int32 positions and a
+        # read of whole bytes peak at 1.94 times.
         cfg = LinkConfig(
             codebook=pcb, distribution=dist, params=params,
             molecules_per_one=_budget_share(dist, pcb, 85), char_duration=0.5,
@@ -347,15 +351,17 @@ class TestChunkPeak:
         # The chunk's own messages: its generator draws them first.
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         syms = guide.draw(rng, CHUNK_TRIALS * 200).reshape(CHUNK_TRIALS, 200)
-        where_bytes = pcb.tables.lay_ones(syms, cfg.memory - 1)[1].nbytes
-        del syms
+        where = pcb.tables.lay_ones(syms, mc_sim._spare(cfg))[1]
+        assert where.dtype == np.int32
+        position_bytes = 8 * where.size
+        del syms, where
         tracemalloc.start()
         try:
             mc_sim._run_chunk([cfg], [8.0], guide, CHUNK_TRIALS, seed)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 3.2 * where_bytes
+        assert peak < 2.2 * position_bytes
 
 
 class TestBlockedLay:
@@ -363,7 +369,7 @@ class TestBlockedLay:
     def test_peak_stays_below_twice_the_positions(self, dist, kind):
         # The rows are laid a block at a time straight into where, so no
         # other array grows with the chunk: one pass over the whole chunk
-        # peaked at 5.3 times where.
+        # peaked at 5.3 times where, at 8 bytes a position.
         cb = build(kind, dist)
         probs = [dist.prob(s) for s in cb.symbols]
         syms = _inversion.symbol_table(probs).draw(np.random.default_rng(8),
@@ -375,7 +381,7 @@ class TestBlockedLay:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * where.nbytes
+        assert peak < 2 * 8 * where.size
 
 
 def _traced_peak(call, *args):
@@ -394,7 +400,10 @@ class TestShortChunkPeak:
     """An 8192 x 10 chunk at 85 molecules/char is drawn, laid and scored in
     blocks: drawn, laid and scored whole, the draw peaked at 12.0 times its
     symbols, the lay at 5.5-6.1 times the positions and the chunk at
-    5.6-6.3 times."""
+    5.6-6.3 times. The positions count 8 bytes each, as int64 holds them:
+    in blocks, with int64 positions and a padded copy for the decode, the
+    chunk peaked at 3.17-4.12 times, below a bound of 5; with int32
+    positions and a read of whole bytes it peaks at 2.67-3.62 times."""
 
     @pytest.fixture
     def cfg(self, dist, params, kind):
@@ -415,17 +424,87 @@ class TestShortChunkPeak:
     def test_lay_peaks_below_4_times_the_positions(self, cfg):
         syms = mc_sim._symbol_guide(cfg).draw(np.random.default_rng(8), CHUNK_TRIALS * 10)
         (_, where), peak = _traced_peak(cfg.codebook.tables.lay_ones,
-                                        syms.reshape(CHUNK_TRIALS, 10), cfg.memory - 1)
-        assert peak < 4 * where.nbytes
+                                        syms.reshape(CHUNK_TRIALS, 10), mc_sim._spare(cfg))
+        assert peak < 4 * 8 * where.size
 
     def test_chunk_peaks_below_5_times_the_positions(self, cfg):
         guide = mc_sim._symbol_guide(cfg)
         seed = (0, mc_sim._MAIN_TAG, 0)
         messages = mc_sim._draw_messages(cfg, guide, CHUNK_TRIALS, seed)
-        where_bytes = messages.where.nbytes
+        position_bytes = 8 * messages.where.size
         del messages
         _, peak = _traced_peak(mc_sim._run_chunk, [cfg], [8.0], guide, CHUNK_TRIALS, seed)
-        assert peak < 5 * where_bytes
+        assert peak < 4.4 * position_bytes
+
+
+class TestPositionDtype:
+    @pytest.mark.parametrize("rows, stride, dtype", [
+        (CHUNK_TRIALS, 1380, np.int32),
+        (1, 2**31 - 1, np.int32),
+        (2**31 - 1, 1, np.int32),
+        (CHUNK_TRIALS, 2**18 - 1, np.int32),  # 2**31 - 8192 slots
+        (CHUNK_TRIALS, 2**18, np.int64),  # 2**31 slots
+        (1, 2**31, np.int64),
+        (3, 2**30, np.int64),
+    ])
+    def test_int32_while_rows_times_stride_fits(self, rows, stride, dtype):
+        assert codebooks._position_dtype(rows, stride) is dtype
+
+    def test_reference_chunk_lays_int32_positions(self, dist, pcb, params):
+        cfg = LinkConfig(
+            codebook=pcb, distribution=dist, params=params,
+            molecules_per_one=_budget_share(dist, pcb, 85), char_duration=0.5,
+            threshold=ConstantThreshold(8.0),
+        )
+        messages = mc_sim._draw_messages(cfg, mc_sim._symbol_guide(cfg), CHUNK_TRIALS,
+                                         (0, mc_sim._MAIN_TAG, 0))
+        assert messages.where.dtype == np.int32
+
+    @pytest.mark.parametrize("kind", ["huffman", "proposed"])
+    def test_int64_positions_lay_and_score_alike(self, kind, dist, params, monkeypatch):
+        # The int64 positions of a matrix past int32's range, forced on a
+        # small chunk: the same positions and the same chunk totals.
+        cb = build(kind, dist)
+        cfg = LinkConfig(
+            codebook=cb, distribution=dist, params=params,
+            molecules_per_one=_budget_share(dist, cb, 85), char_duration=0.5,
+            threshold=ConstantThreshold(8.0), msg_len=20,
+        )
+        guide, seed = mc_sim._symbol_guide(cfg), (3, mc_sim._MAIN_TAG, 0)
+        narrow = mc_sim._draw_messages(cfg, guide, 600, seed).where
+        want = mc_sim._run_chunk([cfg], [8.0], guide, 600, seed)
+        monkeypatch.setattr(codebooks, "_position_dtype", lambda rows, stride: np.int64)
+        wide = mc_sim._draw_messages(cfg, guide, 600, seed).where
+        assert (narrow.dtype, wide.dtype) == (np.int32, np.int64)
+        np.testing.assert_array_equal(wide, narrow)
+        assert mc_sim._run_chunk([cfg], [8.0], guide, 600, seed) == want
+
+
+class TestAlignedRead:
+    def test_decode_packs_the_read_without_a_padded_copy(self, dist, pcb, params):
+        # A long proposed chunk is read over max_t rounded up to whole
+        # bytes, and the decode packs that read as it is. The same bits as
+        # a (trials, max_t) copy, max_t not a multiple of 8, are packed
+        # from a zero-padded copy the size of the read.
+        cfg = LinkConfig(
+            codebook=pcb, distribution=dist, params=params,
+            molecules_per_one=_budget_share(dist, pcb, 85), char_duration=0.5,
+            threshold=ConstantThreshold(8.0), msg_len=200, memory=10,
+        )
+        mc_sim._build_link_tables(cfg)
+        messages = mc_sim._draw_messages(cfg, mc_sim._symbol_guide(cfg), CHUNK_TRIALS,
+                                         (0, mc_sim._MAIN_TAG, 0))
+        max_t = messages.shape[1]
+        read = codec._read_bits(messages.counts(cfg), codec._count_cut(8.0), True).view(bool)
+        assert max_t % 8 and read.flags.c_contiguous
+        assert read.shape == (CHUNK_TRIALS, mc_sim._read_width(max_t))
+        copy = np.ascontiguousarray(read[:, :max_t])
+        args = messages.tlen, messages.syms, pcb.tables
+        aligned, aligned_peak = _traced_peak(codec._decode_rows, read, *args)
+        padded, padded_peak = _traced_peak(codec._decode_rows, copy, *args)
+        for got, want in zip(aligned, padded):
+            np.testing.assert_array_equal(got, want)
+        assert padded_peak - aligned_peak >= 0.9 * read.nbytes
 
 
 class TestLinkConfig:

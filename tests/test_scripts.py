@@ -195,3 +195,23 @@ def test_swap_halves_needs_two_separate_checkouts(tmp_path, checkouts, capsys):
     assert exit_info.value.code == 2
     assert "neither inside the other" in capsys.readouterr().err
     assert not (tmp_path / "x.json").exists()
+
+
+def test_chunk_memory_names_each_stage_and_the_peak():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "chunk_memory.py"), "--msg-len", "10",
+         "--trials", "256", "--kinds", "huffman,proposed"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    stages = ["draw", "lay", "counts", "read", "decode", "score"]
+    assert lines[1].split() == ["kind", "max_t", "releases", *stages]
+    for kind, row, verdict in zip(("huffman", "proposed"), lines[2::2], lines[3::2]):
+        name, max_t, releases, *peaks = row.split()
+        assert name == kind and int(max_t) >= 10 and int(releases) > 0
+        peaks = dict(zip(stages, map(float, peaks)))
+        # "<kind> peaks at <MiB> MiB in <stage>, <B> B per message x slot"
+        said, verb, _, mib, _, _, top, *_ = verdict.split()
+        assert (said, verb) == (kind, "peaks") and top.rstrip(",") in stages
+        assert float(mib) == peaks[top.rstrip(",")] == max(peaks.values()) > 0
