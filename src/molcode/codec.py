@@ -160,9 +160,9 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     row_bytes = -(-max_t // 8)
     # One flat packbits: packbits along axis 1 pays per row and is the
     # slower of the two below about a thousand slots. The simulator reads
-    # C-contiguous rows of whole bytes, packed as they are; any other
-    # matrix is packed from a zero-padded copy.
-    if max_t % 8 or not final.flags.c_contiguous:
+    # rows of whole bytes, packed as they are; rows of any other width are
+    # packed from a zero-padded copy.
+    if max_t % 8:
         padded = np.zeros((trials, 8 * row_bytes), dtype=np.uint8)
         padded[:, :max_t] = final
         final = padded

@@ -383,6 +383,7 @@ def _fast_and_loop_counts(cfg, trials, seed):
     np.testing.assert_array_equal(where, sent)
     rng.bit_generator.state = state
     width = _read_width(bitmat.shape[1])
+    assert fast.shape == (trials, width)
     return fast, _release_loop_counts(bitmat, cfg, rng, width), bitmat, tlen
 
 
@@ -596,8 +597,8 @@ class TestStepDecoder:
     @pytest.mark.parametrize("width", [8, 9, 15, 16, 23, 64, 70])
     @pytest.mark.parametrize("code", sorted(DECODE_CODES))
     def test_matches_one_slot_walk_at_whole_and_odd_byte_widths(self, code, width):
-        # Contiguous rows of whole bytes are packed as they are; rows of
-        # other widths, and a view that is not contiguous, from a padded copy.
+        # Rows of whole bytes are packed as they are, also from a view that
+        # is not contiguous; rows of other widths from a padded copy.
         cb = DECODE_CODES[code]
         rng = np.random.default_rng(width)
         final, tlen, syms = _random_rows(cb, rng, 60, min(width, 6), width, 0.4)
