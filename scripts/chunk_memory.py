@@ -3,8 +3,8 @@
 
 Traces one mc_sim._run_chunk per kind, its messages and one link on the
 molcode command's default channel and character rate at a molecule
-budget per character, read at a constant threshold, and prints the
-traced peak of each stage of the chunk:
+budget per character, read at the constant threshold TAU, and prints
+the traced peak of each stage of the chunk:
 
     draw    the chunk's symbols (_inversion.Table.draw)
     lay     their release positions (CodeTables.lay_ones)
@@ -36,6 +36,8 @@ sys.path.insert(0, str(ROOT / "src"))
 from molcode import _inversion, cli, codebooks, mc_sim  # noqa: E402
 from molcode.codec import ConstantThreshold  # noqa: E402
 
+#: The constant threshold every chunk is read at.
+TAU = 8.0
 #: The stages in the order a chunk runs them.
 STAGES = ("draw", "lay", "counts", "read", "decode", "score")
 #: The function each stage but the last runs in, as (owner, attribute).
@@ -80,11 +82,12 @@ class StagePeaks:
         return traced
 
 
-def trace_chunk(cfg: mc_sim.LinkConfig, tau: float, trials: int, seed: int) -> tuple:
-    """The stage peaks, max_t and release count of one chunk of cfg."""
+def trace_chunk(cfg: mc_sim.LinkConfig, trials: int) -> tuple:
+    """The stage peaks, max_t and release count of one chunk of cfg, the
+    first main chunk of master seed 0, read at TAU."""
     mc_sim._build_link_tables(cfg)
     guide = mc_sim._symbol_guide(cfg)
-    seed_tuple = (seed, mc_sim._MAIN_TAG, 0)
+    seed_tuple = (0, mc_sim._MAIN_TAG, 0)
     messages = mc_sim._draw_messages(cfg, guide, trials, seed_tuple)
     max_t, releases = messages.shape[1], messages.where.size
     del messages
@@ -94,7 +97,7 @@ def trace_chunk(cfg: mc_sim.LinkConfig, tau: float, trials: int, seed: int) -> t
         setattr(owner, name, stages.wrap(stage, originals[stage]))
     tracemalloc.start()
     try:
-        mc_sim._run_chunk([cfg], [tau], guide, trials, seed_tuple)
+        mc_sim._run_chunk([cfg], [TAU], guide, trials, seed_tuple)
         stages.close("score")
     finally:
         tracemalloc.stop()
@@ -110,16 +113,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="molecules per character (default 85)")
     parser.add_argument("--trials", type=int, default=mc_sim.CHUNK_TRIALS)
     parser.add_argument("--kinds", default=",".join(codebooks.KINDS))
-    parser.add_argument("--tau", type=float, default=8.0, help="constant threshold")
-    parser.add_argument("--memory", type=int, default=cli.DEFAULTS["channel"]["memory"])
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     dist = codebooks.english_letter_distribution()
     params = cli._channel_params(cli.DEFAULTS)
     mib = 1 << 20
     print(f"{args.trials} x {args.msg_len} chunk at {args.budget:g} molecules/char, "
-          f"tau {args.tau:g}, memory {args.memory}; tracemalloc peaks in MiB")
+          f"tau {TAU:g}; tracemalloc peaks in MiB")
     print(f"{'kind':<10}{'max_t':>6}{'releases':>10}"
           + "".join(f"{stage:>8}" for stage in STAGES))
     for kind in args.kinds.split(","):
@@ -128,11 +128,11 @@ def main(argv: list[str] | None = None) -> int:
             codebook=cb, distribution=dist, params=params,
             molecules_per_one=mc_sim._budget_share(dist, cb, args.budget),
             char_duration=cli._char_duration(cli.DEFAULTS),
-            threshold=ConstantThreshold(args.tau),
-            msg_len=args.msg_len, memory=args.memory, trials=args.trials,
-            master_seed=args.seed,
+            threshold=ConstantThreshold(TAU),
+            msg_len=args.msg_len, memory=cli.DEFAULTS["channel"]["memory"],
+            trials=args.trials,
         )
-        peaks, max_t, releases = trace_chunk(cfg, args.tau, args.trials, args.seed)
+        peaks, max_t, releases = trace_chunk(cfg, args.trials)
         print(f"{kind:<10}{max_t:>6}{releases:>10}"
               + "".join(f"{peaks[stage] / mib:>8.1f}" for stage in STAGES))
         top = max(STAGES, key=peaks.get)

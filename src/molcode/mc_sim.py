@@ -225,12 +225,6 @@ def _symbol_guide(cfg: LinkConfig) -> Table:
     return _inversion.symbol_table([cfg.distribution.prob(s) for s in cfg.codebook.symbols])
 
 
-def _spare(cfg: LinkConfig) -> int:
-    """Columns a release matrix keeps past max_t in every row: the memory - 1
-    slots a window spills into, and at least the 7 a read rounds up by."""
-    return max(cfg.memory - 1, 7)
-
-
 def _read_width(max_t: int) -> int:
     """The slots a (trials, max_t) chunk is read over: max_t rounded up to
     whole bytes, so codec._decode_rows packs the read with no padded copy.
@@ -239,13 +233,14 @@ def _read_width(max_t: int) -> int:
 
 
 def _release_matrix(shape: tuple[int, int], cfg: LinkConfig, dtype) -> tuple:
-    """A zero matrix of dtype in the stride max_t + _spare(cfg) of the
+    """A zero matrix of dtype in the stride max_t + memory - 1 of the
     release positions, so a window that runs past max_t spills into spare
-    columns instead of being masked: returns it flat and as a (trials,
-    _read_width(max_t)) view.
+    columns instead of being masked: returns it flat and as a view of its
+    first _read_width(max_t) columns, or all of them where memory < 8
+    leaves the stride short of that width.
     """
     trials, max_t = shape
-    full = np.zeros((trials, max_t + _spare(cfg)), dtype=dtype)
+    full = np.zeros((trials, max_t + cfg.memory - 1), dtype=dtype)
     return full.reshape(-1), full[:, :_read_width(max_t)]
 
 
@@ -261,10 +256,12 @@ def _accumulate_counts(where: np.ndarray, shape: tuple[int, int], cfg: LinkConfi
     molecules_per_one.
     Each slot's arrival column is drawn in that dtype too, so np.add.at
     stays on numpy's loop for one dtype (a column of another dtype took
-    over ten times as long; int32 positions it takes with no copy), and
-    added as soon as it is drawn, at where in
+    over ten times as long), and added as soon as it is drawn, at where in
     a view of the flat counts that starts lag slots in, so no (memory,
-    releases) array is ever held and where is left as it was.
+    releases) array is ever held and where is left as it was. int32
+    positions np.add.at casts to intp through a small buffer on every
+    call, which made its scatter 13-30 % slower than with int64 ones; see
+    codebooks._position_dtype.
     """
     from . import _inversion
 
@@ -313,7 +310,7 @@ def _draw_messages(cfg: LinkConfig, guide: Table, trials: int, seed_tuple) -> _M
     """
     rng = np.random.default_rng(np.random.SeedSequence(seed_tuple))
     syms = guide.draw(rng, trials * cfg.msg_len).reshape(trials, cfg.msg_len)
-    tlen, where = cfg.codebook.tables.lay_ones(syms, _spare(cfg))
+    tlen, where = cfg.codebook.tables.lay_ones(syms, cfg.memory - 1)
     return _Messages(syms, tlen, where, rng)
 
 
@@ -353,7 +350,8 @@ def _link_totals(cfg: LinkConfig, tau: float, messages: _Messages) -> dict:
     The counts are read by codec._read_bits at tau's count cut,
     correction included, over the read width, and decoded by
     codec._decode_rows; the sent bits are set at the release positions
-    once the counts are freed (a put would copy int32 positions), and
+    once the counts are freed, by a fancy assignment (put took 1.6-3
+    times as long, and copies int32 positions to intp), and
     scored _SCORE_BLOCK symbols of rows at a time, so the masks of the
     scoring are one block's. Every array is freed on return, before the
     next link's are drawn. Returns the chunk's integer totals under their

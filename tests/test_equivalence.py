@@ -52,7 +52,6 @@ from molcode.mc_sim import (
     _read_width,
     _run_chunk,
     _run_groups,
-    _spare,
     _symbol_guide,
     run_cer,
 )
@@ -374,15 +373,17 @@ class TestBlockedLay:
 def _fast_and_loop_counts(cfg, trials, seed):
     """_accumulate_counts and the release loop over the read width on one
     laid chunk and stream, with its bit matrix and message lengths; where
-    is checked unchanged."""
+    is checked unchanged. The read spans max_t rounded up to whole bytes,
+    or the whole stride of max_t + memory - 1 slots where that is less."""
     rng = np.random.default_rng(seed)
     syms, tlen, bitmat, where = _laid_messages(cfg.codebook.tables, _symbol_guide(cfg),
-                                               trials, cfg.msg_len, _spare(cfg), rng)
+                                               trials, cfg.msg_len, cfg.memory - 1, rng)
     state, sent = rng.bit_generator.state, where.copy()
     fast = _accumulate_counts(where, bitmat.shape, cfg, rng)
     np.testing.assert_array_equal(where, sent)
     rng.bit_generator.state = state
-    width = _read_width(bitmat.shape[1])
+    max_t = bitmat.shape[1]
+    width = min(_read_width(max_t), max_t + cfg.memory - 1)
     assert fast.shape == (trials, width)
     return fast, _release_loop_counts(bitmat, cfg, rng, width), bitmat, tlen
 
@@ -433,7 +434,7 @@ def _int8_chunk_totals(cfg, trials, tau, seed_tuple):
     syms, tlen, where, counts = (messages.syms, messages.tlen, messages.where,
                                  messages.counts(cfg))
     max_t = int(tlen.max())
-    bitmat = _bit_matrix(where, trials, max_t, _spare(cfg))
+    bitmat = _bit_matrix(where, trials, max_t, cfg.memory - 1)
     final = _read_bits(counts[:, :max_t], _count_cut(tau), cfg.codebook.corrected)
     err_per_trial, dec_len, dead, incomplete = _decode_rows(final, tlen, syms,
                                                             cfg.codebook.tables)

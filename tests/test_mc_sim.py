@@ -320,7 +320,7 @@ class TestStreamedCounts:
         mc_sim._build_link_tables(cfg)
         rng = np.random.default_rng(8)
         syms = mc_sim._symbol_guide(cfg).draw(rng, 1024 * cfg.msg_len).reshape(1024, -1)
-        tlen, where = hcb.tables.lay_ones(syms, mc_sim._spare(cfg))
+        tlen, where = hcb.tables.lay_ones(syms, cfg.memory - 1)
         arrivals_bytes = cfg.memory * where.size * 4
         tracemalloc.start()
         try:
@@ -332,7 +332,7 @@ class TestStreamedCounts:
 
 
 class TestChunkPeak:
-    def test_long_chunk_peaks_below_3_2_times_the_positions(self, dist, pcb, params):
+    def test_long_chunk_peaks_below_2_2_times_int64_positions(self, dist, pcb, params):
         # Bounds count the positions at 8 bytes each, as int64 holds them.
         # Narrow counts, a decode buffer of msg_len + width columns and
         # scoring in row blocks: int32 counts, a max_t + width buffer and
@@ -351,7 +351,7 @@ class TestChunkPeak:
         # The chunk's own messages: its generator draws them first.
         rng = np.random.default_rng(np.random.SeedSequence(seed))
         syms = guide.draw(rng, CHUNK_TRIALS * 200).reshape(CHUNK_TRIALS, 200)
-        where = pcb.tables.lay_ones(syms, mc_sim._spare(cfg))[1]
+        where = pcb.tables.lay_ones(syms, cfg.memory - 1)[1]
         assert where.dtype == np.int32
         position_bytes = 8 * where.size
         del syms, where
@@ -401,9 +401,9 @@ class TestShortChunkPeak:
     blocks: drawn, laid and scored whole, the draw peaked at 12.0 times its
     symbols, the lay at 5.5-6.1 times the positions and the chunk at
     5.6-6.3 times. The positions count 8 bytes each, as int64 holds them:
-    in blocks, with int64 positions and a padded copy for the decode, the
-    chunk peaked at 3.17-4.12 times, below a bound of 5; with int32
-    positions and a read of whole bytes it peaks at 2.67-3.62 times."""
+    in blocks, the chunk peaks at 3.17-4.12 times, with a padded copy for
+    the decode or a read of whole bytes alike. Chunks this short keep
+    int64 positions; int32 ones brought the chunk to 2.67-3.62 times."""
 
     @pytest.fixture
     def cfg(self, dist, params, kind):
@@ -424,10 +424,10 @@ class TestShortChunkPeak:
     def test_lay_peaks_below_4_times_the_positions(self, cfg):
         syms = mc_sim._symbol_guide(cfg).draw(np.random.default_rng(8), CHUNK_TRIALS * 10)
         (_, where), peak = _traced_peak(cfg.codebook.tables.lay_ones,
-                                        syms.reshape(CHUNK_TRIALS, 10), mc_sim._spare(cfg))
+                                        syms.reshape(CHUNK_TRIALS, 10), cfg.memory - 1)
         assert peak < 4 * 8 * where.size
 
-    def test_chunk_peaks_below_5_times_the_positions(self, cfg):
+    def test_chunk_peaks_below_4_4_times_int64_positions(self, cfg):
         guide = mc_sim._symbol_guide(cfg)
         seed = (0, mc_sim._MAIN_TAG, 0)
         messages = mc_sim._draw_messages(cfg, guide, CHUNK_TRIALS, seed)
@@ -439,7 +439,12 @@ class TestShortChunkPeak:
 
 class TestPositionDtype:
     @pytest.mark.parametrize("rows, stride, dtype", [
-        (CHUNK_TRIALS, 1380, np.int32),
+        (CHUNK_TRIALS, 60, np.int64),  # an 8192 x 10 chunk
+        (CHUNK_TRIALS, 1380, np.int32),  # an 8192 x 200 chunk
+        (CHUNK_TRIALS, 2**9 - 1, np.int64),  # 2**22 - 8192 slots
+        (CHUNK_TRIALS, 2**9, np.int32),  # 2**22 slots
+        (1, 2**22 - 1, np.int64),
+        (2**22, 1, np.int32),
         (1, 2**31 - 1, np.int32),
         (2**31 - 1, 1, np.int32),
         (CHUNK_TRIALS, 2**18 - 1, np.int32),  # 2**31 - 8192 slots
@@ -447,23 +452,25 @@ class TestPositionDtype:
         (1, 2**31, np.int64),
         (3, 2**30, np.int64),
     ])
-    def test_int32_while_rows_times_stride_fits(self, rows, stride, dtype):
+    def test_int32_from_2_22_slots_while_they_fit(self, rows, stride, dtype):
         assert codebooks._position_dtype(rows, stride) is dtype
 
-    def test_reference_chunk_lays_int32_positions(self, dist, pcb, params):
+    @pytest.mark.parametrize("msg_len, dtype", [(200, np.int32), (10, np.int64)])
+    def test_reference_chunks_lay_their_positions_dtype(self, msg_len, dtype, dist, pcb,
+                                                        params):
         cfg = LinkConfig(
             codebook=pcb, distribution=dist, params=params,
             molecules_per_one=_budget_share(dist, pcb, 85), char_duration=0.5,
-            threshold=ConstantThreshold(8.0),
+            threshold=ConstantThreshold(8.0), msg_len=msg_len,
         )
         messages = mc_sim._draw_messages(cfg, mc_sim._symbol_guide(cfg), CHUNK_TRIALS,
                                          (0, mc_sim._MAIN_TAG, 0))
-        assert messages.where.dtype == np.int32
+        assert messages.where.dtype == dtype
 
     @pytest.mark.parametrize("kind", ["huffman", "proposed"])
-    def test_int64_positions_lay_and_score_alike(self, kind, dist, params, monkeypatch):
-        # The int64 positions of a matrix past int32's range, forced on a
-        # small chunk: the same positions and the same chunk totals.
+    def test_int32_positions_lay_and_score_alike(self, kind, dist, params, monkeypatch):
+        # The int32 positions of a long chunk, forced on a short one: the
+        # same positions and the same chunk totals as its int64 ones.
         cb = build(kind, dist)
         cfg = LinkConfig(
             codebook=cb, distribution=dist, params=params,
@@ -471,12 +478,12 @@ class TestPositionDtype:
             threshold=ConstantThreshold(8.0), msg_len=20,
         )
         guide, seed = mc_sim._symbol_guide(cfg), (3, mc_sim._MAIN_TAG, 0)
-        narrow = mc_sim._draw_messages(cfg, guide, 600, seed).where
-        want = mc_sim._run_chunk([cfg], [8.0], guide, 600, seed)
-        monkeypatch.setattr(codebooks, "_position_dtype", lambda rows, stride: np.int64)
         wide = mc_sim._draw_messages(cfg, guide, 600, seed).where
-        assert (narrow.dtype, wide.dtype) == (np.int32, np.int64)
-        np.testing.assert_array_equal(wide, narrow)
+        want = mc_sim._run_chunk([cfg], [8.0], guide, 600, seed)
+        monkeypatch.setattr(codebooks, "_position_dtype", lambda rows, stride: np.int32)
+        narrow = mc_sim._draw_messages(cfg, guide, 600, seed).where
+        assert (wide.dtype, narrow.dtype) == (np.int64, np.int32)
+        np.testing.assert_array_equal(narrow, wide)
         assert mc_sim._run_chunk([cfg], [8.0], guide, 600, seed) == want
 
 
