@@ -137,10 +137,11 @@ def _decode_rows(final: np.ndarray, tlen: np.ndarray, syms: np.ndarray, tables: 
     in ceil(max_t / k) steps, max_t being final's width: each row's bits
     are packed into k-bit codes, time major, and a step looks up every
     row's entry from its state, its count of those k slots that lie
-    before its tlen, and their code. A step writes the entry's emit column (its symbols, then
-    -1) into the row's stretch of an int16 buffer from the row's decoded
-    count on, or from msg_len once that count passes it: only the first
-    msg_len are scored. A step writes at most the table's width, so
+    before its tlen, and their code. A step writes the entry's emit
+    column (its symbols, then -1) into the row's stretch of an int16
+    buffer from the row's decoded count on, or from msg_len once that
+    count passes it: only the first msg_len are scored. A step writes at
+    most the table's width, so
     stretches of msg_len + width never spill into each other, and past a
     row's decoded count they hold -1. The count itself is not clipped.
 
